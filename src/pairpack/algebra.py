@@ -2,8 +2,9 @@
 cyclotomic integers.
 
 Everything here runs on Python's arbitrary-precision integers; no floating
-point is used anywhere.  Ring elements are plain ints kept canonical in
-[0, n); the ring handle owns the modulus and performs all reductions.
+point is used anywhere.  A ring is only a modulus (ModRing) or its absence
+(ZZ); ring elements are plain ints, and the code doing the arithmetic
+reduces them into [0, n) when there is a modulus.
 Cyclotomic integers are integer coefficient vectors modulo x^n - 1, which
 is deliberately not a canonical form: zero is decided by exact divisibility
 by the n-th cyclotomic polynomial.
@@ -66,12 +67,10 @@ def factorial_quotient_mod(m: int, d: int, n: int) -> int:
 
 
 class ModRing:
-    """Handle for the ring Z/(n).  Elements are plain ints in [0, n)."""
+    """The residue ring Z/(n), named by its modulus.  Elements are plain
+    ints; MultiPoly and AffineProduct reduce them with % n."""
 
     __slots__ = ("n",)
-
-    zero = 0
-    one = 1
 
     def __init__(self, n: int):
         if not isinstance(n, int) or n < 2:
@@ -81,28 +80,6 @@ class ModRing:
     @property
     def is_field(self) -> bool:
         return is_prime(self.n)
-
-    def convert(self, x: int) -> int:
-        return x % self.n
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.n
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.n
-
-    def neg(self, a: int) -> int:
-        return -a % self.n
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b % self.n
-
-    def inv(self, a: int) -> int:
-        return mod_inverse(a, self.n)
-
-    def units(self) -> tuple[int, ...]:
-        """The invertible residues, i.e. those coprime with n."""
-        return tuple(a for a in range(1, self.n) if math.gcd(a, self.n) == 1)
 
     def __eq__(self, other):
         return isinstance(other, ModRing) and self.n == other.n
@@ -115,31 +92,10 @@ class ModRing:
 
 
 class IntegerRing:
-    """The ring of exact integers, usable wherever a ModRing is."""
+    """The exact integers: the ring with no modulus (n is None)."""
 
-    zero = 0
-    one = 1
+    n = None
     is_field = False
-
-    def convert(self, x: int) -> int:
-        return int(x)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        if a in (1, -1):
-            return a
-        raise NotInvertible(f"{a} is not a unit in Z")
 
     def __eq__(self, other):
         return isinstance(other, IntegerRing)
@@ -219,18 +175,6 @@ def _poly_trim(c: list[int]) -> list[int]:
     while c and c[-1] == 0:
         c.pop()
     return c
-
-
-def poly_mul_z(a, b):
-    """Product of two integer coefficient lists."""
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _poly_trim(out)
 
 
 def poly_divmod_monic(num, den):

@@ -59,7 +59,10 @@ def _int_sets(text: str) -> tuple[tuple[int, ...], ...]:
 
 def _load(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise CliError(f"{path}: expected a JSON object")
+    return doc
 
 
 def _jobs(args) -> "int | None":
@@ -198,15 +201,20 @@ def cmd_verify(args) -> int:
         _emit({"verified": False})
         return 2
 
-    if isinstance(inst, PackingInstance):
-        solution = tuple(sol_doc["t"])
-    elif isinstance(inst, VectorPartitionInstance):
-        pairs = tuple((tuple(x), tuple(y)) for x, y in sol_doc["pairs"])
-        solution = (pairs, tuple(sol_doc["g"]))
-    else:
-        solution = PairPartition(tuple((x, y) for x, y in sol_doc["pairs"]))
+    try:
+        if isinstance(inst, PackingInstance):
+            solution = tuple(sol_doc["t"])
+        elif isinstance(inst, VectorPartitionInstance):
+            pairs = tuple((tuple(x), tuple(y)) for x, y in sol_doc["pairs"])
+            solution = (pairs, tuple(sol_doc["g"]))
+        else:
+            solution = PairPartition(
+                tuple((x, y) for x, y in sol_doc["pairs"]))
+        ok = verify_solution(inst, solution)
+    except (KeyError, TypeError) as exc:
+        raise CliError(
+            f"malformed solution JSON ({type(exc).__name__}: {exc})") from None
 
-    ok = verify_solution(inst, solution)
     _emit({"verified": ok})
     return 0 if ok else 2
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -105,19 +106,40 @@ def _orderings(key) -> int:
     return num
 
 
-def _load_checkpoint(path, n, universe):
-    done = {}
+def _complete(line: bytes) -> bool:
+    """Is this checkpoint line a whole record, newline included?"""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                if rec.get("n") == n and rec.get("universe") == universe:
-                    done[rec["shard"]] = rec
+        json.loads(line)
+    except ValueError:
+        return False
+    return line.endswith(b"\n")
+
+
+def _load_checkpoint(path, n, universe):
+    """Finished shards of this scan from a checkpoint file.
+
+    Each record is appended as one line with its newline, so a crash in
+    the middle of an append leaves a last line that is cut short.  That
+    line is dropped and cut off the file, so its shard runs again and the
+    new record starts on a line of its own.  An unparsable line anywhere
+    else raises.
+    """
+    try:
+        with open(path, "rb") as fh:
+            lines = fh.readlines()
     except FileNotFoundError:
-        pass
+        return {}
+    torn = bool(lines) and not _complete(lines[-1])
+    if torn:
+        lines.pop()
+    done = {}
+    for line in lines:
+        if line.strip():
+            rec = json.loads(line)
+            if rec.get("n") == n and rec.get("universe") == universe:
+                done[rec["shard"]] = rec
+    if torn:
+        os.truncate(path, sum(map(len, lines)))
     return done
 
 
@@ -207,34 +229,21 @@ def _validated_units(n, d) -> tuple[int, ...]:
 
 
 def _permanent(matrix, n: int) -> CycloInt:
-    """Permanent of a square matrix of CycloInt entries: direct bijection
-    enumeration up to 8 rows, inclusion-exclusion beyond."""
-    m = len(matrix)
-    one = CycloInt.from_int(n, 1)
-    if m == 0:
-        return one
-    if m > 8:
-        return _permanent_ryser(matrix, n)
-    total = CycloInt(n)
-    used = [False] * m
-
-    def walk(row, acc):
-        nonlocal total
-        if row == m:
-            total = total + acc
-            return
-        for c in range(m):
-            if not used[c]:
-                used[c] = True
-                walk(row + 1, acc * matrix[row][c])
-                used[c] = False
-
-    walk(0, one)
-    return total
+    """Permanent of a square matrix of CycloInt entries (1 for 0 rows)."""
+    if not matrix:
+        return CycloInt.from_int(n, 1)
+    return _permanent_ryser(matrix, n)
 
 
 def _permanent_ryser(matrix, n: int) -> CycloInt:
-    # gray-code subset walk: one column enters or leaves per step
+    """Ryser's inclusion-exclusion formula,
+
+        perm M = (-1)^m * sum_S (-1)^|S| * prod_i sum_{j in S} M[i][j]
+
+    over the column sets S, walked in Gray-code order so one column
+    enters or leaves per step.  The formula is an identity in any
+    commutative ring, so the result is the exact permanent in
+    Z[x]/(x^n - 1)."""
     m = len(matrix)
     zero = CycloInt(n)
     rowsums = [zero] * m

@@ -7,9 +7,11 @@ equals
     sum over (a_1 .. a_n) in A_1 x ... x A_n of
         f(a_1 .. a_n) / (phi_1'(a_1) ... phi_n'(a_n)),
 
-where phi_i(x) = prod_{b in A_i} (x - b).  Over a field the denominators
-are invertible because grid elements are distinct; over a general
-commutative ring the same identity is applied in cleared-denominator form.
+where phi_i(x) = prod_{b in A_i} (x - b).  The sum is always taken in
+cleared-denominator form, N = C * D with D the product of every phi_i'(a),
+and divided by D once at the end: exactly over the integers, by an inverse
+mod n over Z/(n).  Over a field D is invertible because grid elements are
+distinct.
 A nonzero coefficient forces a grid point where f itself is nonzero, which
 is what the witness search exhumes.
 
@@ -23,8 +25,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .algebra import ModRing, ZZ
-from .poly import AffineProduct, ArityMismatch, RingMismatch
+from .algebra import ModRing
+from .poly import AffineProduct, ArityMismatch
 
 
 class DegreeTooHigh(ValueError):
@@ -73,28 +75,6 @@ def _check_grid(f, grid: GridSpec):
         raise DegreeTooHigh(f"deg {deg} > sum of grid degrees {limit}")
 
 
-def _derivative_values(grid: GridSpec, ring):
-    """phi_i'(a) = prod_{b in A_i, b != a} (a - b), per axis and element.
-
-    Distinctness within each A_i is re-checked in the ring, since converting
-    raw integers into a residue ring can collapse elements.
-    """
-    tables = []
-    for s in grid.sets:
-        conv = [ring.convert(a) for a in s]
-        if len(set(conv)) != len(conv):
-            raise ValueError(f"grid set {s} collapses in {ring!r}")
-        row = []
-        for a in conv:
-            v = ring.one
-            for b in conv:
-                if b != a:
-                    v = ring.mul(v, ring.sub(a, b))
-            row.append(v)
-        tables.append(row)
-    return tables
-
-
 def integral_over_field(f) -> int:
     """Sum of f over all points of F_p^m, reduced mod p.
 
@@ -116,72 +96,55 @@ def cn_coefficient_scaled(f, grid: GridSpec):
 
     Returns (N, D) with N = C * D, where C is the coefficient of
     x_1^c_1 ... x_n^c_n in f and D is the product of all phi_i'(a) over
-    every axis i and every a in A_i.  Works over any coefficient ring; no
-    division is performed.
+    every axis i and every a in A_i.  Works over ZZ and over every residue
+    ring, where N and D come reduced mod n; no division is performed.
+    Distinctness within each A_i is re-checked mod n, since reducing can
+    collapse elements.
     """
     _check_grid(f, grid)
-    ring = f.ring
-    phi = _derivative_values(grid, ring)
-    # complement[i][t] = product of phi_i' over A_i minus its t-th element,
-    # built from prefix and suffix products to avoid division
-    complement = []
-    denom = ring.one
-    for row in phi:
-        size = len(row)
-        prefix = [ring.one] * (size + 1)
-        for t in range(size):
-            prefix[t + 1] = ring.mul(prefix[t], row[t])
-        suffix = [ring.one] * (size + 1)
-        for t in range(size - 1, -1, -1):
-            suffix[t] = ring.mul(suffix[t + 1], row[t])
-        complement.append([ring.mul(prefix[t], suffix[t + 1]) for t in range(size)])
-        denom = ring.mul(denom, prefix[size])
-    total = ring.zero
-    axes = [range(len(s)) for s in grid.sets]
-    conv_sets = [[ring.convert(a) for a in s] for s in grid.sets]
-    for idx in itertools.product(*axes):
-        point = tuple(conv_sets[i][t] for i, t in enumerate(idx))
+    n = f.ring.n
+    sets, complements = [], []
+    denom = 1
+    for given in grid.sets:
+        s = tuple(a % n for a in given) if n else given
+        if len(set(s)) != len(s):
+            raise ValueError(f"grid set {given} collapses in {f.ring!r}")
+        phi = [math.prod(a - b for b in s if b != a) for a in s]
+        # the product of phi_i' over A_i minus its t-th element, per t
+        comp = [math.prod(phi[:t] + phi[t + 1:]) for t in range(len(s))]
+        denom *= math.prod(phi)
+        if n:
+            comp = [c % n for c in comp]
+            denom %= n
+        sets.append(s)
+        complements.append(comp)
+    total = 0
+    # both products walk the grid in the same (lexicographic) order
+    for point, weights in zip(itertools.product(*sets),
+                              itertools.product(*complements)):
         v = f.evaluate(point)
-        if v == ring.zero:
-            continue
-        for i, t in enumerate(idx):
-            v = ring.mul(v, complement[i][t])
-        total = ring.add(total, v)
-    return total, denom
+        if v:
+            for w in weights:
+                v *= w
+            total += v % n if n else v
+    return (total % n if n else total), denom
 
 
 def cn_coefficient(f, grid: GridSpec):
     """The coefficient of x_1^c_1 ... x_n^c_n in f, via the grid sum.
 
-    Over a prime residue ring the sum is taken with per-point inverse
-    denominators.  Over the integers or a composite residue ring the
-    cleared-denominator sum is divided exactly at the end; when that
-    division is not uniquely possible, NonInvertibleDenominator is raised.
+    The cleared-denominator sum N = C * D is divided at the end: exactly
+    over the integers, and as N * D^-1 mod n over a residue ring.  When
+    that division is not uniquely possible (D does not divide N, or
+    gcd(D, n) > 1), NonInvertibleDenominator is raised.
     """
-    _check_grid(f, grid)
-    ring = f.ring
-    if isinstance(ring, ModRing) and ring.is_field:
-        p = ring.n
-        phi = _derivative_values(grid, ring)
-        weights = [[ring.inv(v) for v in row] for row in phi]
-        total = 0
-        axes = [range(len(s)) for s in grid.sets]
-        conv_sets = [[ring.convert(a) for a in s] for s in grid.sets]
-        for idx in itertools.product(*axes):
-            point = tuple(conv_sets[i][t] for i, t in enumerate(idx))
-            v = f.evaluate(point)
-            if v == 0:
-                continue
-            for i, t in enumerate(idx):
-                v = v * weights[i][t] % p
-            total += v
-        return total % p
     num, den = cn_coefficient_scaled(f, grid)
-    if isinstance(ring, ModRing):
-        if math.gcd(den, ring.n) != 1:
+    n = f.ring.n
+    if n:
+        if math.gcd(den, n) != 1:
             raise NonInvertibleDenominator(
-                f"denominator {den} is not invertible mod {ring.n}")
-        return num * ring.inv(den) % ring.n
+                f"denominator {den} is not invertible mod {n}")
+        return num * pow(den, -1, n) % n
     if den == 0 or num % den:
         raise NonInvertibleDenominator(
             f"{num} is not an exact multiple of {den}")
@@ -193,11 +156,11 @@ def cn_witness(f, grid: GridSpec):
     nonzero, or None when f vanishes on the whole grid."""
     if grid.arity != f.arity:
         raise ArityMismatch(f"grid arity {grid.arity} vs polynomial {f.arity}")
-    ring = f.ring
+    n = f.ring.n
     for point in grid.points():
-        conv = tuple(ring.convert(a) for a in point)
-        if f.evaluate(conv) != ring.zero:
-            return conv
+        point = tuple(a % n for a in point) if n else point
+        if f.evaluate(point):
+            return point
     return None
 
 

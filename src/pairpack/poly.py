@@ -1,4 +1,4 @@
-"""Sparse exact multivariate polynomials over a pluggable coefficient ring.
+"""Sparse exact multivariate polynomials over Z or a residue ring Z/(n).
 
 Two representations are used side by side:
 
@@ -9,15 +9,15 @@ Two representations are used side by side:
   terms but a point value is cheap.
 
 Conversion from factored to expanded form is explicit and guarded by a term
-budget.  The coefficient ring (exact integers or a residue ring) is fixed at
-construction; mixing rings is an error, never a coercion.
+budget.  The coefficient ring (ZZ or a ModRing) is fixed at construction;
+mixing rings is an error, never a coercion.  Coefficients are plain ints:
+over ModRing(n) they are kept reduced into [0, n) with % n, over ZZ
+(whose n is None) they are left exact.
 """
 
 from __future__ import annotations
 
 import math
-
-from .algebra import ModRing, ZZ
 
 
 class ArityMismatch(ValueError):
@@ -43,13 +43,14 @@ def _check_pair(a, b):
 
 
 class MultiPoly:
-    """Sparse polynomial: exponent tuples mapped to nonzero ring elements."""
+    """Sparse polynomial: exponent tuples mapped to nonzero int coefficients."""
 
     __slots__ = ("ring", "arity", "terms")
 
     def __init__(self, ring, arity: int, terms=None):
         self.ring = ring
         self.arity = int(arity)
+        n = ring.n
         clean: dict = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
@@ -59,13 +60,13 @@ class MultiPoly:
                     raise ArityMismatch(f"exponent {e} in arity-{self.arity} polynomial")
                 if any(x < 0 for x in e):
                     raise ValueError(f"negative exponent in {e}")
-                c = ring.convert(c)
-                if e in clean:
-                    c = ring.add(clean[e], c)
-                if c == ring.zero:
-                    clean.pop(e, None)
-                else:
+                c = int(c) + clean.get(e, 0)
+                if n:
+                    c %= n
+                if c:
                     clean[e] = c
+                else:
+                    clean.pop(e, None)
         self.terms = clean
 
     @classmethod
@@ -78,7 +79,7 @@ class MultiPoly:
 
     @classmethod
     def one(cls, ring, arity: int) -> MultiPoly:
-        return cls.constant(ring, arity, ring.one)
+        return cls.constant(ring, arity, 1)
 
     @classmethod
     def monomial(cls, ring, arity: int, exponents, coeff=1) -> MultiPoly:
@@ -90,7 +91,7 @@ class MultiPoly:
             raise ArityMismatch(f"variable index {index} out of range for arity {arity}")
         e = [0] * arity
         e[index] = 1
-        return cls(ring, arity, {tuple(e): ring.one})
+        return cls(ring, arity, {tuple(e): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -99,14 +100,16 @@ class MultiPoly:
         if isinstance(other, int):
             other = MultiPoly.constant(self.ring, self.arity, other)
         _check_pair(self, other)
-        ring = self.ring
+        n = self.ring.n
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = ring.add(out.get(e, ring.zero), c)
-            if s == ring.zero:
-                out.pop(e, None)
-            else:
+            s = out.get(e, 0) + c
+            if n:
+                s %= n
+            if s:
                 out[e] = s
+            else:
+                out.pop(e, None)
         res = MultiPoly(self.ring, self.arity)
         res.terms = out
         return res
@@ -114,43 +117,31 @@ class MultiPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        ring = self.ring
-        res = MultiPoly(self.ring, self.arity)
-        res.terms = {e: ring.neg(c) for e, c in self.terms.items()}
-        return res
+        return self * -1
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = MultiPoly.constant(self.ring, self.arity, other)
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        ring = self.ring
         if isinstance(other, int):
-            other = ring.convert(other)
-            res = MultiPoly(self.ring, self.arity)
-            if other != ring.zero:
-                terms = {}
-                for e, c in self.terms.items():
-                    c = ring.mul(c, other)
-                    if c != ring.zero:
-                        terms[e] = c
-                res.terms = terms
-            return res
+            return MultiPoly(self.ring, self.arity,
+                             [(e, c * other) for e, c in self.terms.items()])
         _check_pair(self, other)
+        n = self.ring.n
         out: dict = {}
-        zero = ring.zero
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 e = tuple(x + y for x, y in zip(ea, eb))
-                s = ring.add(out.get(e, zero), ring.mul(ca, cb))
-                if s == zero:
-                    out.pop(e, None)
-                else:
+                s = out.get(e, 0) + ca * cb
+                if n:
+                    s %= n
+                if s:
                     out[e] = s
+                else:
+                    out.pop(e, None)
         res = MultiPoly(self.ring, self.arity)
         res.terms = out
         return res
@@ -178,11 +169,11 @@ class MultiPoly:
     __hash__ = None
 
     def coefficient(self, exponents):
-        """The stored coefficient at the given exponent vector, or ring zero."""
+        """The stored coefficient at the given exponent vector, or 0."""
         e = tuple(exponents)
         if len(e) != self.arity:
             raise ArityMismatch(f"exponent {e} in arity-{self.arity} polynomial")
-        return self.terms.get(e, self.ring.zero)
+        return self.terms.get(e, 0)
 
     def total_degree(self) -> int:
         """Largest exponent sum over the stored terms (0 for the zero polynomial)."""
@@ -191,25 +182,14 @@ class MultiPoly:
     def evaluate(self, point):
         if len(point) != self.arity:
             raise ArityMismatch(f"point of length {len(point)} for arity {self.arity}")
-        ring = self.ring
-        if isinstance(ring, ModRing):
-            n = ring.n
-            total = 0
-            for e, c in self.terms.items():
-                v = c
-                for x, k in zip(point, e):
-                    if k:
-                        v = v * pow(x, k, n) % n
-                total += v
-            return total % n
-        total = ring.zero
+        n = self.ring.n
+        total = 0
         for e, c in self.terms.items():
-            v = c
             for x, k in zip(point, e):
-                for _ in range(k):
-                    v = ring.mul(v, x)
-            total = ring.add(total, v)
-        return total
+                if k:
+                    c *= pow(x, k, n)      # x ** k when n is None
+            total += c
+        return total % n if n else total
 
     def sorted_terms(self):
         """Terms as (exponents, coeff) pairs in lexicographic exponent order."""
@@ -224,8 +204,13 @@ class MultiPoly:
 
     @classmethod
     def from_json(cls, ring, doc: dict) -> MultiPoly:
-        terms = [(tuple(t["e"]), int(t["c"])) for t in doc["terms"]]
-        return cls(ring, doc["arity"], terms)
+        try:
+            terms = [(tuple(t["e"]), int(t["c"])) for t in doc["terms"]]
+            return cls(ring, doc["arity"], terms)
+        except (KeyError, TypeError) as exc:
+            raise ValueError(
+                f"malformed polynomial JSON ({type(exc).__name__}: {exc})"
+            ) from None
 
     def __repr__(self):
         shown = ", ".join(f"{e}:{c}" for e, c in self.sorted_terms()[:4])
@@ -247,14 +232,15 @@ class AffineProduct:
     def __init__(self, ring, arity: int, factors):
         self.ring = ring
         self.arity = int(arity)
+        n = ring.n
+        canon = (lambda c: c % n) if n else int
         clean = []
         for linear, const in factors:
-            lin = tuple((int(i), ring.convert(c)) for i, c in linear
-                        if ring.convert(c) != ring.zero)
+            lin = tuple((int(i), canon(c)) for i, c in linear if canon(c))
             for i, _ in lin:
                 if not 0 <= i < self.arity:
                     raise ArityMismatch(f"variable {i} in arity-{self.arity} product")
-            clean.append((lin, ring.convert(const)))
+            clean.append((lin, canon(const)))
         self.factors = tuple(clean)
 
     def total_degree(self) -> int:
@@ -265,24 +251,17 @@ class AffineProduct:
     def evaluate(self, point):
         if len(point) != self.arity:
             raise ArityMismatch(f"point of length {len(point)} for arity {self.arity}")
-        ring = self.ring
-        if isinstance(ring, ModRing):
-            n = ring.n
-            acc = 1
-            for lin, const in self.factors:
-                v = const
-                for i, c in lin:
-                    v += c * point[i]
-                acc = acc * v % n
-                if acc == 0:
-                    return 0
-            return acc
-        acc = ring.one
+        n = self.ring.n
+        acc = 1
         for lin, const in self.factors:
             v = const
             for i, c in lin:
-                v = ring.add(v, ring.mul(c, point[i]))
-            acc = ring.mul(acc, v)
+                v += c * point[i]
+            acc *= v
+            if n:
+                acc %= n
+            if acc == 0:
+                return 0
         return acc
 
     def __mul__(self, other: AffineProduct) -> AffineProduct:
@@ -304,7 +283,7 @@ class AffineProduct:
         ring = self.ring
         result = MultiPoly.one(ring, self.arity)
         for lin, const in self.factors:
-            terms = [((0,) * self.arity, const)] if const != ring.zero else []
+            terms = [((0,) * self.arity, const)] if const else []
             for i, c in lin:
                 e = [0] * self.arity
                 e[i] = 1
@@ -320,23 +299,13 @@ def _predict_terms(prod: AffineProduct, budget: int) -> int:
     """Cheap a-priori bound on the expanded term count."""
     per_factor = 1
     for lin, const in prod.factors:
-        per_factor *= len(lin) + (1 if const != prod.ring.zero else 0)
+        per_factor *= len(lin) + (1 if const else 0)
         if per_factor > budget:
             break
     # monomial-count bound: all monomials of total degree <= deg in `arity` vars
     deg = prod.total_degree()
     dense = math.comb(deg + prod.arity, prod.arity)
     return min(per_factor, dense)
-
-
-def product_of_affine_factors(ring, arity: int, factors,
-                              budget: int = DEFAULT_TERM_BUDGET) -> MultiPoly:
-    """Exact expansion of a product of affine factors.
-
-    ``factors`` is an iterable of ``(((var, coeff), ...), const)`` entries;
-    an empty list yields the constant 1.
-    """
-    return AffineProduct(ring, arity, factors).expand(budget)
 
 
 def _difference_power(ring, arity: int, i: int, j: int, e: int) -> MultiPoly:

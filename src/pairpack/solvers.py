@@ -12,6 +12,7 @@ nodes the exhaustion visited.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
@@ -21,6 +22,22 @@ from .algebra import factorial_quotient_mod, is_basis, is_prime, vec_add, vec_su
 
 class InvalidInstance(ValueError):
     """Instance data breaks a structural requirement."""
+
+
+def _json_errors(from_json):
+    """Report a missing key or a mistyped value in an instance document
+    as InvalidInstance instead of a KeyError or TypeError."""
+
+    @functools.wraps(from_json)
+    def parse(cls, doc):
+        try:
+            return from_json(cls, doc)
+        except (KeyError, TypeError) as exc:
+            raise InvalidInstance(
+                f"malformed instance JSON ({type(exc).__name__}: {exc})"
+            ) from None
+
+    return parse
 
 
 @dataclass(frozen=True)
@@ -88,6 +105,7 @@ class PartitionInstance:
         return {"n": self.n, "universe": self.universe, "d": list(self.d)}
 
     @classmethod
+    @_json_errors
     def from_json(cls, doc: dict) -> "PartitionInstance":
         n = int(doc["n"])
         universe = doc.get("universe") or ("nonzero" if n % 2 else "full")
@@ -219,6 +237,7 @@ class VectorPartitionInstance:
                 "bases": [[list(v) for v in basis] for basis in self.bases]}
 
     @classmethod
+    @_json_errors
     def from_json(cls, doc: dict) -> "VectorPartitionInstance":
         bases = tuple(tuple(tuple(v) for v in basis) for basis in doc["bases"])
         return cls(int(doc["p"]), int(doc["k"]), bases,
@@ -337,6 +356,7 @@ class PackingInstance:
                 "T": [list(s) for s in self.T], "d": self.d}
 
     @classmethod
+    @_json_errors
     def from_json(cls, doc: dict) -> "PackingInstance":
         return cls(doc["n"], tuple(map(tuple, doc["X"])),
                    tuple(map(tuple, doc["T"])), int(doc["d"]))

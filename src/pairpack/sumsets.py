@@ -41,21 +41,6 @@ def beta(p: int, r: int, s: int) -> int:
     raise AssertionError("unreachable: the range at n = r+s-1 is empty")
 
 
-def lucas_binomial_mod(n: int, k: int, p: int) -> int:
-    """C(n, k) mod p through base-p digits; a fast path that must agree
-    with the exact reduction."""
-    if k < 0 or k > n:
-        return 0
-    out = 1
-    while n or k:
-        nd, n = n % p, n // p
-        kd, k = k % p, k // p
-        if kd > nd:
-            return 0
-        out = out * (math.comb(nd, kd) % p) % p
-    return out
-
-
 def sumset(A, B, modulus: int) -> tuple[int, ...]:
     """Sorted distinct pairwise sums mod the modulus."""
     return tuple(sorted({(a + b) % modulus for a in A for b in B}))

@@ -7,7 +7,7 @@ import pytest
 from pairpack.algebra import (ZZ, CycloInt, DimensionMismatch, ModRing,
                               NotInvertible, OrderMismatch, cyclotomic_poly,
                               factorial_quotient_mod, is_basis, is_prime,
-                              mod_inverse, poly_eval_z, poly_mul_z,
+                              mod_inverse, poly_divmod_monic, poly_eval_z,
                               rank_mod_p, vec_add, vec_sub)
 
 
@@ -44,30 +44,24 @@ def test_factorial_quotient_mod():
 
 def test_modring_basics():
     R = ModRing(7)
+    assert R.n == 7
     assert R.is_field
     assert ModRing(9).is_field is False
-    assert R.add(5, 4) == 2
-    assert R.mul(3, 5) == 1
-    assert R.neg(2) == 5
-    assert R.sub(1, 3) == 5
-    assert R.inv(3) == 5
-    assert R.convert(-1) == 6
     assert ModRing(7) == ModRing(7)
     assert ModRing(7) != ModRing(5)
     assert len({ModRing(7), ModRing(7), ModRing(5)}) == 2
-    assert ModRing(9).units() == (1, 2, 4, 5, 7, 8)
-    with pytest.raises(NotInvertible):
-        ModRing(9).inv(3)
+    assert repr(R) == "ModRing(7)"
+    for bad in (1, 0, -3, 7.0):
+        with pytest.raises(ValueError):
+            ModRing(bad)
 
 
 def test_integer_ring():
-    assert ZZ.add(2, 3) == 5
-    assert ZZ.mul(-2, 3) == -6
-    assert ZZ.convert(17) == 17
-    assert ZZ.inv(1) == 1
-    assert ZZ.inv(-1) == -1
-    with pytest.raises(NotInvertible):
-        ZZ.inv(2)
+    assert ZZ.n is None
+    assert ZZ.is_field is False
+    assert ZZ == ZZ
+    assert ZZ != ModRing(7) and ModRing(7) != ZZ
+    assert repr(ZZ) == "ZZ"
 
 
 def test_vec_ops():
@@ -109,11 +103,13 @@ def test_cyclotomic_degree_and_product():
 
     for n in range(1, 31):
         assert len(cyclotomic_poly(n)) - 1 == phi(n)
-        prod = [1]
-        for d in range(1, n + 1):
+        # x^n - 1 = prod_{d | n} Phi_d: dividing by every factor leaves 1
+        rest = [-1] + [0] * (n - 1) + [1]
+        for d in range(n, 0, -1):
             if n % d == 0:
-                prod = poly_mul_z(prod, cyclotomic_poly(d))
-        assert tuple(prod) == tuple([-1] + [0] * (n - 1) + [1])
+                rest, rem = poly_divmod_monic(rest, cyclotomic_poly(d))
+                assert rem == []
+        assert rest == [1]
 
 
 def test_cyclotomic_value_at_one():

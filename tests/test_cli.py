@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from pairpack import cli
 from pairpack.algebra import ZZ
 from pairpack.poly import MultiPoly
@@ -234,6 +236,39 @@ def test_bad_subcommand_and_bad_file(capsys, tmp_path):
     code, _, err = run(capsys, ["partition", "--file",
                                 str(tmp_path / "absent.json")])
     assert code == 1 and "error:" in err
+
+
+INSTANCE = {"n": 5, "d": [1, 2]}
+
+
+@pytest.mark.parametrize("command, doc, solution", [
+    ("partition", {"n": 5}, None),
+    ("partition", {"n": 5, "d": 5}, None),
+    ("partition", [5, [1, 2]], None),
+    ("partition", {"p": 3, "k": 2, "bases": 4}, None),
+    ("pack", {"n": 7, "X": [[0]]}, None),
+    ("pack", {"n": 7, "X": 0, "T": 0, "d": 1}, None),
+    ("cn-coeff", {"arity": 2}, None),
+    ("verify", INSTANCE, {"result": "feasible"}),
+    ("verify", INSTANCE, {"result": "feasible", "pairs": [[2, "3"], [4, 1]]}),
+    ("verify", {"n": 7, "X": [[0]], "T": [[0]], "d": 1},
+     {"result": "feasible"}),
+])
+def test_malformed_json_is_one_error_line(capsys, tmp_path, command, doc,
+                                          solution):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = {"partition": ["partition", "--file", str(path)],
+            "pack": ["pack", "--file", str(path)],
+            "cn-coeff": ["cn-coeff", "--file", str(path), "--grid", "0,1;0,1"],
+            "verify": ["verify", "--instance", str(path),
+                       "--solution", str(tmp_path / "sol.json")]}[command]
+    if solution is not None:
+        (tmp_path / "sol.json").write_text(json.dumps(solution))
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_jobs_env_variable(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Feasibility scans over unit differences and the root-of-unity sums."""
 
+import itertools
 import json
 import random
 
@@ -95,13 +96,53 @@ def test_scan_checkpoint_resume(tmp_path):
     assert scan_conjecture(7, checkpoint=str(path)).to_json() == want
 
 
+def _tear(path):
+    """Cut the last line of a file in half, as a crash in the middle of an
+    append leaves it."""
+    data = path.read_bytes()
+    last = data.rstrip(b"\n").rfind(b"\n") + 1
+    path.write_bytes(data[:last + (len(data) - last) // 2])
+
+
+def test_scan_checkpoint_torn_tail(tmp_path):
+    path = tmp_path / "scan.jsonl"
+    want = scan_conjecture(11).to_json()
+    scan_conjecture(11, checkpoint=str(path))
+    shards = len(units_mod(11))
+    _tear(path)
+    assert not path.read_bytes().endswith(b"\n")
+    for _ in range(2):
+        assert scan_conjecture(11, checkpoint=str(path)).to_json() == want
+        lines = path.read_text().splitlines()
+        assert len(lines) == shards
+        assert sorted(json.loads(line)["shard"] for line in lines) == \
+            list(units_mod(11))
+
+    # only the last line may be torn; a broken line before it is an error
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([lines[0][:10]] + lines[1:]) + "\n")
+    with pytest.raises(json.JSONDecodeError):
+        scan_conjecture(11, checkpoint=str(path))
+
+
 def test_permanent_matches_inclusion_exclusion():
+    """Ryser's formula against the permanent's definition: a sum over all
+    permutations of products of one entry per row."""
     rng = random.Random(29)
-    for m in (1, 2, 3, 4):
-        order = 7
+    order = 7
+    for m in (1, 2, 3, 4, 5):
         mat = [[CycloInt(order, [rng.randrange(-2, 3) for _ in range(order)])
                 for _ in range(m)] for _ in range(m)]
-        assert _permanent(mat, order) == _permanent_ryser(mat, order)
+        want = CycloInt(order)
+        for perm in itertools.permutations(range(m)):
+            term = CycloInt.from_int(order, 1)
+            for row, col in enumerate(perm):
+                term = term * mat[row][col]
+            want = want + term
+        got = _permanent_ryser(mat, order)
+        assert got == want
+        # both are exact in Z[x]/(x^n - 1), so even the representatives agree
+        assert got.coeffs == want.coeffs
     assert _permanent([], 5) == CycloInt.from_int(5, 1)
 
 

@@ -6,8 +6,7 @@ import pytest
 
 from pairpack.algebra import ZZ, ModRing
 from pairpack.poly import (AffineProduct, ArityMismatch, BudgetExceeded,
-                           MultiPoly, RingMismatch, difference_product,
-                           product_of_affine_factors)
+                           MultiPoly, RingMismatch, difference_product)
 
 
 def rand_poly(rng, ring, arity, max_terms=6, max_exp=3, span=9):
@@ -56,14 +55,15 @@ def test_arithmetic_matches_evaluation():
         a = rand_poly(rng, ring, arity)
         b = rand_poly(rng, ring, arity)
         pt = tuple(rng.randrange(ring.n) for _ in range(arity))
+        n = ring.n
         av, bv = a.evaluate(pt), b.evaluate(pt)
-        assert (a + b).evaluate(pt) == ring.add(av, bv)
-        assert (a - b).evaluate(pt) == ring.sub(av, bv)
-        assert (a * b).evaluate(pt) == ring.mul(av, bv)
-        assert (a ** 3).evaluate(pt) == ring.mul(av, ring.mul(av, av))
-        assert (-a).evaluate(pt) == ring.neg(av)
-        assert (a + 2).evaluate(pt) == ring.add(av, 2)
-        assert (3 * a).evaluate(pt) == ring.mul(3, av)
+        assert (a + b).evaluate(pt) == (av + bv) % n
+        assert (a - b).evaluate(pt) == (av - bv) % n
+        assert (a * b).evaluate(pt) == av * bv % n
+        assert (a ** 3).evaluate(pt) == av * av * av % n
+        assert (-a).evaluate(pt) == -av % n
+        assert (a + 2).evaluate(pt) == (av + 2) % n
+        assert (3 * a).evaluate(pt) == 3 * av % n
 
 
 def test_arithmetic_over_integers():
@@ -157,8 +157,8 @@ def test_expansion_budget():
     # (x0+1)(x1+1)...(x9+1) has 2^10 terms
     factors = [(((i, 1),), 1) for i in range(10)]
     with pytest.raises(BudgetExceeded):
-        product_of_affine_factors(ZZ, 10, factors, budget=100)
-    assert len(product_of_affine_factors(ZZ, 10, factors, budget=2000).terms) \
+        AffineProduct(ZZ, 10, factors).expand(budget=100)
+    assert len(AffineProduct(ZZ, 10, factors).expand(budget=2000).terms) \
         == 1024
 
 

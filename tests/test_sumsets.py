@@ -9,7 +9,7 @@ import pytest
 from pairpack.algebra import CycloInt
 from pairpack.sumsets import (CDReport, SumsetInstance, beta, check_bound,
                               coefficient_divisibility_check,
-                              elementary_symmetric_roots, lucas_binomial_mod,
+                              elementary_symmetric_roots,
                               root_product_coefficients, sumset,
                               verify_cd_bound)
 
@@ -30,16 +30,6 @@ def test_beta_spot_values():
         beta(4, 2, 2)
     with pytest.raises(ValueError):
         beta(5, 0, 1)
-
-
-def test_lucas_matches_exact():
-    rng = random.Random(37)
-    for _ in range(300):
-        p = rng.choice((2, 3, 5, 7, 13))
-        n = rng.randrange(0, 400)
-        k = rng.randrange(-5, 405)
-        want = math.comb(n, k) % p if 0 <= k <= n else 0
-        assert lucas_binomial_mod(n, k, p) == want
 
 
 def test_sumset_basic():
