@@ -2,7 +2,8 @@
 coefficient behind the odd-prime case.
 
 A scan enumerates (or samples) d-vectors with every entry a unit mod n,
-runs the pair-partition solver on each, and aggregates into a ScanReport.
+runs the pair-partition solver on each, re-checks every partition found
+with the independent verifier, and aggregates into a ScanReport.
 Feasibility only depends on the multiset of differences, so the scan
 solves one representative per multiset and weights it by the number of
 orderings; totals still count ordered vectors.
@@ -33,7 +34,7 @@ from random import Random
 
 from .algebra import CycloInt, is_prime
 from .solvers import (Infeasible, InvalidInstance, PartitionInstance,
-                      solve_pair_partition)
+                      solve_pair_partition, verify_solution)
 
 
 def units_mod(n: int) -> tuple[int, ...]:
@@ -80,7 +81,12 @@ class ScanReport:
 def _solve_key(args):
     n, universe, key = args
     inst = PartitionInstance(n, key, universe)
-    return key, not isinstance(solve_pair_partition(inst), Infeasible)
+    res = solve_pair_partition(inst)
+    if isinstance(res, Infeasible):
+        return key, False
+    if not verify_solution(inst, res):
+        raise ArithmeticError(f"unverified partition for {list(key)} mod {n}")
+    return key, True
 
 
 def _solve_many(n, universe, keys, jobs):
@@ -316,15 +322,18 @@ def prime_nonzero_certificate(p: int, d) -> tuple[int, bool]:
     Evaluates the sum's representative at w = 1, checks the value equals
     m! (2m-1)!! independently of d, and reports whether it escapes
     divisibility by p.  If it does, the sum cannot vanish: a vanishing
-    element of Z[w] has its value at 1 divisible by p.
+    element of Z[w] has its value at 1 divisible by p.  Evaluation at 1
+    is a ring homomorphism, so the value is the permanent of the integer
+    matrix with entries 2m-1-2c, computed in order-1 cyclotomic integers.
     """
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise InvalidInstance(f"{p} is not an odd prime")
     m = (p - 1) // 2
-    d = tuple(int(x) % p for x in d)
+    d = _validated_units(p, d)
     if len(d) != m:
         raise InvalidInstance(f"need {m} differences, got {len(d)}")
-    value = permanent2_coefficient(p, d).eval_at_one()
+    row = [CycloInt.from_int(1, 2 * m - 1 - 2 * c) for c in range(m)]
+    value = _permanent([row] * m, 1).eval_at_one()
     expected = math.factorial(m) * double_factorial_odd(2 * m - 1)
     if value != expected:
         raise ArithmeticError(

@@ -1,18 +1,19 @@
 """Backtracking solvers with certified infeasibility.
 
-Three search problems share one strategy: branch on the smallest object
-not yet dealt with, so every partial state extends a partial solution.
-The problems are pair partitions of Z/(n) with prescribed differences,
-pair partitions of (F_p)^k where each pair picks its difference from a
-private basis, and translate packings X_i + t_i with t_i drawn from a
-finite T_i.  A solver either returns a solution (deterministic, first in
-its branch order) or an Infeasible certificate recording how many search
-nodes the exhaustion visited.
+Three search problems run on one driver, _search, which branches on the
+smallest object not yet dealt with and keeps its path on an explicit
+stack, so search depth has no limit.  The problems are pair partitions
+of Z/(n) with prescribed differences, pair partitions of (F_p)^k where
+each pair picks its difference from a private basis, and translate
+packings X_i + t_i with t_i drawn from a finite T_i.  A solver either
+returns a solution (deterministic, first in its branch order) or an
+Infeasible certificate recording how many search nodes it visited.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
@@ -52,6 +53,27 @@ class Infeasible:
 
     def to_json(self) -> dict:
         return {"result": "infeasible", "nodes": self.nodes}
+
+
+def _search(node) -> "Infeasible | None":
+    """Depth-first search over the states node(start) generates.
+
+    A state yields -1 if it is complete; otherwise each yield applies one
+    move and gives the child's start, and resuming undoes the move.
+    Returns None at the first complete state, its path's moves applied,
+    or Infeasible counting every state expanded."""
+    nodes = 1
+    stack = [node(0)]
+    while stack:
+        start = next(stack[-1], None)
+        if start is None:
+            stack.pop()
+        elif start < 0:
+            return None
+        else:
+            nodes += 1
+            stack.append(node(start))
+    return Infeasible(nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -132,54 +154,42 @@ def solve_pair_partition(inst: PartitionInstance) -> PairPartition | Infeasible:
     pairs are re-dealt to indices in the order the instance listed them.
     """
     n = inst.n
-    universe = inst.universe_elements()
     counts: dict[int, int] = {}
     for x in inst.d:
         counts[x] = counts.get(x, 0) + 1
     dvals = sorted(counts)
-    member = bytearray(n)
-    for e in universe:
-        member[e] = 1
     used = bytearray(n)
+    used[0] = inst.universe == "nonzero"     # 0 is then never a partner
     chosen: list[tuple[int, int, int]] = []
-    nodes = 0
 
-    def extend() -> bool:
-        nonlocal nodes
-        nodes += 1
-        e = -1
-        for u in universe:
-            if not used[u]:
-                e = u
-                break
+    def node(start):
+        e = used.find(0, start)
         if e < 0:
-            return True
+            yield -1
+            return
         used[e] = 1
         for dv in dvals:
             if not counts[dv]:
                 continue
             up = (e + dv) % n
             down = (e - dv) % n
-            # up == down happens only for dv = n/2; both orientations then
-            # name the same pair, so branch once.
+            # up == down only for dv = n/2: one pair, so branch once.
             branches = ((e, up),) if up == down else ((e, up), (down, e))
             for x, y in branches:
                 partner = y if x == e else x
-                if not member[partner] or used[partner]:
+                if used[partner]:
                     continue
                 used[partner] = 1
                 counts[dv] -= 1
                 chosen.append((x, y, dv))
-                if extend():
-                    return True
+                yield e + 1
                 chosen.pop()
                 counts[dv] += 1
                 used[partner] = 0
         used[e] = 0
-        return False
 
-    if not extend():
-        return Infeasible(nodes)
+    if failed := _search(node):
+        return failed
     queues: dict[int, deque[tuple[int, int]]] = {}
     for x, y, dv in chosen:
         queues.setdefault(dv, deque()).append((x, y))
@@ -253,51 +263,36 @@ def solve_vector_partition(inst: VectorPartitionInstance):
     partner e + v before partner e - v.
     """
     p, k, m = inst.p, inst.k, inst.m
-    universe = [v for v in product(range(p), repeat=k) if any(v)]
+    universe = list(product(range(p), repeat=k))
     index = {v: i for i, v in enumerate(universe)}
     used = bytearray(len(universe))
-    slot_used = bytearray(m)
+    used[0] = 1                              # the zero vector is never paired
     chosen: list[tuple[tuple[int, ...], tuple[int, ...], int] | None] = [None] * m
-    nodes = 0
 
-    def extend() -> bool:
-        nonlocal nodes
-        nodes += 1
-        ei = -1
-        for idx in range(len(universe)):
-            if not used[idx]:
-                ei = idx
-                break
+    def node(start):
+        ei = used.find(0, start)
         if ei < 0:
-            return True
+            yield -1
+            return
         e = universe[ei]
         used[ei] = 1
         for i in range(m):
-            if slot_used[i]:
+            if chosen[i] is not None:
                 continue
-            for j in range(k):
-                v = inst.bases[i][j]
+            for j, v in enumerate(inst.bases[i]):
                 for x, y in ((e, vec_add(e, v, p)), (vec_sub(e, v, p), e)):
-                    partner = y if x == e else x
-                    pi = index.get(partner)
-                    if pi is None or used[pi]:
+                    pi = index[y if x == e else x]
+                    if used[pi]:
                         continue
                     used[pi] = 1
-                    slot_used[i] = 1
                     chosen[i] = (x, y, j)
-                    if extend():
-                        return True
+                    yield ei + 1
                     chosen[i] = None
-                    slot_used[i] = 0
                     used[pi] = 0
         used[ei] = 0
-        return False
 
-    if not extend():
-        return Infeasible(nodes)
-    pairs = tuple((c[0], c[1]) for c in chosen)
-    g = tuple(c[2] for c in chosen)
-    return pairs, g
+    return _search(node) or (tuple((x, y) for x, y, _ in chosen),
+                             tuple(j for _, _, j in chosen))
 
 
 # ---------------------------------------------------------------------------
@@ -369,30 +364,22 @@ def solve_translate_packing(inst: PackingInstance):
     m = inst.m
     occupied: set[int] = set()
     t: list[int] = [0] * m
-    nodes = 0
 
-    def place(i: int) -> bool:
-        nonlocal nodes
-        nodes += 1
+    def node(i):
         if i == m:
-            return True
+            yield -1
+            return
         base = inst.X[i]
         for cand in inst.T[i]:
-            if mod is None:
-                translate = [x + cand for x in base]
-            else:
-                translate = [(x + cand) % mod for x in base]
+            translate = [(x + cand) % mod for x in base] if mod \
+                else [x + cand for x in base]
             if occupied.isdisjoint(translate):
                 occupied.update(translate)
                 t[i] = cand
-                if place(i + 1):
-                    return True
+                yield i + 1
                 occupied.difference_update(translate)
-        return False
 
-    if place(0):
-        return tuple(t)
-    return Infeasible(nodes)
+    return _search(node) or tuple(t)
 
 
 @dataclass(frozen=True)
@@ -492,12 +479,24 @@ def packing_to_partition(inst: PartitionInstance, t) -> PairPartition:
 # independent certification
 
 
+def _ends(pair, vectors: bool = False):
+    """A solution pair's two ends, checked to be ints (or int sequences)."""
+    try:
+        x, y = pair
+        if vectors:
+            return tuple(map(operator.index, x)), tuple(map(operator.index, y))
+        return operator.index(x), operator.index(y)
+    except (TypeError, ValueError):
+        raise InvalidInstance(f"malformed pair {pair!r}") from None
+
+
 def verify_solution(instance, solution) -> bool:
     """Re-check every invariant of a solution from scratch.
 
     Shares no state with the solvers: distinctness, coverage, the
     difference equations and disjointness are all recomputed.  An
-    Infeasible value is not a solution and yields False.
+    Infeasible value is not a solution and yields False; a pair that is
+    not two ints (two int vectors) raises InvalidInstance.
     """
     if isinstance(solution, Infeasible):
         return False
@@ -509,7 +508,8 @@ def verify_solution(instance, solution) -> bool:
         if len(pairs) != instance.m:
             return False
         seen: list[int] = []
-        for (x, y), dv in zip(pairs, instance.d):
+        for pair, dv in zip(pairs, instance.d):
+            x, y = _ends(pair)
             x, y = x % n, y % n
             if (y - x) % n != dv:
                 return False
@@ -530,8 +530,8 @@ def verify_solution(instance, solution) -> bool:
             j = g[i]
             if not 0 <= j < k:
                 return False
-            x = tuple(c % p for c in pairs[i][0])
-            y = tuple(c % p for c in pairs[i][1])
+            x, y = (tuple(c % p for c in v)
+                    for v in _ends(pairs[i], vectors=True))
             if len(x) != k or len(y) != k:
                 return False
             if vec_sub(y, x, p) != instance.bases[i][j]:

@@ -243,6 +243,7 @@ def test_criterion_09_root_of_unity_sums():
             for d in itertools.product(range(1, p), repeat=m):
                 value, nonzero = prime_nonzero_certificate(p, d)
                 assert value == expect and nonzero, (p, d)
+                assert permanent2_coefficient(p, d).eval_at_one() == expect
         # certificate cross-check: the sums themselves never vanish
         for p in (3, 5):
             m = (p - 1) // 2

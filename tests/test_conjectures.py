@@ -7,13 +7,14 @@ import random
 import pytest
 
 from pairpack.algebra import CycloInt
+from pairpack import conjectures
 from pairpack.conjectures import (ScanReport, _permanent, _permanent_ryser,
                                   divisibility_lemma_check,
                                   double_factorial_odd,
                                   permanent2_coefficient, permanent_coefficient,
                                   prime_nonzero_certificate, scan_conjecture,
                                   units_mod)
-from pairpack.solvers import InvalidInstance
+from pairpack.solvers import InvalidInstance, PairPartition
 
 
 def test_units_mod():
@@ -125,6 +126,14 @@ def test_scan_checkpoint_torn_tail(tmp_path):
         scan_conjecture(11, checkpoint=str(path))
 
 
+def test_scan_rejects_unverified_partition(monkeypatch):
+    """A feasible verdict counts only once its partition verifies."""
+    monkeypatch.setattr(conjectures, "solve_pair_partition",
+                        lambda inst: PairPartition(((1, 2),) * inst.m))
+    with pytest.raises(ArithmeticError):
+        scan_conjecture(5, jobs=None)
+
+
 def test_permanent_matches_inclusion_exclusion():
     """Ryser's formula against the permanent's definition: a sum over all
     permutations of products of one entry per row."""
@@ -188,6 +197,8 @@ def test_certificates():
         prime_nonzero_certificate(9, (1, 2, 4, 5))
     with pytest.raises(InvalidInstance):
         prime_nonzero_certificate(5, (1,))
+    with pytest.raises(InvalidInstance):
+        prime_nonzero_certificate(7, (1, 7, 2))     # 7 is not a unit mod 7
 
 
 def test_divisibility_lemma():

@@ -1,6 +1,8 @@
 """Backtracking solvers: pair partitions, vector pairings, translate packings."""
 
+import hashlib
 import itertools
+import json
 import random
 from collections import Counter
 
@@ -293,3 +295,91 @@ def test_verify_rejects_tampering():
     pinst = PackingInstance(7, ((0,), (0, 1)), ((0, 1), (0, 1)), 1)
     assert not verify_solution(pinst, (0, 6))    # 6 not in T_2
     assert not verify_solution(pinst, (0, 0))    # translates collide
+
+
+def test_verify_rejects_malformed_pairs():
+    inst = PartitionInstance(5, (1, 2))
+    vinst = VectorPartitionInstance(3, 1, (((1,),),))
+    for bad in ([[2, "3"], [4, 1]], [[2, 3, 4], [4, 1]], [[2], [4, 1]],
+                [2, [4, 1]]):
+        with pytest.raises(InvalidInstance):
+            verify_solution(inst, bad)
+        with pytest.raises(InvalidInstance):
+            verify_solution(inst, PairPartition(tuple(bad)))
+    for pair in (((1,), ("2",)), ((1,), (2,), (0,)), ((1,),), (1, 2)):
+        with pytest.raises(InvalidInstance):
+            verify_solution(vinst, ((pair,), (0,)))
+    assert verify_solution(vinst, ((((1,), (2,)),), (0,)))
+
+
+# ---------------------------------------------------------------------------
+# search depth and branch order
+
+
+def test_deep_partition_search():
+    inst = PartitionInstance(4001, (1,) * 2000)
+    assert verify_solution(inst, solve_pair_partition(inst))
+
+
+def test_deep_vector_search():
+    identity = tuple(tuple(int(i == j) for j in range(7)) for i in range(7))
+    inst = VectorPartitionInstance(3, 7, (identity,) * 1093)
+    assert verify_solution(inst, solve_vector_partition(inst))
+
+
+def test_deep_packing_search():
+    m = 1500
+    inst = PackingInstance("integers", ((0, 1),) * m,
+                           tuple((2 * i,) for i in range(m)), 1)
+    assert verify_solution(inst, solve_translate_packing(inst))
+
+
+def _branch_order_cases():
+    rng = random.Random(2012)
+    cases = []
+    for _ in range(120):
+        n = rng.choice((3, 5, 7, 9, 11, 13, 15, 17, 21, 25))
+        cases.append(PartitionInstance(
+            n, tuple(rng.randrange(1, n) for _ in range((n - 1) // 2))))
+    for n in (9, 15):       # mostly infeasible: differences share a factor 3
+        for _ in range(10):
+            cases.append(PartitionInstance(
+                n, tuple(rng.choice((3, 6, n // 3))
+                         for _ in range((n - 1) // 2))))
+    for _ in range(40):
+        n = rng.choice((4, 6, 8, 10, 12))
+        cases.append(PartitionInstance(
+            n, tuple(rng.randrange(1, n) for _ in range(n // 2)), "full"))
+    for _ in range(60):
+        p, k = rng.choice(((3, 1), (5, 1), (7, 1), (3, 2), (5, 2), (3, 3)))
+        m = (p ** k - 1) // 2
+        cases.append(VectorPartitionInstance(p, k, tuple(
+            tuple(tuple(rng.randrange(p) for _ in range(k)) for _ in range(k))
+            for _ in range(m)), check=False))
+    for _ in range(60):
+        amb = rng.choice((5, 7, 8, 11, 12, "integers"))
+        span = amb if isinstance(amb, int) else 9
+        m = rng.randrange(1, 5)
+        X = tuple(tuple(rng.sample(range(span), rng.randrange(1, 3)))
+                  for _ in range(m))
+        T = tuple(tuple(rng.sample(range(span), rng.randrange(1, 5)))
+                  for _ in range(m))
+        cases.append(PackingInstance(amb, X, T, 1))
+    return cases
+
+
+def test_branch_order_is_pinned():
+    """Every solver's first solution and every node count on 300 seeded
+    instances (55 of them infeasible), hashed.  A change of branch order
+    or of node counting changes the digest."""
+    solve = {PartitionInstance: solve_pair_partition,
+             VectorPartitionInstance: solve_vector_partition,
+             PackingInstance: solve_translate_packing}
+    results = []
+    for inst in _branch_order_cases():
+        res = solve[type(inst)](inst)
+        results.append(res.to_json() if hasattr(res, "to_json") else res)
+    digest = hashlib.sha256(
+        json.dumps(results, sort_keys=True).encode()).hexdigest()
+    assert digest == \
+        "055027e46c1a6c003af5ec9bfa2854e1a4431b46dc285b935de574de218baa4e"
