@@ -6,17 +6,14 @@ verify.  Exit codes distinguish outcomes so pipelines can tell "no" from
 instance, zero coefficient, violated bound, failed verification), 1 for
 any error.  Output is JSON with sorted keys (TSV for scan reports on
 request); identical configuration, seed included, gives byte-identical
-bytes.  Timing is therefore omitted unless --timing asks for it.
-
-Parallelism: --jobs, else the PAIRPACK_JOBS environment variable, else
-single-threaded.
+bytes.  Timing is therefore omitted unless --timing asks for it.  Every
+command runs in one process.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .algebra import ZZ, ModRing
@@ -63,13 +60,6 @@ def _load(path: str) -> dict:
     if not isinstance(doc, dict):
         raise CliError(f"{path}: expected a JSON object")
     return doc
-
-
-def _jobs(args) -> "int | None":
-    if getattr(args, "jobs", None) is not None:
-        return args.jobs
-    env = os.environ.get("PAIRPACK_JOBS")
-    return int(env) if env else None
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +140,7 @@ def cmd_cn_coeff(args) -> int:
 
 def cmd_conjecture_scan(args) -> int:
     report = scan_conjecture(args.n, sample=args.sample, seed=args.seed,
-                             jobs=_jobs(args), checkpoint=args.checkpoint)
+                             checkpoint=args.checkpoint)
     if args.format == "tsv":
         cols = ["n", "universe", "total", "feasible", "failures"]
         vals = [report.n, report.universe, report.instances_total,
@@ -181,8 +171,7 @@ def cmd_sumset(args) -> int:
                "tight": tight})
         return 0 if holds else 2
     report = verify_cd_bound(args.p, args.alpha, sample=args.sample,
-                             seed=args.seed, jobs=_jobs(args),
-                             tight_cap=args.tight_cap)
+                             seed=args.seed, tight_cap=args.tight_cap)
     _emit(report.to_json(include_timing=args.timing))
     return 0 if not report.violations else 2
 
@@ -266,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--sample", type=int, help="sample size (default: all)")
     p.add_argument("--seed", type=int, help="mandatory with --sample")
-    p.add_argument("--jobs", type=int)
     p.add_argument("--checkpoint", help="shard progress file for resume")
     p.add_argument("--format", choices=["json", "tsv"], default="json")
     p.add_argument("--timing", action="store_true",
@@ -281,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--B", help="check a single pair: second subset")
     p.add_argument("--sample", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int)
     p.add_argument("--tight-cap", type=int, default=32,
                    help="how many equality pairs to keep in the report")
     p.add_argument("--timing", action="store_true")
@@ -301,9 +288,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (InvalidInstance, BudgetExceeded, ValueError, ArithmeticError,
             OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,12 +1,15 @@
 """Feasibility scans over unit difference vectors, and the root-of-unity
 coefficient behind the odd-prime case.
 
-A scan enumerates (or samples) d-vectors with every entry a unit mod n,
-runs the pair-partition solver on each, re-checks every partition found
-with the independent verifier, and aggregates into a ScanReport.
-Feasibility only depends on the multiset of differences, so the scan
-solves one representative per multiset and weights it by the number of
-orderings; totals still count ordered vectors.
+A scan enumerates (or samples) d-vectors with every entry a unit mod n
+and aggregates their feasibility into a ScanReport.  Feasibility only
+depends on the multiset of differences, so each sorted multiset stands
+for all its orderings and totals still count ordered vectors.  Two
+symmetries keep the verdict as well: a pair {x, x+d} is also a pair with
+difference -d, and x -> u*x for a unit u maps a partition for d onto one
+for u*d.  So the solver runs once per orbit, and the partition it finds
+is carried back to every multiset in the orbit and re-checked there with
+the independent verifier.
 
 The coefficient machinery evaluates two bijection sums over Z[w], w a
 primitive n-th root of unity and w_i = w^(d_i):
@@ -27,7 +30,6 @@ import math
 import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from random import Random
@@ -78,31 +80,41 @@ class ScanReport:
         return doc
 
 
-def _solve_key(args):
-    n, universe, key = args
-    inst = PartitionInstance(n, key, universe)
-    res = solve_pair_partition(inst)
-    if isinstance(res, Infeasible):
-        return key, False
-    if not verify_solution(inst, res):
-        raise ArithmeticError(f"unverified partition for {list(key)} mod {n}")
-    return key, True
+def _orbit_verdicts(n: int, universe: str):
+    """Feasibility of sorted difference multisets mod n, one solve per orbit.
 
+    Flipping a difference and scaling all of them by one unit u keep the
+    verdict, so a key is solved through its orbit representative: the
+    least sorted vector of folded values min(u*k, -u*k) mod n.  The
+    representative's partition, scaled by u^-1 and each pair oriented to
+    the key's own difference, must pass the verifier for the key itself.
+    """
+    folds = [(pow(u, -1, n), [min(u * k % n, -u * k % n) for k in range(n)])
+             for u in units_mod(n)]
+    solved: dict = {}
 
-def _solve_many(n, universe, keys, jobs):
-    """Feasibility of each difference multiset, keyed by sorted tuple."""
-    out = {}
-    keys = list(keys)
-    if jobs and jobs > 1 and len(keys) > 64:
-        chunk = max(1, len(keys) // (8 * jobs))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            args = ((n, universe, k) for k in keys)
-            for key, ok in pool.map(_solve_key, args, chunksize=chunk):
-                out[key] = ok
-    else:
-        for k in keys:
-            out[k] = _solve_key((n, universe, k))[1]
-    return out
+    def feasible(key) -> bool:
+        rep, inv, fold = min((sorted(map(f.__getitem__, key)), inv, f)
+                             for inv, f in folds)
+        rep = tuple(rep)
+        if rep not in solved:
+            solved[rep] = solve_pair_partition(
+                PartitionInstance(n, rep, universe))
+        res = solved[rep]
+        if isinstance(res, Infeasible):
+            return False
+        dealt = []
+        for k, (x, y) in zip(sorted(key, key=fold.__getitem__), res.pairs):
+            x, y = x * inv % n, y * inv % n
+            dealt.append((k, (x, y) if (y - x) % n == k else (y, x)))
+        dealt.sort()
+        if not verify_solution(PartitionInstance(n, key, universe),
+                               [pair for _, pair in dealt]):
+            raise ArithmeticError(
+                f"unverified partition for {list(key)} mod {n}")
+        return True
+
+    return feasible
 
 
 def _orderings(key) -> int:
@@ -159,7 +171,8 @@ def scan_conjecture(n: int, sample: "int | None" = None,
     by their smallest entry; with a checkpoint path, finished shards are
     appended as JSON lines and skipped on rerun.  Sample mode draws
     `sample` vectors uniformly (seed mandatory) and is deterministic for
-    a fixed seed regardless of jobs.
+    a fixed seed.  The scan runs serially and solves each symmetry orbit
+    once; `jobs` is accepted for older callers and ignored.
     """
     if n < 3:
         raise InvalidInstance("modulus too small to scan")
@@ -167,6 +180,7 @@ def scan_conjecture(n: int, sample: "int | None" = None,
     m = (n - 1) // 2 if n % 2 else n // 2
     units = units_mod(n)
     start = time.perf_counter()
+    verdict = _orbit_verdicts(n, universe)
     failures: list[tuple[int, ...]] = []
 
     if sample is None:
@@ -182,13 +196,12 @@ def scan_conjecture(n: int, sample: "int | None" = None,
             tail = [v for v in units if v >= u]
             keys = [(u,) + rest
                     for rest in combinations_with_replacement(tail, m - 1)]
-            verdict = _solve_many(n, universe, keys, jobs)
             shard_total = shard_feasible = 0
             shard_failures = []
             for key in keys:
                 w = _orderings(key)
                 shard_total += w
-                if verdict[key]:
+                if verdict(key):
                     shard_feasible += w
                 else:
                     shard_failures.append(key)
@@ -211,10 +224,10 @@ def scan_conjecture(n: int, sample: "int | None" = None,
         for _ in range(int(sample)):
             key = tuple(sorted(rng.choice(units) for _ in range(m)))
             draws[key] += 1
-        verdict = _solve_many(n, universe, sorted(draws), jobs)
+        ok = {key: verdict(key) for key in sorted(draws)}
         total = int(sample)
-        feasible = sum(mult for key, mult in draws.items() if verdict[key])
-        failures = sorted(key for key in draws if not verdict[key])
+        feasible = sum(mult for key, mult in draws.items() if ok[key])
+        failures = [key for key in ok if not ok[key]]
 
     wall = time.perf_counter() - start
     return ScanReport(n, universe, total, feasible, tuple(failures), wall)

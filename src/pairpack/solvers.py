@@ -496,14 +496,19 @@ def verify_solution(instance, solution) -> bool:
     Shares no state with the solvers: distinctness, coverage, the
     difference equations and disjointness are all recomputed.  An
     Infeasible value is not a solution and yields False; a pair that is
-    not two ints (two int vectors) raises InvalidInstance.
+    not two ints (two int vectors), a partition that is not a sequence of
+    pairs and a basis choice that is not a sequence of ints raise
+    InvalidInstance.
     """
     if isinstance(solution, Infeasible):
         return False
 
     if isinstance(instance, PartitionInstance):
-        pairs = solution.pairs if isinstance(solution, PairPartition) \
-            else tuple(solution)
+        try:
+            pairs = tuple(solution.pairs if isinstance(solution, PairPartition)
+                          else solution)
+        except TypeError:
+            raise InvalidInstance(f"malformed solution {solution!r}") from None
         n = instance.n
         if len(pairs) != instance.m:
             return False
@@ -527,7 +532,10 @@ def verify_solution(instance, solution) -> bool:
             return False
         seen = []
         for i in range(m):
-            j = g[i]
+            try:
+                j = operator.index(g[i])
+            except TypeError:
+                raise InvalidInstance(f"malformed basis choice {g!r}") from None
             if not 0 <= j < k:
                 return False
             x, y = (tuple(c % p for c in v)

@@ -4,7 +4,8 @@ beta(p, r, s) is the smallest n such that p divides C(n, k) for every
 integer k strictly between n-r and s; |A+B| >= beta(p, |A|, |B|) for
 nonempty A, B inside Z/(p^alpha).  verify_cd_bound brute-forces that
 inequality over all (or sampled) pairs of nonempty subsets, with subsets
-as bitmasks so a sumset is a handful of cyclic shift-ORs.
+as bitmasks so a sumset is a union of cyclic shifts; the exhaustive sweep
+gets each one from a smaller sumset with a single shift-OR.
 
 The closing check mirrors the argument the bound rests on: writing the
 coefficients of prod_i (x - c_i) for p^alpha-th roots of unity c_i as
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from random import Random
@@ -124,33 +124,36 @@ def _beta_table(p: int, size: int):
          for r in range(1, size + 1)]
 
 
-def _sweep_a_range(args):
-    """All B against a contiguous range of A-masks; returns raw tallies."""
-    p, alpha, a_lo, a_hi = args
+def _sweep(p: int, alpha: int, tight_cap: int):
+    """Every (A, B) mask pair, A ascending outside and B ascending inside.
+
+    For each A the sumsets of all B come from one table and the
+    recurrence S[B] = S[B without its low bit] | rot(A, that bit), so
+    pairs arrive in (A, B) order and need no sort.
+    """
     size = p ** alpha
     full = (1 << size) - 1
     table = _beta_table(p, size)
-    bits_of = [(A, _mask_to_set(A, size)) for A in range(a_lo, a_hi)]
-    pairs = 0
+    steps = [(B, B & (B - 1), (B & -B).bit_length() - 1, B.bit_count())
+             for B in range(1, full + 1)]
+    sums = [0] * (full + 1)
     violations = []
     tight = []
-    for B in range(1, full + 1):
-        rots = [((B << a) | (B >> (size - a))) & full for a in range(size)]
-        s = B.bit_count()
-        for A, bits in bits_of:
-            acc = 0
-            for a in bits:
-                acc |= rots[a]
-            pairs += 1
-            bound = table[len(bits)][s]
+    tight_count = 0
+    for A in range(1, full + 1):
+        rots = [((A << b) | (A >> (size - b))) & full for b in range(size)]
+        row = table[A.bit_count()]
+        for B, rest, low, s in steps:
+            acc = sums[B] = sums[rest] | rots[low]
             card = acc.bit_count()
+            bound = row[s]
             if card < bound:
                 violations.append((A, B))
             elif card == bound:
-                tight.append((A, B))
-    violations.sort()
-    tight.sort()
-    return pairs, violations, len(tight), tight
+                tight_count += 1
+                if len(tight) < tight_cap:
+                    tight.append((A, B))
+    return full * full, violations, tight_count, tight
 
 
 def verify_cd_bound(p: int, alpha: int, sample: "int | None" = None,
@@ -159,28 +162,19 @@ def verify_cd_bound(p: int, alpha: int, sample: "int | None" = None,
     """Check |A+B| >= beta(p, |A|, |B|) over nonempty subsets of Z/(p^alpha).
 
     Exhaustive by default: every one of (2^(p^alpha) - 1)^2 ordered pairs,
-    sharded by A-mask ranges when jobs > 1, merged exactly.  With sample,
-    that many seeded-uniform pairs instead.
+    in one serial pass.  With sample, that many seeded-uniform pairs
+    instead.  `jobs` is accepted for older callers and ignored.
     """
     if not is_prime(p) or alpha < 1:
         raise ValueError("need a prime p and alpha >= 1")
+    if tight_cap < 0:
+        raise ValueError("tight_cap must be nonnegative")
     size = p ** alpha
     full = (1 << size) - 1
     start = time.perf_counter()
 
     if sample is None:
-        if jobs and jobs > 1:
-            cuts = [1 + (full * i) // jobs for i in range(jobs)] + [full + 1]
-            shards = [(p, alpha, cuts[i], cuts[i + 1]) for i in range(jobs)
-                      if cuts[i] < cuts[i + 1]]
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                parts = list(pool.map(_sweep_a_range, shards))
-        else:
-            parts = [_sweep_a_range((p, alpha, 1, full + 1))]
-        pairs = sum(x[0] for x in parts)
-        violations = [pr for x in parts for pr in x[1]]
-        tight_count = sum(x[2] for x in parts)
-        tight = [pr for x in parts for pr in x[3]][:tight_cap]
+        pairs, violations, tight_count, tight = _sweep(p, alpha, tight_cap)
     else:
         if seed is None:
             raise ValueError("sample mode needs a seed")

@@ -271,13 +271,6 @@ def test_malformed_json_is_one_error_line(capsys, tmp_path, command, doc,
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def test_jobs_env_variable(capsys, monkeypatch):
-    monkeypatch.setenv("PAIRPACK_JOBS", "2")
-    code, out, _ = run(capsys, ["conjecture-scan", "--n", "5"])
-    assert code == 0
-    assert json.loads(out)["feasible"] == 16
-
-
 def test_console_script_runs():
     proc = subprocess.run([sys.executable, "-m", "pairpack.cli",
                            "partition", "--n", "3", "--d", "1"],

@@ -2,7 +2,9 @@
 
 import itertools
 import json
+import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,7 +16,8 @@ from pairpack.conjectures import (ScanReport, _permanent, _permanent_ryser,
                                   permanent2_coefficient, permanent_coefficient,
                                   prime_nonzero_certificate, scan_conjecture,
                                   units_mod)
-from pairpack.solvers import InvalidInstance, PairPartition
+from pairpack.solvers import (Infeasible, InvalidInstance, PairPartition,
+                              PartitionInstance, solve_pair_partition)
 
 
 def test_units_mod():
@@ -124,6 +127,68 @@ def test_scan_checkpoint_torn_tail(tmp_path):
     path.write_text("\n".join([lines[0][:10]] + lines[1:]) + "\n")
     with pytest.raises(json.JSONDecodeError):
         scan_conjecture(11, checkpoint=str(path))
+
+
+def _orderings(key):
+    return math.factorial(len(key)) // math.prod(
+        math.factorial(c) for c in Counter(key).values())
+
+
+def direct_scan(n, sample=None, seed=None):
+    """The scan's JSON with no symmetry: every sorted multiset of units
+    (or every drawn one) solved on its own."""
+    universe = "nonzero" if n % 2 else "full"
+    m = (n - 1) // 2 if n % 2 else n // 2
+    units = units_mod(n)
+    if sample is None:
+        draws = {key: _orderings(key)
+                 for key in itertools.combinations_with_replacement(units, m)}
+    else:
+        rng = random.Random(seed)
+        draws = Counter(tuple(sorted(rng.choice(units) for _ in range(m)))
+                        for _ in range(sample))
+    failures = [key for key in sorted(draws) if isinstance(
+        solve_pair_partition(PartitionInstance(n, key, universe)), Infeasible)]
+    total = sum(draws.values())
+    return {"n": n, "universe": universe, "total": total,
+            "feasible": total - sum(draws[key] for key in failures),
+            "failures": [list(key) for key in failures]}
+
+
+@pytest.mark.parametrize("n", range(3, 16))
+def test_orbit_scan_matches_direct_scan(n):
+    assert scan_conjecture(n).to_json() == direct_scan(n)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_orbit_sample_matches_direct_scan(seed):
+    assert scan_conjecture(24, sample=2000, seed=seed).to_json() == \
+        direct_scan(24, sample=2000, seed=seed)
+
+
+def test_infeasible_orbit_fails_every_member(monkeypatch):
+    """One infeasible representative fails its whole orbit: every
+    multiset reached by scaling with a unit and flipping signs."""
+    n, d = 11, (1, 2, 2, 3, 7)
+    orbit = {tuple(sorted(s * u * x % n for s, x in zip(signs, d)))
+             for u in units_mod(n)
+             for signs in itertools.product((1, -1), repeat=len(d))}
+    seen = []
+    solve = conjectures.solve_pair_partition
+
+    def patched(inst):
+        if inst.d in orbit:
+            seen.append(inst.d)
+            return Infeasible(0)
+        return solve(inst)
+
+    monkeypatch.setattr(conjectures, "solve_pair_partition", patched)
+    rep = scan_conjecture(n)
+    assert len(seen) == 1
+    assert rep.failures == tuple(sorted(orbit))
+    assert rep.instances_total == 10 ** 5
+    assert rep.instances_feasible == \
+        10 ** 5 - sum(_orderings(key) for key in orbit)
 
 
 def test_scan_rejects_unverified_partition(monkeypatch):

@@ -309,6 +309,11 @@ def test_verify_rejects_malformed_pairs():
     for pair in (((1,), ("2",)), ((1,), (2,), (0,)), ((1,),), (1, 2)):
         with pytest.raises(InvalidInstance):
             verify_solution(vinst, ((pair,), (0,)))
+    for bad in (5, PairPartition(5)):
+        with pytest.raises(InvalidInstance):
+            verify_solution(inst, bad)
+    with pytest.raises(InvalidInstance):
+        verify_solution(vinst, ((((1,), (2,)),), ("0",)))
     assert verify_solution(vinst, ((((1,), (2,)),), (0,)))
 
 

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from pairpack import sumsets
 from pairpack.algebra import CycloInt
 from pairpack.sumsets import (CDReport, SumsetInstance, beta, check_bound,
                               coefficient_divisibility_check,
@@ -58,10 +59,21 @@ def test_instance_and_check_bound():
     assert bound == 5 and holds
 
 
+def _mask(subset):
+    return sum(1 << a for a in subset)
+
+
+def _masks(pairs):
+    return [(_mask(A), _mask(B)) for A, B in pairs]
+
+
 def naive_sweep(p, alpha):
+    """Every pair of nonempty subsets by itertools, as (A, B) bitmasks in
+    ascending order: (pairs, violations, tight)."""
     mod = p ** alpha
     elems = range(mod)
-    pairs = violations = tight = 0
+    pairs = 0
+    violations, tight = [], []
     for ra in range(1, mod + 1):
         for A in itertools.combinations(elems, ra):
             for rb in range(1, mod + 1):
@@ -69,20 +81,30 @@ def naive_sweep(p, alpha):
                     pairs += 1
                     card = len(sumset(A, B, mod))
                     bound = beta(p, ra, rb)
+                    masks = (_mask(A), _mask(B))
                     if card < bound:
-                        violations += 1
+                        violations.append(masks)
                     elif card == bound:
-                        tight += 1
-    return pairs, violations, tight
+                        tight.append(masks)
+    return pairs, sorted(violations), sorted(tight)
 
 
 def test_sweep_matches_naive_enumeration():
-    for p, alpha in ((2, 1), (3, 1), (2, 2)):
+    for p, alpha in ((2, 1), (3, 1), (2, 2), (2, 3)):
         rep = verify_cd_bound(p, alpha, tight_cap=10 ** 6)
         want_pairs, want_viol, want_tight = naive_sweep(p, alpha)
         assert rep.pairs == want_pairs == (2 ** (p ** alpha) - 1) ** 2
-        assert len(rep.violations) == want_viol == 0
-        assert rep.tight_count == want_tight == len(rep.tight)
+        assert _masks(rep.violations) == want_viol == []
+        assert rep.tight_count == len(want_tight)
+        assert _masks(rep.tight) == want_tight
+
+
+def test_sweep_lists_violations_in_order(monkeypatch):
+    """Raise every bound by one and each tight pair becomes a violation."""
+    monkeypatch.setattr(sumsets, "beta", lambda p, r, s: beta(p, r, s) + 1)
+    for p, alpha in ((3, 1), (2, 2)):
+        rep = verify_cd_bound(p, alpha)
+        assert _masks(rep.violations) == naive_sweep(p, alpha)[2]
 
 
 def test_sweep_sharding_merges_exactly():
@@ -97,6 +119,9 @@ def test_tight_cap_keeps_exact_count():
     assert capped.tight_count == uncapped.tight_count > 3
     assert len(capped.tight) == 3
     assert capped.tight == uncapped.tight[:3]
+    assert verify_cd_bound(2, 2, tight_cap=0).tight == ()
+    with pytest.raises(ValueError):
+        verify_cd_bound(2, 2, tight_cap=-1)
 
 
 def test_sample_mode():
