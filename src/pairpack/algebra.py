@@ -1,5 +1,5 @@
-"""Exact arithmetic substrates: residue rings, F_p linear algebra, and
-cyclotomic integers.
+"""Exact arithmetic substrates: primality and inverses mod n, residue
+rings, F_p linear algebra, and cyclotomic integers.
 
 Everything here runs on Python's arbitrary-precision integers; no floating
 point is used anywhere.  A ring is only a modulus (ModRing) or its absence
@@ -7,12 +7,12 @@ point is used anywhere.  A ring is only a modulus (ModRing) or its absence
 reduces them into [0, n) when there is a modulus.
 Cyclotomic integers are integer coefficient vectors modulo x^n - 1, which
 is deliberately not a canonical form: zero is decided by exact divisibility
-by the n-th cyclotomic polynomial.
+by the n-th cyclotomic polynomial.  The paper's counting quantities are
+not here: the multinomial lives in dyson, the permanents in conjectures.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 
@@ -51,19 +51,6 @@ def mod_inverse(a: int, n: int) -> int:
         return pow(a, -1, n)
     except ValueError:
         raise NotInvertible(f"{a} is not invertible modulo {n}") from None
-
-
-def factorial_quotient_mod(m: int, d: int, n: int) -> int:
-    """(m*d)! / (d!)^m reduced mod n.
-
-    The quotient is a multinomial coefficient, hence an exact integer; it is
-    computed over the integers first and reduced once at the end, so the
-    result is meaningful for composite n as well.
-    """
-    if m < 1 or d < 1:
-        raise ValueError("m and d must be positive")
-    q = math.factorial(m * d) // math.factorial(d) ** m
-    return q % n
 
 
 class ModRing:
@@ -195,13 +182,6 @@ def poly_divmod_monic(num, den):
             for j, dj in enumerate(den):
                 rem[i - dd + j] -= c * dj
     return _poly_trim(quot), _poly_trim(rem)
-
-
-def poly_eval_z(c, x: int) -> int:
-    acc = 0
-    for coef in reversed(c):
-        acc = acc * x + coef
-    return acc
 
 
 def _divisors(n: int) -> list[int]:

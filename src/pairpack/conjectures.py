@@ -21,6 +21,8 @@ with pi ranging over bijections [m] -> {0..m-1}.  The first equals the
 second times prod_i (1 - w_i).  Substituting w_i -> 1 in the second gives
 m! (2m-1)!! whatever d is, which for odd prime n = 2m+1 is not divisible
 by n; a value not divisible by n certifies the sum is nonzero in Z[w].
+All three are permanents, taken by one Ryser routine over any commutative
+ring: Z[w] for the sums, the integers for the value at 1.
 """
 
 from __future__ import annotations
@@ -247,24 +249,19 @@ def _validated_units(n, d) -> tuple[int, ...]:
     return out
 
 
-def _permanent(matrix, n: int) -> CycloInt:
-    """Permanent of a square matrix of CycloInt entries (1 for 0 rows)."""
-    if not matrix:
-        return CycloInt.from_int(n, 1)
-    return _permanent_ryser(matrix, n)
-
-
-def _permanent_ryser(matrix, n: int) -> CycloInt:
-    """Ryser's inclusion-exclusion formula,
+def _permanent(matrix, zero):
+    """Permanent of a square matrix over any commutative ring, by Ryser's
+    inclusion-exclusion formula
 
         perm M = (-1)^m * sum_S (-1)^|S| * prod_i sum_{j in S} M[i][j]
 
     over the column sets S, walked in Gray-code order so one column
-    enters or leaves per step.  The formula is an identity in any
-    commutative ring, so the result is the exact permanent in
-    Z[x]/(x^n - 1)."""
+    enters or leaves per step.  zero is the ring's zero (CycloInt(n) for
+    the bijection sums, so the result is exact in Z[x]/(x^n - 1); the int
+    0 for the certificate); an empty matrix gives zero + 1."""
     m = len(matrix)
-    zero = CycloInt(n)
+    if not m:
+        return zero + 1
     rowsums = [zero] * m
     total = zero
     prev = 0
@@ -277,14 +274,29 @@ def _permanent_ryser(matrix, n: int) -> CycloInt:
         else:
             rowsums = [rs - matrix[i][j] for i, rs in enumerate(rowsums)]
         prev = gray
-        prod = rowsums[0]
-        for i in range(1, m):
-            prod = prod * rowsums[i]
+        prod = math.prod(rowsums[1:], start=rowsums[0])
         if gray.bit_count() % 2:
             total = total - prod
         else:
             total = total + prod
     return -total if m % 2 else total
+
+
+def _bijection_sum(n: int, d, terms):
+    """Permanent over Z[w] of the m x m matrix whose entry (i, c) is
+    sum of sign * w_i^e over (e, sign) in terms(m, c), w_i = w^(d_i)."""
+    d = _validated_units(n, d)
+    m = len(d)
+    matrix = []
+    for di in d:
+        row = []
+        for c in range(m):
+            coeffs = [0] * n
+            for e, sign in terms(m, c):
+                coeffs[di * e % n] += sign
+            row.append(CycloInt(n, coeffs))
+        matrix.append(row)
+    return _permanent(matrix, CycloInt(n))
 
 
 def permanent2_coefficient(n: int, d) -> CycloInt:
@@ -293,35 +305,14 @@ def permanent2_coefficient(n: int, d) -> CycloInt:
     Entry (i, c) is the explicit sum w_i^c + w_i^(c+1) + ... + w_i^(2m-2-c)
     with w_i = w^(d_i); no division anywhere.
     """
-    d = _validated_units(n, d)
-    m = len(d)
-    matrix = []
-    for di in d:
-        row = []
-        for c in range(m):
-            coeffs = [0] * n
-            for e in range(c, 2 * m - 1 - c):
-                coeffs[(di * e) % n] += 1
-            row.append(CycloInt(n, coeffs))
-        matrix.append(row)
-    return _permanent(matrix, n)
+    return _bijection_sum(
+        n, d, lambda m, c: [(e, 1) for e in range(c, 2 * m - 1 - c)])
 
 
 def permanent_coefficient(n: int, d) -> CycloInt:
     """The pairing-form bijection sum: entry (i, c) is
     w_i^c - w_i^(2m-1-c)."""
-    d = _validated_units(n, d)
-    m = len(d)
-    matrix = []
-    for di in d:
-        row = []
-        for c in range(m):
-            coeffs = [0] * n
-            coeffs[(di * c) % n] += 1
-            coeffs[(di * (2 * m - 1 - c)) % n] -= 1
-            row.append(CycloInt(n, coeffs))
-        matrix.append(row)
-    return _permanent(matrix, n)
+    return _bijection_sum(n, d, lambda m, c: ((c, 1), (2 * m - 1 - c, -1)))
 
 
 def double_factorial_odd(k: int) -> int:
@@ -337,7 +328,7 @@ def prime_nonzero_certificate(p: int, d) -> tuple[int, bool]:
     divisibility by p.  If it does, the sum cannot vanish: a vanishing
     element of Z[w] has its value at 1 divisible by p.  Evaluation at 1
     is a ring homomorphism, so the value is the permanent of the integer
-    matrix with entries 2m-1-2c, computed in order-1 cyclotomic integers.
+    matrix with entries 2m-1-2c, taken over the integers.
     """
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise InvalidInstance(f"{p} is not an odd prime")
@@ -345,8 +336,8 @@ def prime_nonzero_certificate(p: int, d) -> tuple[int, bool]:
     d = _validated_units(p, d)
     if len(d) != m:
         raise InvalidInstance(f"need {m} differences, got {len(d)}")
-    row = [CycloInt.from_int(1, 2 * m - 1 - 2 * c) for c in range(m)]
-    value = _permanent([row] * m, 1).eval_at_one()
+    row = [2 * m - 1 - 2 * c for c in range(m)]
+    value = _permanent([row] * m, 0)
     expected = math.factorial(m) * double_factorial_odd(2 * m - 1)
     if value != expected:
         raise ArithmeticError(

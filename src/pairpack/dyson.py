@@ -4,12 +4,14 @@ Equivalently: the coefficient of prod x_i^(a - a_i), a = sum a_i, in
 
     f = prod_{i < j} (-1)^{a_j} (x_j - x_i)^{a_i + a_j}.
 
-The closed form is the multinomial a! / (a_1! ... a_n!).  The brute-force
-route expands f literally and reads the coefficient off; it shares nothing
-with the other two routes past the basic polynomial type and serves as the
-independent oracle.  The evaluation route reproduces the constant through
-grid interpolation with consecutive-segment grids, where the sum collapses
-to a single point with factorial closed forms.
+The closed form is the multinomial a! / (a_1! ... a_n!), the one place the
+package computes a multinomial: the packing coefficient (md)! / (d!)^m is
+its value at a = (d, ..., d).  The brute-force route expands f literally
+through poly's difference product and reads the coefficient off; it shares
+nothing with the other two routes and serves as the independent oracle.
+The evaluation route reproduces the constant through grid interpolation
+with consecutive-segment grids, where the sum collapses to a single point
+with factorial closed forms.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .algebra import ZZ
-from .poly import BudgetExceeded, MultiPoly, _difference_power
+from .poly import BudgetExceeded, difference_product
 
 DEFAULT_DEGREE_BUDGET = 24
 
@@ -60,23 +62,21 @@ def dyson_formula(inst) -> int:
 def dyson_bruteforce(inst, max_degree: int = DEFAULT_DEGREE_BUDGET) -> int:
     """Expand f literally and extract the target coefficient.
 
-    The expansion degree sum_{i<j} (a_i + a_j) is capped by max_degree;
-    larger instances raise BudgetExceeded.
+    Each factor (-1)^{a_j} (x_j - x_i)^{a_i + a_j} of f is
+    (-1)^{a_i} (x_i - x_j)^{a_i + a_j}, so f is (-1)^(sum_i a_i * (n-1-i))
+    times poly's difference product.  Its degree sum_{i<j} (a_i + a_j) is
+    capped by max_degree; larger instances raise BudgetExceeded.
     """
     inst = _as_instance(inst)
     a = inst.a
     n = len(a)
-    total_degree = sum(a[i] + a[j] for i in range(n) for j in range(i + 1, n))
+    exponents = {(i, j): a[i] + a[j] for i in range(n) for j in range(i + 1, n)}
+    total_degree = sum(exponents.values())
     if total_degree > max_degree:
         raise BudgetExceeded(
             f"expansion degree {total_degree} exceeds budget {max_degree}")
-    f = MultiPoly.one(ZZ, n)
-    sign = 1
-    for i in range(n):
-        for j in range(i + 1, n):
-            sign *= (-1) ** a[j]
-            # (x_j - x_i)^(a_i + a_j)
-            f = f * _difference_power(ZZ, n, j, i, a[i] + a[j])
+    f = difference_product(ZZ, n, exponents)
+    sign = (-1) ** sum(x * (n - 1 - i) for i, x in enumerate(a))
     target = tuple(inst.total - x for x in a)
     return sign * f.coefficient(target)
 
@@ -119,9 +119,11 @@ def dyson_via_evaluation(inst) -> int:
 
 
 def packing_coefficient(m: int, d: int) -> int:
-    """Coefficient of (x_1 ... x_m)^((m-1)d) in prod_{i<j} (x_i - x_j)^(2d):
-    the signed multinomial (-1)^(d*m*(m-1)/2) * (md)! / (d!)^m."""
-    if m < 1 or d < 1:
-        raise ValueError("m and d must be positive")
+    """Coefficient of (x_1 ... x_m)^((m-1)d) in prod_{i<j} (x_i - x_j)^(2d).
+
+    The constant term for a = (d, ..., d) times the sign (-1)^d of each
+    of f's m(m-1)/2 factors: (-1)^(d*m*(m-1)/2) * (md)! / (d!)^m.  Raises
+    ValueError unless m and d are positive.
+    """
     sign = (-1) ** (d * (m * (m - 1) // 2))
-    return sign * (math.factorial(m * d) // math.factorial(d) ** m)
+    return sign * dyson_formula((d,) * m)

@@ -195,26 +195,15 @@ def partition_polynomial(p: int, d, include_nonzero_factors: bool = True) -> Aff
 
 
 def odd_residue_polynomial(p: int) -> AffineProduct:
-    """Affine product over F_p that is nonzero at (c_1 .. c_m) exactly when
-    the coordinates are the odd residues 1, 3, ..., p-2 in some order.
+    """The pairing polynomial at d = (1, ..., 1), m = (p-1)/2: nonzero at
+    (c_1 .. c_m) exactly when the pairs {c_i, c_i + 1} partition the
+    nonzero residues, i.e. when the coordinates are the odd residues
+    1, 3, ..., p-2 in some order.
 
-    Same top-degree homogeneous part as the full pairing polynomial, which
-    is what makes the two full-field sums match.
+    Same top-degree homogeneous part as the pairing polynomial for any d,
+    which is what makes the two full-field sums match.
     """
-    ring = ModRing(p)
-    m = (p - 1) // 2
-    factors = []
-    for i in range(m):
-        factors.append((((i, 1),), 0))       # x_i
-        factors.append((((i, 1),), 1))       # x_i + 1
-    for i in range(m):
-        for j in range(i + 1, m):
-            pair = ((i, 1), (j, -1))
-            factors.append((pair, 0))        # (x_i - x_j) twice
-            factors.append((pair, 0))
-            factors.append((pair, -1))       # (x_i - x_j - 1)
-            factors.append((pair, 1))        # (x_i - x_j + 1)
-    return AffineProduct(ring, m, factors)
+    return partition_polynomial(p, (1,) * ((p - 1) // 2))
 
 
 def partition_grid(p: int, d) -> GridSpec:

@@ -18,7 +18,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
 
-from .algebra import factorial_quotient_mod, is_basis, is_prime, vec_add, vec_sub
+from .algebra import is_basis, is_prime, vec_add, vec_sub
+from .dyson import packing_coefficient
 
 
 class InvalidInstance(ValueError):
@@ -386,7 +387,8 @@ def solve_translate_packing(inst: PackingInstance):
 class PackingReport:
     """Which packing hypotheses an instance satisfies.
 
-    factorial_nonzero: (md)!/(d!)^m does not vanish in the ambient ring.
+    factorial_nonzero: the packing coefficient +-(md)!/(d!)^m does not
+    vanish in the ambient ring.
     difference_bound: |X_i - X_j| <= 2d for all i < j (difference sets
     computed explicitly).  translate_bound: |T_i| >= (m-1)d + 1.
     squares_bound: sum of ceil(|X_i|^2 / 2) < p; only meaningful over a
@@ -418,30 +420,18 @@ class PackingReport:
 
 def check_packing_hypotheses(inst: PackingInstance) -> PackingReport:
     m, d = inst.m, inst.d
-    if isinstance(inst.ambient, int):
-        factorial_ok = factorial_quotient_mod(m, d, inst.ambient) != 0
-    else:
-        factorial_ok = True
-
-    diff_ok = True
-    for i in range(m):
-        for j in range(i + 1, m):
-            if isinstance(inst.ambient, int):
-                diffs = {(a - b) % inst.ambient
-                         for a in inst.X[i] for b in inst.X[j]}
-            else:
-                diffs = {a - b for a in inst.X[i] for b in inst.X[j]}
-            if len(diffs) > 2 * d:
-                diff_ok = False
-
+    mod = inst.ambient if isinstance(inst.ambient, int) else None
+    factorial_ok = mod is None or packing_coefficient(m, d) % mod != 0
+    diff_ok = all(len({(a - b) % mod if mod else a - b
+                       for a in inst.X[i] for b in inst.X[j]}) <= 2 * d
+                  for i in range(m) for j in range(i + 1, m))
     trans_ok = all(len(ts) >= (m - 1) * d + 1 for ts in inst.T)
 
     squares: "bool | None" = None
-    if isinstance(inst.ambient, int) and is_prime(inst.ambient):
-        full = tuple(range(inst.ambient))
+    if mod and is_prime(mod):
+        full = tuple(range(mod))
         if all(ts == full for ts in inst.T):
-            squares = sum((len(xs) ** 2 + 1) // 2
-                          for xs in inst.X) < inst.ambient
+            squares = sum((len(xs) ** 2 + 1) // 2 for xs in inst.X) < mod
 
     guarantees = []
     if factorial_ok and diff_ok and trans_ok:
@@ -490,25 +480,30 @@ def _ends(pair, vectors: bool = False):
         raise InvalidInstance(f"malformed pair {pair!r}") from None
 
 
+def _sequence(part) -> tuple:
+    """A solution's pairs, basis choice or translates, as a tuple."""
+    try:
+        return tuple(part)
+    except TypeError:
+        raise InvalidInstance(f"malformed solution {part!r}") from None
+
+
 def verify_solution(instance, solution) -> bool:
     """Re-check every invariant of a solution from scratch.
 
     Shares no state with the solvers: distinctness, coverage, the
     difference equations and disjointness are all recomputed.  An
     Infeasible value is not a solution and yields False; a pair that is
-    not two ints (two int vectors), a partition that is not a sequence of
-    pairs and a basis choice that is not a sequence of ints raise
-    InvalidInstance.
+    not two ints (two int vectors), a list of pairs, basis choices or
+    translates that is not iterable, and a basis choice that is not an
+    int raise InvalidInstance.
     """
     if isinstance(solution, Infeasible):
         return False
 
     if isinstance(instance, PartitionInstance):
-        try:
-            pairs = tuple(solution.pairs if isinstance(solution, PairPartition)
+        pairs = _sequence(solution.pairs if isinstance(solution, PairPartition)
                           else solution)
-        except TypeError:
-            raise InvalidInstance(f"malformed solution {solution!r}") from None
         n = instance.n
         if len(pairs) != instance.m:
             return False
@@ -527,6 +522,7 @@ def verify_solution(instance, solution) -> bool:
             pairs, g = solution
         except (TypeError, ValueError):
             return False
+        pairs, g = _sequence(pairs), _sequence(g)
         p, k, m = instance.p, instance.k, instance.m
         if len(pairs) != m or len(g) != m:
             return False
@@ -549,7 +545,7 @@ def verify_solution(instance, solution) -> bool:
         return len(set(seen)) == 2 * m and set(seen) == nonzero
 
     if isinstance(instance, PackingInstance):
-        t = tuple(solution)
+        t = _sequence(solution)
         if len(t) != instance.m:
             return False
         mod = instance.ambient if isinstance(instance.ambient, int) else None

@@ -10,7 +10,7 @@ import pytest
 
 from pairpack.algebra import CycloInt
 from pairpack import conjectures
-from pairpack.conjectures import (ScanReport, _permanent, _permanent_ryser,
+from pairpack.conjectures import (ScanReport, _permanent,
                                   divisibility_lemma_check,
                                   double_factorial_odd,
                                   permanent2_coefficient, permanent_coefficient,
@@ -70,8 +70,8 @@ def test_scan_sample_mode():
         scan_conjecture(2)
 
 
-def test_scan_sample_ignores_job_count():
-    a = scan_conjecture(11, sample=300, seed=7, jobs=1)
+def test_scan_accepts_and_ignores_jobs():
+    a = scan_conjecture(11, sample=300, seed=7)
     b = scan_conjecture(11, sample=300, seed=7, jobs=2)
     assert a.to_json() == b.to_json()
 
@@ -201,23 +201,32 @@ def test_scan_rejects_unverified_partition(monkeypatch):
 
 def test_permanent_matches_inclusion_exclusion():
     """Ryser's formula against the permanent's definition: a sum over all
-    permutations of products of one entry per row."""
+    permutations of products of one entry per row, over Z[w] and over the
+    integers."""
     rng = random.Random(29)
     order = 7
-    for m in (1, 2, 3, 4, 5):
-        mat = [[CycloInt(order, [rng.randrange(-2, 3) for _ in range(order)])
-                for _ in range(m)] for _ in range(m)]
-        want = CycloInt(order)
-        for perm in itertools.permutations(range(m)):
-            term = CycloInt.from_int(order, 1)
+
+    def by_definition(mat, zero):
+        want = zero
+        for perm in itertools.permutations(range(len(mat))):
+            term = zero + 1
             for row, col in enumerate(perm):
                 term = term * mat[row][col]
             want = want + term
-        got = _permanent_ryser(mat, order)
+        return want
+
+    for m in (1, 2, 3, 4, 5):
+        mat = [[CycloInt(order, [rng.randrange(-2, 3) for _ in range(order)])
+                for _ in range(m)] for _ in range(m)]
+        want = by_definition(mat, CycloInt(order))
+        got = _permanent(mat, CycloInt(order))
         assert got == want
         # both are exact in Z[x]/(x^n - 1), so even the representatives agree
         assert got.coeffs == want.coeffs
-    assert _permanent([], 5) == CycloInt.from_int(5, 1)
+    assert _permanent([], CycloInt(5)) == CycloInt.from_int(5, 1)
+    for m in range(6):
+        mat = [[rng.randrange(-9, 10) for _ in range(m)] for _ in range(m)]
+        assert _permanent(mat, 0) == by_definition(mat, 0)
 
 
 def test_bijection_sum_smallest_case():

@@ -3,11 +3,13 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 from collections import Counter
 
 import pytest
 
+from pairpack.dyson import packing_coefficient
 from pairpack.solvers import (Infeasible, InvalidInstance, PackingInstance,
                               PairPartition, PartitionInstance,
                               VectorPartitionInstance, check_packing_hypotheses,
@@ -247,6 +249,18 @@ def test_hypothesis_report_flags():
         PackingInstance("integers", ((0,),), ((0, 1),), 1)).squares_bound is None
 
 
+def test_factorial_hypothesis_matches_multinomial():
+    # (md)! / (d!)^m is a multinomial, hence integral
+    for m in range(1, 6):
+        for d in range(1, 4):
+            exact = math.factorial(m * d) // math.factorial(d) ** m
+            assert abs(packing_coefficient(m, d)) == exact
+            for n in (2, 3, 5, 7, 9):
+                inst = PackingInstance(n, ((0,),) * m, ((0,),) * m, d)
+                assert check_packing_hypotheses(inst).factorial_nonzero == \
+                    (exact % n != 0)
+
+
 def test_reduction_round_trip():
     inst = PartitionInstance(5, (1, 2))
     enc = partition_as_packing(inst)
@@ -312,8 +326,13 @@ def test_verify_rejects_malformed_pairs():
     for bad in (5, PairPartition(5)):
         with pytest.raises(InvalidInstance):
             verify_solution(inst, bad)
+    for bad in ((5, (0,)), ([((0,), (1,))], 7)):
+        with pytest.raises(InvalidInstance):
+            verify_solution(vinst, bad)
     with pytest.raises(InvalidInstance):
         verify_solution(vinst, ((((1,), (2,)),), ("0",)))
+    with pytest.raises(InvalidInstance):
+        verify_solution(PackingInstance(5, ((0,),), ((0, 1),), 1), 5)
     assert verify_solution(vinst, ((((1,), (2,)),), (0,)))
 
 

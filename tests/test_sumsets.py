@@ -107,8 +107,8 @@ def test_sweep_lists_violations_in_order(monkeypatch):
         assert _masks(rep.violations) == naive_sweep(p, alpha)[2]
 
 
-def test_sweep_sharding_merges_exactly():
-    a = verify_cd_bound(3, 1, jobs=1)
+def test_sweep_accepts_and_ignores_jobs():
+    a = verify_cd_bound(3, 1)
     b = verify_cd_bound(3, 1, jobs=2)
     assert a.to_json() == b.to_json()
 
