@@ -1,5 +1,5 @@
-"""Exact arithmetic substrates: primality and inverses mod n, residue
-rings, F_p linear algebra, and cyclotomic integers.
+"""Exact arithmetic substrates: primality, residue rings, F_p linear
+algebra, and cyclotomic integers.
 
 Everything here runs on Python's arbitrary-precision integers; no floating
 point is used anywhere.  A ring is only a modulus (ModRing) or its absence
@@ -14,10 +14,6 @@ not here: the multinomial lives in dyson, the permanents in conjectures.
 from __future__ import annotations
 
 from functools import lru_cache
-
-
-class NotInvertible(ArithmeticError):
-    """Inversion of a residue a with gcd(a, n) > 1."""
 
 
 class DimensionMismatch(ValueError):
@@ -43,14 +39,6 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
-
-
-def mod_inverse(a: int, n: int) -> int:
-    """Inverse of a modulo n.  Raises NotInvertible when gcd(a, n) > 1."""
-    try:
-        return pow(a, -1, n)
-    except ValueError:
-        raise NotInvertible(f"{a} is not invertible modulo {n}") from None
 
 
 class ModRing:
@@ -129,7 +117,7 @@ def rank_mod_p(vectors, p: int) -> int:
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = mod_inverse(rows[rank][col], p)
+        inv = pow(rows[rank][col], -1, p)      # p prime, pivot nonzero
         rows[rank] = [c * inv % p for c in rows[rank]]
         for r in range(len(rows)):
             if r != rank and rows[r][col]:
@@ -289,18 +277,6 @@ class CycloInt:
         return CycloInt(n, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative powers are not defined here")
-        result = CycloInt.from_int(self.n, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def is_zero(self) -> bool:
         """True iff this element equals zero in Z[w], i.e. the coefficient

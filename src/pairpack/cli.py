@@ -6,8 +6,9 @@ verify.  Exit codes distinguish outcomes so pipelines can tell "no" from
 instance, zero coefficient, violated bound, failed verification), 1 for
 any error.  Output is JSON with sorted keys (TSV for scan reports on
 request); identical configuration, seed included, gives byte-identical
-bytes.  Timing is therefore omitted unless --timing asks for it.  Every
-command runs in one process.
+bytes.  The scan and sweep reports are plain values with no time in
+them; --timing times the call here and adds its wall time as "seconds",
+the last key or TSV column.  Every command runs in one process.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .algebra import ZZ, ModRing
 from .conjectures import scan_conjecture
@@ -54,6 +56,18 @@ def _int_sets(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(_ints(part) for part in text.split(";"))
 
 
+def _timed_report(timing: bool, run) -> dict:
+    """JSON of the report run() returns, plus its wall time in seconds,
+    rounded to 3 places, when timing."""
+    start = time.perf_counter()
+    report = run()
+    seconds = time.perf_counter() - start
+    doc = report.to_json()
+    if timing:
+        doc["seconds"] = round(seconds, 3)
+    return doc
+
+
 def _load(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -72,8 +86,7 @@ def cmd_partition(args) -> int:
     else:
         if args.n is None or args.d is None:
             raise CliError("need --n and --d, or --file")
-        universe = args.universe or ("nonzero" if args.n % 2 else "full")
-        doc = {"n": args.n, "universe": universe, "d": list(_ints(args.d))}
+        doc = {"n": args.n, "d": list(_ints(args.d))}
 
     if "bases" in doc:
         inst = VectorPartitionInstance.from_json(doc)
@@ -126,7 +139,7 @@ def cmd_dyson(args) -> int:
 
 
 def cmd_cn_coeff(args) -> int:
-    ring = ModRing(args.mod) if args.mod else ZZ
+    ring = ModRing(args.mod) if args.mod is not None else ZZ
     f = MultiPoly.from_json(ring, _load(args.file))
     grid = GridSpec(_int_sets(args.grid))
     coeff = cn_coefficient(f, grid)
@@ -139,22 +152,19 @@ def cmd_cn_coeff(args) -> int:
 
 
 def cmd_conjecture_scan(args) -> int:
-    report = scan_conjecture(args.n, sample=args.sample, seed=args.seed,
-                             checkpoint=args.checkpoint)
+    doc = _timed_report(args.timing, lambda: scan_conjecture(
+        args.n, sample=args.sample, seed=args.seed,
+        checkpoint=args.checkpoint))
+    code = 0 if not doc["failures"] else 2
     if args.format == "tsv":
-        cols = ["n", "universe", "total", "feasible", "failures"]
-        vals = [report.n, report.universe, report.instances_total,
-                report.instances_feasible,
-                ";".join(",".join(map(str, f)) for f in report.failures)
-                or "-"]
-        if args.timing:
-            cols.append("seconds")
-            vals.append(round(report.wall_time, 3))
-        print("\t".join(cols))
-        print("\t".join(str(v) for v in vals))
+        # the report's key order is the column order
+        doc["failures"] = ";".join(",".join(map(str, f))
+                                   for f in doc["failures"]) or "-"
+        print("\t".join(doc))
+        print("\t".join(str(v) for v in doc.values()))
     else:
-        _emit(report.to_json(include_timing=args.timing))
-    return 0 if not report.failures else 2
+        _emit(doc)
+    return code
 
 
 def cmd_sumset(args) -> int:
@@ -170,10 +180,11 @@ def cmd_sumset(args) -> int:
                "cardinality": card, "beta": bound, "holds": holds,
                "tight": tight})
         return 0 if holds else 2
-    report = verify_cd_bound(args.p, args.alpha, sample=args.sample,
-                             seed=args.seed, tight_cap=args.tight_cap)
-    _emit(report.to_json(include_timing=args.timing))
-    return 0 if not report.violations else 2
+    doc = _timed_report(args.timing, lambda: verify_cd_bound(
+        args.p, args.alpha, sample=args.sample, seed=args.seed,
+        tight_cap=args.tight_cap))
+    _emit(doc)
+    return 0 if not doc["violations"] else 2
 
 
 def cmd_verify(args) -> int:
@@ -222,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="solve a prescribed-difference pair partition")
     p.add_argument("--n", type=int, help="modulus")
     p.add_argument("--d", help="comma-separated differences")
-    p.add_argument("--universe", choices=["nonzero", "full"])
     p.add_argument("--file", help="instance JSON (plain or vector form)")
     p.set_defaults(func=cmd_partition)
 

@@ -30,13 +30,13 @@ from __future__ import annotations
 import json
 import math
 import os
-import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from random import Random
 
 from .algebra import CycloInt, is_prime
+from .dyson import multinomial
 from .solvers import (Infeasible, InvalidInstance, PartitionInstance,
                       solve_pair_partition, verify_solution)
 
@@ -52,13 +52,14 @@ def units_mod(n: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class ScanReport:
-    """Aggregate of one scan.
+    """Aggregate of one scan, a plain value: two identical scans give
+    equal reports.
 
     instances_total counts ordered d-vectors (units^m for exhaustive runs,
     the draw count for sampled ones).  failures holds one sorted
-    representative per infeasible multiset; all orderings of a multiset
-    stand or fall together, so the list is empty exactly when every
-    scanned vector was feasible.
+    representative per infeasible multiset, in ascending order; all
+    orderings of a multiset stand or fall together, so the list is empty
+    exactly when every scanned vector was feasible.
     """
 
     n: int
@@ -66,20 +67,16 @@ class ScanReport:
     instances_total: int
     instances_feasible: int
     failures: tuple[tuple[int, ...], ...]
-    wall_time: float
 
     @property
     def all_feasible(self) -> bool:
         return self.instances_feasible == self.instances_total
 
-    def to_json(self, include_timing: bool = False) -> dict:
-        doc = {"n": self.n, "universe": self.universe,
-               "total": self.instances_total,
-               "feasible": self.instances_feasible,
-               "failures": [list(f) for f in self.failures]}
-        if include_timing:
-            doc["seconds"] = round(self.wall_time, 3)
-        return doc
+    def to_json(self) -> dict:
+        return {"n": self.n, "universe": self.universe,
+                "total": self.instances_total,
+                "feasible": self.instances_feasible,
+                "failures": [list(f) for f in self.failures]}
 
 
 def _orbit_verdicts(n: int, universe: str):
@@ -119,11 +116,18 @@ def _orbit_verdicts(n: int, universe: str):
     return feasible
 
 
-def _orderings(key) -> int:
-    num = math.factorial(len(key))
-    for c in Counter(key).values():
-        num //= math.factorial(c)
-    return num
+def _tally(counts, feasible) -> tuple[int, int, list]:
+    """Total, feasible count and failures of a map from sorted key to the
+    number of ordered vectors it stands for, walked in key order."""
+    total = good = 0
+    failures = []
+    for key, count in sorted(counts.items()):
+        total += count
+        if feasible(key):
+            good += count
+        else:
+            failures.append(key)
+    return total, good, failures
 
 
 def _complete(line: bytes) -> bool:
@@ -168,71 +172,60 @@ def scan_conjecture(n: int, sample: "int | None" = None,
                     checkpoint: "str | None" = None) -> ScanReport:
     """Scan all (or sample many) unit d-vectors mod n for feasibility.
 
-    Odd n pairs the nonzero residues with m = (n-1)/2 differences; even n
-    pairs everything with m = n/2.  Exhaustive mode shards the multisets
-    by their smallest entry; with a checkpoint path, finished shards are
-    appended as JSON lines and skipped on rerun.  Sample mode draws
-    `sample` vectors uniformly (seed mandatory) and is deterministic for
-    a fixed seed.  The scan runs serially and solves each symmetry orbit
-    once; `jobs` is accepted for older callers and ignored.
+    Odd n pairs the nonzero residues and even n pairs everything, with
+    m = n // 2 differences either way.  Exhaustive mode shards the
+    multisets by their smallest entry, each weighted by its number of
+    orderings; with a checkpoint path, finished shards are appended as
+    JSON lines and skipped on rerun.  Sample mode draws `sample` >= 1
+    vectors uniformly (seed mandatory, no checkpoint) and is deterministic
+    for a fixed seed.  The scan runs serially, solves each symmetry orbit
+    once and does not time itself; `jobs` is accepted for older callers
+    and ignored.
     """
     if n < 3:
         raise InvalidInstance("modulus too small to scan")
     universe = "nonzero" if n % 2 else "full"
-    m = (n - 1) // 2 if n % 2 else n // 2
+    m = n // 2
     units = units_mod(n)
-    start = time.perf_counter()
     verdict = _orbit_verdicts(n, universe)
-    failures: list[tuple[int, ...]] = []
 
-    if sample is None:
-        total = feasible = 0
-        done = _load_checkpoint(checkpoint, n, universe) if checkpoint else {}
-        for u in units:
-            if u in done:
-                rec = done[u]
-                total += rec["total"]
-                feasible += rec["feasible"]
-                failures.extend(tuple(f) for f in rec["failures"])
-                continue
-            tail = [v for v in units if v >= u]
-            keys = [(u,) + rest
-                    for rest in combinations_with_replacement(tail, m - 1)]
-            shard_total = shard_feasible = 0
-            shard_failures = []
-            for key in keys:
-                w = _orderings(key)
-                shard_total += w
-                if verdict(key):
-                    shard_feasible += w
-                else:
-                    shard_failures.append(key)
-            total += shard_total
-            feasible += shard_feasible
-            failures.extend(shard_failures)
-            if checkpoint:
-                rec = {"n": n, "universe": universe, "shard": u,
-                       "total": shard_total, "feasible": shard_feasible,
-                       "failures": [list(f) for f in shard_failures]}
-                with open(checkpoint, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        if total != len(units) ** m:
-            raise ArithmeticError("shard totals do not add up")
-    else:
+    if sample is not None:
+        if sample < 1:
+            raise InvalidInstance(f"sample size {sample} is not positive")
         if seed is None:
             raise InvalidInstance("sample mode needs a seed")
+        if checkpoint:
+            raise InvalidInstance("checkpoints are for exhaustive scans only")
         rng = Random(seed)
-        draws: Counter = Counter()
-        for _ in range(int(sample)):
-            key = tuple(sorted(rng.choice(units) for _ in range(m)))
-            draws[key] += 1
-        ok = {key: verdict(key) for key in sorted(draws)}
-        total = int(sample)
-        feasible = sum(mult for key, mult in draws.items() if ok[key])
-        failures = [key for key in ok if not ok[key]]
+        draws = Counter(tuple(sorted(rng.choice(units) for _ in range(m)))
+                        for _ in range(sample))
+        total, feasible, failures = _tally(draws, verdict)
+        return ScanReport(n, universe, total, feasible, tuple(failures))
 
-    wall = time.perf_counter() - start
-    return ScanReport(n, universe, total, feasible, tuple(failures), wall)
+    total = feasible = 0
+    failures: list[tuple[int, ...]] = []
+    done = _load_checkpoint(checkpoint, n, universe) if checkpoint else {}
+    for u in units:
+        if u not in done:
+            tail = [v for v in units if v >= u]
+            keys = ((u,) + rest
+                    for rest in combinations_with_replacement(tail, m - 1))
+            shard_total, shard_feasible, shard_failures = _tally(
+                {key: multinomial(Counter(key).values()) for key in keys},
+                verdict)
+            done[u] = {"n": n, "universe": universe, "shard": u,
+                       "total": shard_total, "feasible": shard_feasible,
+                       "failures": shard_failures}
+            if checkpoint:
+                with open(checkpoint, "a", encoding="utf-8") as fh:
+                    fh.write(json.dumps(done[u], sort_keys=True) + "\n")
+        rec = done[u]
+        total += rec["total"]
+        feasible += rec["feasible"]
+        failures.extend(map(tuple, rec["failures"]))
+    if total != len(units) ** m:
+        raise ArithmeticError("shard totals do not add up")
+    return ScanReport(n, universe, total, feasible, tuple(failures))
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ Equivalently: the coefficient of prod x_i^(a - a_i), a = sum a_i, in
 
     f = prod_{i < j} (-1)^{a_j} (x_j - x_i)^{a_i + a_j}.
 
-The closed form is the multinomial a! / (a_1! ... a_n!), the one place the
-package computes a multinomial: the packing coefficient (md)! / (d!)^m is
-its value at a = (d, ..., d).  The brute-force route expands f literally
-through poly's difference product and reads the coefficient off; it shares
-nothing with the other two routes and serves as the independent oracle.
+The closed form is the multinomial a! / (a_1! ... a_n!), and multinomial
+is the one place the package computes one: the packing coefficient
+(md)! / (d!)^m is its value at a = (d, ..., d), and a scan weighs each
+sorted difference multiset by the multinomial of its multiplicities.
+The brute-force route expands f literally through poly's difference
+product and reads the coefficient off; it shares nothing with the other
+two routes and serves as the independent oracle.
 The evaluation route reproduces the constant through grid interpolation
 with consecutive-segment grids, where the sum collapses to a single point
 with factorial closed forms.
@@ -50,13 +52,17 @@ def _as_instance(inst) -> DysonInstance:
     return DysonInstance(tuple(inst))
 
 
+def multinomial(parts) -> int:
+    """(sum parts)! / prod(part!) for nonnegative integer parts: the number
+    of orderings of a multiset with these multiplicities.  Empty parts give
+    1, and zero parts change nothing."""
+    parts = tuple(parts)
+    return math.factorial(sum(parts)) // math.prod(map(math.factorial, parts))
+
+
 def dyson_formula(inst) -> int:
     """The multinomial closed form a! / (a_1! ... a_n!)."""
-    inst = _as_instance(inst)
-    den = 1
-    for x in inst.a:
-        den *= math.factorial(x)
-    return math.factorial(inst.total) // den
+    return multinomial(_as_instance(inst).a)
 
 
 def dyson_bruteforce(inst, max_degree: int = DEFAULT_DEGREE_BUDGET) -> int:

@@ -70,28 +70,12 @@ class MultiPoly:
         self.terms = clean
 
     @classmethod
-    def zero(cls, ring, arity: int) -> MultiPoly:
-        return cls(ring, arity)
-
-    @classmethod
     def constant(cls, ring, arity: int, value) -> MultiPoly:
         return cls(ring, arity, {(0,) * arity: value})
 
     @classmethod
     def one(cls, ring, arity: int) -> MultiPoly:
         return cls.constant(ring, arity, 1)
-
-    @classmethod
-    def monomial(cls, ring, arity: int, exponents, coeff=1) -> MultiPoly:
-        return cls(ring, arity, {tuple(exponents): coeff})
-
-    @classmethod
-    def variable(cls, ring, arity: int, index: int) -> MultiPoly:
-        if not 0 <= index < arity:
-            raise ArityMismatch(f"variable index {index} out of range for arity {arity}")
-        e = [0] * arity
-        e[index] = 1
-        return cls(ring, arity, {tuple(e): 1})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -147,18 +131,6 @@ class MultiPoly:
         return res
 
     __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            raise ValueError("negative power")
-        result = MultiPoly.one(self.ring, self.arity)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
@@ -263,12 +235,6 @@ class AffineProduct:
             if acc == 0:
                 return 0
         return acc
-
-    def __mul__(self, other: AffineProduct) -> AffineProduct:
-        _check_pair(self, other)
-        res = AffineProduct(self.ring, self.arity, ())
-        res.factors = self.factors + other.factors
-        return res
 
     def expand(self, budget: int = DEFAULT_TERM_BUDGET) -> MultiPoly:
         """Multiply the factors out into a MultiPoly.

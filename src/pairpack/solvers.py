@@ -86,8 +86,9 @@ class PartitionInstance:
     """Pair up a universe inside Z/(n) so that pair i has difference d[i].
 
     universe "nonzero" covers Z/(n) minus 0 and needs odd n; "full"
-    covers all of Z/(n) and needs even n.  Differences are reduced mod n
-    and must be nonzero; they need not be units.
+    covers all of Z/(n) and needs even n; either way there are n // 2
+    pairs.  Differences are reduced mod n and must be nonzero; they need
+    not be units.
     """
 
     n: int
@@ -104,13 +105,12 @@ class PartitionInstance:
         if self.universe == "nonzero":
             if n % 2 == 0:
                 raise InvalidInstance("universe 'nonzero' needs an odd modulus")
-            m = (n - 1) // 2
         elif self.universe == "full":
             if n % 2:
                 raise InvalidInstance("universe 'full' needs an even modulus")
-            m = n // 2
         else:
             raise InvalidInstance(f"unknown universe {self.universe!r}")
+        m = n // 2
         if len(d) != m:
             raise InvalidInstance(f"need {m} differences, got {len(d)}")
         object.__setattr__(self, "n", n)
@@ -347,6 +347,11 @@ class PackingInstance:
     def m(self) -> int:
         return len(self.X)
 
+    @property
+    def modulus(self) -> "int | None":
+        """The modulus n, or None over the integers."""
+        return None if self.ambient == "integers" else self.ambient
+
     def to_json(self) -> dict:
         return {"n": self.ambient, "X": [list(s) for s in self.X],
                 "T": [list(s) for s in self.T], "d": self.d}
@@ -361,7 +366,7 @@ class PackingInstance:
 def solve_translate_packing(inst: PackingInstance):
     """First t-vector (lexicographic, T_i ascending) with disjoint
     translates X_i + t_i, or Infeasible."""
-    mod = inst.ambient if isinstance(inst.ambient, int) else None
+    mod = inst.modulus
     m = inst.m
     occupied: set[int] = set()
     t: list[int] = [0] * m
@@ -392,7 +397,8 @@ class PackingReport:
     difference_bound: |X_i - X_j| <= 2d for all i < j (difference sets
     computed explicitly).  translate_bound: |T_i| >= (m-1)d + 1.
     squares_bound: sum of ceil(|X_i|^2 / 2) < p; only meaningful over a
-    prime modulus with every T_i the full ring, else None.  guarantees
+    prime modulus with every T_i the full ring, else None.  The derived
+    main_hypotheses is the conjunction of the first three, and guarantees
     lists which sufficient conditions ("main", "squares") apply in full.
     """
 
@@ -402,12 +408,17 @@ class PackingReport:
     difference_bound: bool
     translate_bound: bool
     squares_bound: "bool | None"
-    guarantees: tuple[str, ...]
 
     @property
     def main_hypotheses(self) -> bool:
         return (self.factorial_nonzero and self.difference_bound
                 and self.translate_bound)
+
+    @property
+    def guarantees(self) -> tuple[str, ...]:
+        return tuple(name for name, holds in (("main", self.main_hypotheses),
+                                              ("squares", self.squares_bound))
+                     if holds)
 
     def to_json(self) -> dict:
         return {"m": self.m, "d": self.d,
@@ -420,7 +431,7 @@ class PackingReport:
 
 def check_packing_hypotheses(inst: PackingInstance) -> PackingReport:
     m, d = inst.m, inst.d
-    mod = inst.ambient if isinstance(inst.ambient, int) else None
+    mod = inst.modulus
     factorial_ok = mod is None or packing_coefficient(m, d) % mod != 0
     diff_ok = all(len({(a - b) % mod if mod else a - b
                        for a in inst.X[i] for b in inst.X[j]}) <= 2 * d
@@ -433,13 +444,7 @@ def check_packing_hypotheses(inst: PackingInstance) -> PackingReport:
         if all(ts == full for ts in inst.T):
             squares = sum((len(xs) ** 2 + 1) // 2 for xs in inst.X) < mod
 
-    guarantees = []
-    if factorial_ok and diff_ok and trans_ok:
-        guarantees.append("main")
-    if squares:
-        guarantees.append("squares")
-    return PackingReport(m, d, factorial_ok, diff_ok, trans_ok, squares,
-                         tuple(guarantees))
+    return PackingReport(m, d, factorial_ok, diff_ok, trans_ok, squares)
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +553,7 @@ def verify_solution(instance, solution) -> bool:
         t = _sequence(solution)
         if len(t) != instance.m:
             return False
-        mod = instance.ambient if isinstance(instance.ambient, int) else None
+        mod = instance.modulus
         covered: set[int] = set()
         total = 0
         for xs, ts, ti in zip(instance.X, instance.T, t):

@@ -16,7 +16,6 @@ has its value at 1 divisible by p.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from itertools import combinations
 from random import Random
@@ -89,7 +88,8 @@ def check_bound(inst: SumsetInstance) -> tuple[int, int, bool, bool]:
 
 @dataclass(frozen=True)
 class CDReport:
-    """Outcome of a bound sweep.
+    """Outcome of a bound sweep, a plain value: two identical sweeps give
+    equal reports.
 
     violations lists every failing (A, B) pair (expected empty).  Tight
     pairs are counted exactly but only the first tight_cap of them, in
@@ -102,16 +102,12 @@ class CDReport:
     violations: tuple
     tight_count: int
     tight: tuple
-    wall_time: float
 
-    def to_json(self, include_timing: bool = False) -> dict:
-        doc = {"p": self.p, "alpha": self.alpha, "pairs": self.pairs,
-               "violations": [[list(a), list(b)] for a, b in self.violations],
-               "tight_count": self.tight_count,
-               "tight": [[list(a), list(b)] for a, b in self.tight]}
-        if include_timing:
-            doc["seconds"] = round(self.wall_time, 3)
-        return doc
+    def to_json(self) -> dict:
+        return {"p": self.p, "alpha": self.alpha, "pairs": self.pairs,
+                "violations": [[list(a), list(b)] for a, b in self.violations],
+                "tight_count": self.tight_count,
+                "tight": [[list(a), list(b)] for a, b in self.tight]}
 
 
 def _mask_to_set(mask: int, size: int) -> tuple[int, ...]:
@@ -162,8 +158,9 @@ def verify_cd_bound(p: int, alpha: int, sample: "int | None" = None,
     """Check |A+B| >= beta(p, |A|, |B|) over nonempty subsets of Z/(p^alpha).
 
     Exhaustive by default: every one of (2^(p^alpha) - 1)^2 ordered pairs,
-    in one serial pass.  With sample, that many seeded-uniform pairs
-    instead.  `jobs` is accepted for older callers and ignored.
+    in one serial pass.  With sample, that many (at least 1)
+    seeded-uniform pairs instead.  The sweep does not time itself; `jobs`
+    is accepted for older callers and ignored.
     """
     if not is_prime(p) or alpha < 1:
         raise ValueError("need a prime p and alpha >= 1")
@@ -171,11 +168,12 @@ def verify_cd_bound(p: int, alpha: int, sample: "int | None" = None,
         raise ValueError("tight_cap must be nonnegative")
     size = p ** alpha
     full = (1 << size) - 1
-    start = time.perf_counter()
 
     if sample is None:
         pairs, violations, tight_count, tight = _sweep(p, alpha, tight_cap)
     else:
+        if sample < 1:
+            raise ValueError(f"sample size {sample} is not positive")
         if seed is None:
             raise ValueError("sample mode needs a seed")
         rng = Random(seed)
@@ -202,11 +200,10 @@ def verify_cd_bound(p: int, alpha: int, sample: "int | None" = None,
         violations.sort()
         tight = all_tight[:tight_cap]
 
-    wall = time.perf_counter() - start
     unpack = lambda prs: tuple((_mask_to_set(a, size), _mask_to_set(b, size))
                                for a, b in prs)
     return CDReport(p, alpha, pairs, unpack(violations), tight_count,
-                    unpack(tight), wall)
+                    unpack(tight))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 """End-to-end runs of the command line front end."""
 
 import json
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -118,6 +121,11 @@ def test_cn_coeff(capsys, tmp_path):
                                 "--grid", "0,1;0,1", "--mod", "2"])
     assert code == 2
     assert json.loads(out)["coefficient"] == 0
+    for mod in ("0", "1"):
+        code, out, err = run(capsys, ["cn-coeff", "--file", str(path),
+                                      "--grid", "0,1;0,1", "--mod", mod])
+        assert (code, out) == (1, "")
+        assert err == "error: modulus must be an integer >= 2\n"
 
 
 def test_cn_coeff_witness(capsys, tmp_path):
@@ -174,6 +182,11 @@ def test_sumset_sweep(capsys):
     doc = json.loads(out)
     assert doc["pairs"] == 9
     assert doc["violations"] == []
+    code, out, _ = run(capsys, ["sumset", "--p", "2", "--timing"])
+    assert code == 0
+    timed = json.loads(out)
+    assert isinstance(timed.pop("seconds"), float)
+    assert timed == doc
 
 
 def test_sumset_sample_needs_seed(capsys):
@@ -181,6 +194,29 @@ def test_sumset_sample_needs_seed(capsys):
                                 "--sample", "10"])
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["conjecture-scan", "--n", "9", "--sample", "-5", "--seed", "1"],
+    ["conjecture-scan", "--n", "9", "--sample", "0", "--seed", "1"],
+    ["sumset", "--p", "3", "--sample", "-4", "--seed", "1"],
+])
+def test_sample_below_one_is_one_error_line(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_readme_transcripts(capsys):
+    """Every `$ pairpack ...` block in README.md prints the JSON shown
+    under it."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^\$ pairpack ([^\n]*)\n(.*?)^```",
+                        readme.read_text(encoding="utf-8"), re.M | re.S)
+    assert blocks
+    for command, shown in blocks:
+        _, out, _ = run(capsys, shlex.split(command))
+        assert json.loads(out) == json.loads(shown), command
 
 
 def test_verify_round_trip(capsys, tmp_path):

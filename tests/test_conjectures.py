@@ -48,12 +48,11 @@ def test_scan_exhaustive_small_even():
 
 
 def test_scan_report_json():
-    rep = ScanReport(5, "nonzero", 16, 16, (), 0.12345)
+    rep = ScanReport(5, "nonzero", 16, 16, ())
     doc = rep.to_json()
     assert doc == {"n": 5, "universe": "nonzero", "total": 16,
                    "feasible": 16, "failures": []}
-    assert rep.to_json(include_timing=True)["seconds"] == 0.123
-    assert not ScanReport(5, "nonzero", 16, 15, ((1, 1),), 0.0).all_feasible
+    assert not ScanReport(5, "nonzero", 16, 15, ((1, 1),)).all_feasible
 
 
 def test_scan_sample_mode():
@@ -68,6 +67,20 @@ def test_scan_sample_mode():
         scan_conjecture(9, sample=10)
     with pytest.raises(InvalidInstance):
         scan_conjecture(2)
+    for size in (0, -5):
+        with pytest.raises(InvalidInstance):
+            scan_conjecture(9, sample=size, seed=1)
+
+
+def test_scan_sample_rejects_checkpoint(tmp_path):
+    path = tmp_path / "scan.jsonl"
+    with pytest.raises(InvalidInstance):
+        scan_conjecture(9, sample=20, seed=1, checkpoint=str(path))
+    assert not path.exists()
+
+
+def test_identical_scans_give_equal_reports():
+    assert scan_conjecture(11) == scan_conjecture(11)
 
 
 def test_scan_accepts_and_ignores_jobs():

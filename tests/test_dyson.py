@@ -7,7 +7,8 @@ import pytest
 
 from pairpack.algebra import ZZ
 from pairpack.dyson import (DysonInstance, dyson_bruteforce, dyson_formula,
-                            dyson_via_evaluation, packing_coefficient)
+                            dyson_via_evaluation, multinomial,
+                            packing_coefficient)
 from pairpack.nullstellensatz import GridSpec, cn_coefficient
 from pairpack.poly import BudgetExceeded, MultiPoly, _difference_power
 
@@ -34,6 +35,20 @@ def test_known_small_values():
         assert dyson_formula(a) == want
         assert dyson_bruteforce(a) == want
         assert dyson_via_evaluation(a) == want
+
+
+def test_multinomial_is_a_product_of_binomials():
+    """(a + b + ...)! / (a! b! ...) = C(a, a) C(a + b, b) ..., with the empty
+    product 1 and zero parts contributing C(s, 0) = 1."""
+    rng = random.Random(17)
+    cases = [(), (0,), (0, 0), (7,), (3, 0, 2)]
+    cases += [tuple(rng.randrange(6) for _ in range(rng.randrange(1, 7)))
+              for _ in range(60)]
+    for parts in cases:
+        want = math.prod(math.comb(sum(parts[:i + 1]), x)
+                         for i, x in enumerate(parts))
+        assert multinomial(parts) == want
+        assert multinomial(iter(parts)) == want
 
 
 def test_three_routes_agree_random():

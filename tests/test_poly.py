@@ -23,12 +23,12 @@ def test_constructors_and_zero_pruning():
     # 3 + 2 = 5 = 0 mod 5, so the x-term drops out
     assert p.coefficient((1, 0)) == 0
     assert p.coefficient((0, 1)) == 2
-    assert MultiPoly.zero(R, 3).is_zero()
+    assert MultiPoly(R, 3).is_zero()
     assert MultiPoly.one(R, 3).coefficient((0, 0, 0)) == 1
     assert MultiPoly.constant(R, 1, 12).coefficient((0,)) == 2
-    v = MultiPoly.variable(R, 3, 1)
+    v = MultiPoly(R, 3, {(0, 1, 0): 1})
     assert v.coefficient((0, 1, 0)) == 1
-    assert MultiPoly.monomial(R, 2, (2, 1), 4).total_degree() == 3
+    assert MultiPoly(R, 2, {(2, 1): 4}).total_degree() == 3
 
 
 def test_bad_shapes():
@@ -37,8 +37,6 @@ def test_bad_shapes():
         MultiPoly(R, 2, [((1,), 1)])
     with pytest.raises(ValueError):
         MultiPoly(R, 2, [((1, -1), 1)])
-    with pytest.raises(ArityMismatch):
-        MultiPoly.variable(R, 2, 5)
     a = MultiPoly.one(R, 2)
     with pytest.raises(ArityMismatch):
         a + MultiPoly.one(R, 3)
@@ -60,7 +58,7 @@ def test_arithmetic_matches_evaluation():
         assert (a + b).evaluate(pt) == (av + bv) % n
         assert (a - b).evaluate(pt) == (av - bv) % n
         assert (a * b).evaluate(pt) == av * bv % n
-        assert (a ** 3).evaluate(pt) == av * av * av % n
+        assert (a * a * a).evaluate(pt) == av * av * av % n
         assert (-a).evaluate(pt) == -av % n
         assert (a + 2).evaluate(pt) == (av + 2) % n
         assert (3 * a).evaluate(pt) == 3 * av % n
@@ -78,7 +76,7 @@ def test_arithmetic_over_integers():
 
 def test_total_degree():
     R = ModRing(7)
-    assert MultiPoly.zero(R, 2).total_degree() == 0
+    assert MultiPoly(R, 2).total_degree() == 0
     assert MultiPoly.one(R, 2).total_degree() == 0
     p = MultiPoly(R, 2, [((3, 1), 2), ((0, 2), 1)])
     assert p.total_degree() == 4
@@ -86,9 +84,9 @@ def test_total_degree():
 
 def test_binomial_identity():
     R = ModRing(13)
-    x = MultiPoly.variable(R, 2, 0)
-    y = MultiPoly.variable(R, 2, 1)
-    p = (x + y) ** 4
+    x = MultiPoly(R, 2, {(1, 0): 1})
+    y = MultiPoly(R, 2, {(0, 1): 1})
+    p = (x + y) * (x + y) * (x + y) * (x + y)
     import math
     for k in range(5):
         assert p.coefficient((4 - k, k)) == math.comb(4, k) % 13
@@ -131,16 +129,6 @@ def test_affine_product_evaluate_and_expand():
         for _ in range(5):
             pt = tuple(rng.randrange(ring.n) for _ in range(arity))
             assert prod.evaluate(pt) == poly.evaluate(pt)
-
-
-def test_affine_product_multiplication_concatenates():
-    R = ModRing(5)
-    a = AffineProduct(R, 2, [(((0, 1),), 0)])          # x
-    b = AffineProduct(R, 2, [(((1, 1),), 3)])          # y + 3
-    ab = a * b
-    assert len(ab.factors) == 2
-    assert ab.evaluate((2, 4)) == (2 * (4 + 3)) % 5
-    assert ab.total_degree() == 2
 
 
 def test_affine_evaluate_early_zero():
