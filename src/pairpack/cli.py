@@ -29,7 +29,8 @@ from .solvers import (Infeasible, InvalidInstance, PackingInstance,
                       VectorPartitionInstance, check_packing_hypotheses,
                       solve_pair_partition, solve_translate_packing,
                       solve_vector_partition, verify_solution)
-from .sumsets import SumsetInstance, check_bound, sumset, verify_cd_bound
+from .sumsets import (DEFAULT_TIGHT_CAP, SumsetInstance, check_bound, sumset,
+                      verify_cd_bound)
 
 
 class CliError(ValueError):
@@ -171,6 +172,14 @@ def cmd_sumset(args) -> int:
     if args.A is not None or args.B is not None:
         if args.A is None or args.B is None:
             raise CliError("--A and --B go together")
+        sweep_only = [flag for flag, given in (
+            ("--sample", args.sample is not None),
+            ("--seed", args.seed is not None),
+            ("--tight-cap", args.tight_cap is not None),
+            ("--timing", args.timing)) if given]
+        if sweep_only:
+            raise CliError("sweep-only flags with --A/--B: "
+                           + ", ".join(sweep_only))
         inst = SumsetInstance(args.p, args.alpha, _ints(args.A),
                               _ints(args.B))
         card, bound, holds, tight = check_bound(inst)
@@ -182,7 +191,8 @@ def cmd_sumset(args) -> int:
         return 0 if holds else 2
     doc = _timed_report(args.timing, lambda: verify_cd_bound(
         args.p, args.alpha, sample=args.sample, seed=args.seed,
-        tight_cap=args.tight_cap))
+        tight_cap=DEFAULT_TIGHT_CAP if args.tight_cap is None
+        else args.tight_cap))
     _emit(doc)
     return 0 if not doc["violations"] else 2
 
@@ -279,8 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--B", help="check a single pair: second subset")
     p.add_argument("--sample", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--tight-cap", type=int, default=32,
-                   help="how many equality pairs to keep in the report")
+    p.add_argument("--tight-cap", type=int,
+                   help="how many equality pairs to keep in the report "
+                        f"(default {DEFAULT_TIGHT_CAP})")
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=cmd_sumset)
 

@@ -178,12 +178,14 @@ def scan_conjecture(n: int, sample: "int | None" = None,
     orderings; with a checkpoint path, finished shards are appended as
     JSON lines and skipped on rerun.  Sample mode draws `sample` >= 1
     vectors uniformly (seed mandatory, no checkpoint) and is deterministic
-    for a fixed seed.  The scan runs serially, solves each symmetry orbit
-    once and does not time itself; `jobs` is accepted for older callers
-    and ignored.
+    for a fixed seed; a seed without a sample is an error.  The scan runs
+    serially, solves each symmetry orbit once and does not time itself;
+    `jobs` is accepted for older callers and ignored.
     """
     if n < 3:
         raise InvalidInstance("modulus too small to scan")
+    if sample is None and seed is not None:
+        raise InvalidInstance("a seed needs sample mode")
     universe = "nonzero" if n % 2 else "full"
     m = n // 2
     units = units_mod(n)

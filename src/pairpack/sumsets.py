@@ -4,8 +4,11 @@ beta(p, r, s) is the smallest n such that p divides C(n, k) for every
 integer k strictly between n-r and s; |A+B| >= beta(p, |A|, |B|) for
 nonempty A, B inside Z/(p^alpha).  verify_cd_bound brute-forces that
 inequality over all (or sampled) pairs of nonempty subsets, with subsets
-as bitmasks so a sumset is a union of cyclic shifts; the exhaustive sweep
-gets each one from a smaller sumset with a single shift-OR.
+as bitmasks so a sumset is a union of cyclic shifts.  The exhaustive
+sweep runs every B against one A per orbit of the affine maps
+x -> u*x + t (u a unit), which keep |A|, |B| and |A+B| up to a
+permutation of the B's, and gets each sumset from a smaller one with a
+single shift-OR.
 
 The closing check mirrors the argument the bound rests on: writing the
 coefficients of prod_i (x - c_i) for p^alpha-th roots of unity c_i as
@@ -21,6 +24,9 @@ from itertools import combinations
 from random import Random
 
 from .algebra import CycloInt, is_prime
+
+
+DEFAULT_TIGHT_CAP = 32     # tight pairs a sweep report lists
 
 
 def beta(p: int, r: int, s: int) -> int:
@@ -120,12 +126,53 @@ def _beta_table(p: int, size: int):
          for r in range(1, size + 1)]
 
 
-def _sweep(p: int, alpha: int, tight_cap: int):
-    """Every (A, B) mask pair, A ascending outside and B ascending inside.
+def _b_pass(A: int, row, steps, sums, size: int, cap: int):
+    """One literal pass of every B against the fixed mask A.
 
-    For each A the sumsets of all B come from one table and the
-    recurrence S[B] = S[B without its low bit] | rot(A, that bit), so
-    pairs arrive in (A, B) order and need no sort.
+    S[B] = S[B without its low bit] | rot(A, that bit) fills `sums` with
+    every sumset A+B, B ascending.  Returns the violating B masks, the
+    number of tight B and the first `cap` tight B masks, in order.
+    """
+    full = (1 << size) - 1
+    rots = [((A << b) | (A >> (size - b))) & full for b in range(size)]
+    bad = []
+    tight = []
+    tight_count = 0
+    for B, rest, low, s in steps:
+        acc = sums[B] = sums[rest] | rots[low]
+        card = acc.bit_count()
+        bound = row[s]
+        if card < bound:
+            bad.append(B)
+        elif card == bound:
+            tight_count += 1
+            if len(tight) < cap:
+                tight.append(B)
+    return bad, tight_count, tight
+
+
+def _affine_orbit(A: int, size: int, units) -> set:
+    """Masks of u*A + t for every unit u and every residue t."""
+    full = (1 << size) - 1
+    bits = _mask_to_set(A, size)
+    orbit = set()
+    for u in units:
+        m = sum(1 << (u * a % size) for a in bits)
+        orbit.update(((m << t) | (m >> (size - t))) & full
+                     for t in range(size))
+    return orbit
+
+
+def _sweep(p: int, alpha: int, tight_cap: int):
+    """Every (A, B) mask pair, with violations and tight pairs in (A, B)
+    order, from one B pass per affine orbit of A.
+
+    |(uA + t) + B| = |A + u^-1 (B - t)|, and B -> u^-1 (B - t) permutes
+    the nonempty B keeping |B|, so every A in an orbit has as many tight
+    B as its representative (the smallest mask of the orbit).  An orbit
+    whose representative has a violation is expanded one A at a time.
+    The tight list comes from literal passes over A = 1, 2, ... until
+    tight_cap pairs are found; A = {0} alone makes every B tight.
     """
     size = p ** alpha
     full = (1 << size) - 1
@@ -133,39 +180,51 @@ def _sweep(p: int, alpha: int, tight_cap: int):
     steps = [(B, B & (B - 1), (B & -B).bit_length() - 1, B.bit_count())
              for B in range(1, full + 1)]
     sums = [0] * (full + 1)
+    units = [u for u in range(1, size) if u % p]
+    seen = bytearray(full + 1)
     violations = []
-    tight = []
     tight_count = 0
     for A in range(1, full + 1):
-        rots = [((A << b) | (A >> (size - b))) & full for b in range(size)]
+        if seen[A]:
+            continue
+        orbit = _affine_orbit(A, size, units)
+        for image in orbit:
+            seen[image] = 1
         row = table[A.bit_count()]
-        for B, rest, low, s in steps:
-            acc = sums[B] = sums[rest] | rots[low]
-            card = acc.bit_count()
-            bound = row[s]
-            if card < bound:
-                violations.append((A, B))
-            elif card == bound:
-                tight_count += 1
-                if len(tight) < tight_cap:
-                    tight.append((A, B))
+        bad, count, _ = _b_pass(A, row, steps, sums, size, 0)
+        tight_count += count * len(orbit)
+        if bad:
+            for image in orbit:
+                bad, _, _ = _b_pass(image, row, steps, sums, size, 0)
+                violations.extend((image, B) for B in bad)
+    violations.sort()
+    tight = []
+    A = 0
+    while len(tight) < tight_cap and A < full:
+        A += 1
+        _, _, found = _b_pass(A, table[A.bit_count()], steps, sums, size,
+                              tight_cap - len(tight))
+        tight.extend((A, B) for B in found)
     return full * full, violations, tight_count, tight
 
 
 def verify_cd_bound(p: int, alpha: int, sample: "int | None" = None,
                     seed: "int | None" = None, jobs: "int | None" = None,
-                    tight_cap: int = 32) -> CDReport:
+                    tight_cap: int = DEFAULT_TIGHT_CAP) -> CDReport:
     """Check |A+B| >= beta(p, |A|, |B|) over nonempty subsets of Z/(p^alpha).
 
     Exhaustive by default: every one of (2^(p^alpha) - 1)^2 ordered pairs,
-    in one serial pass.  With sample, that many (at least 1)
-    seeded-uniform pairs instead.  The sweep does not time itself; `jobs`
+    counted from one B pass per affine orbit of A (see _sweep).  With
+    sample, that many (at least 1) seeded-uniform pairs instead; a seed
+    without a sample is an error.  The sweep does not time itself; `jobs`
     is accepted for older callers and ignored.
     """
     if not is_prime(p) or alpha < 1:
         raise ValueError("need a prime p and alpha >= 1")
     if tight_cap < 0:
         raise ValueError("tight_cap must be nonnegative")
+    if sample is None and seed is not None:
+        raise ValueError("a seed needs sample mode")
     size = p ** alpha
     full = (1 << size) - 1
 

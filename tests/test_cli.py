@@ -207,6 +207,27 @@ def test_sample_below_one_is_one_error_line(capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags", [
+    ["--sample", "3"], ["--seed", "1"], ["--tight-cap", "0"], ["--timing"],
+])
+def test_sumset_pair_rejects_sweep_flags(capsys, flags):
+    code, out, err = run(capsys, ["sumset", "--p", "5", "--A", "0,1",
+                                  "--B", "0,1"] + flags)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert flags[0] in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["conjecture-scan", "--n", "7", "--seed", "5"],
+    ["sumset", "--p", "3", "--seed", "5"],
+])
+def test_seed_without_sample_is_one_error_line(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_readme_transcripts(capsys):
     """Every `$ pairpack ...` block in README.md prints the JSON shown
     under it."""

@@ -72,6 +72,11 @@ def test_scan_sample_mode():
             scan_conjecture(9, sample=size, seed=1)
 
 
+def test_scan_seed_needs_sample():
+    with pytest.raises(InvalidInstance):
+        scan_conjecture(7, seed=5)
+
+
 def test_scan_sample_rejects_checkpoint(tmp_path):
     path = tmp_path / "scan.jsonl"
     with pytest.raises(InvalidInstance):

@@ -1,5 +1,6 @@
 """Binomial thresholds and sumset cardinality sweeps over Z/(p^alpha)."""
 
+import dataclasses
 import itertools
 import math
 import random
@@ -31,6 +32,21 @@ def test_beta_spot_values():
         beta(4, 2, 2)
     with pytest.raises(ValueError):
         beta(5, 0, 1)
+
+
+def ekp_beta(p, r, s):
+    """Eliahou-Kervaire-Plagne closed form: the minimum over k of
+    (ceil(r/p^k) + ceil(s/p^k) - 1) * p^k."""
+    return min((-(-r // p ** k) - (-s // p ** k) - 1) * p ** k
+               for k in range(max(r, s).bit_length() + 1))
+
+
+def test_beta_matches_closed_form_and_is_symmetric():
+    for p in (2, 3, 5, 7, 11):
+        for r in range(1, 40):
+            for s in range(1, 40):
+                assert beta(p, r, s) == ekp_beta(p, r, s), (p, r, s)
+                assert beta(p, r, s) == beta(p, s, r), (p, r, s)
 
 
 def test_sumset_basic():
@@ -102,9 +118,58 @@ def test_sweep_matches_naive_enumeration():
 def test_sweep_lists_violations_in_order(monkeypatch):
     """Raise every bound by one and each tight pair becomes a violation."""
     monkeypatch.setattr(sumsets, "beta", lambda p, r, s: beta(p, r, s) + 1)
-    for p, alpha in ((3, 1), (2, 2)):
+    for p, alpha in ((3, 1), (2, 2), (5, 1), (2, 3)):
         rep = verify_cd_bound(p, alpha)
         assert _masks(rep.violations) == naive_sweep(p, alpha)[2]
+
+
+def literal_sweep(p, alpha, tight_cap):
+    """The mask recurrence run for every A, A ascending outside and B
+    ascending inside, as a CDReport: the reference for the orbit sweep."""
+    size = p ** alpha
+    full = (1 << size) - 1
+    table = sumsets._beta_table(p, size)
+    steps = [(B, B & (B - 1), (B & -B).bit_length() - 1, B.bit_count())
+             for B in range(1, full + 1)]
+    sums = [0] * (full + 1)
+    violations = []
+    tight = []
+    tight_count = 0
+    for A in range(1, full + 1):
+        rots = [((A << b) | (A >> (size - b))) & full for b in range(size)]
+        row = table[A.bit_count()]
+        for B, rest, low, s in steps:
+            acc = sums[B] = sums[rest] | rots[low]
+            card = acc.bit_count()
+            bound = row[s]
+            if card < bound:
+                violations.append((A, B))
+            elif card == bound:
+                tight_count += 1
+                if len(tight) < tight_cap:
+                    tight.append((A, B))
+    unpack = lambda prs: tuple((sumsets._mask_to_set(a, size),
+                                sumsets._mask_to_set(b, size))
+                               for a, b in prs)
+    return CDReport(p, alpha, full * full, unpack(violations), tight_count,
+                    unpack(tight))
+
+
+def test_orbit_sweep_matches_literal_sweep():
+    """Cap 600 is above 2^size - 1 for Z/(5), Z/(7) and Z/(8), so the
+    tight list there needs literal passes past A = {0}."""
+    for p, alpha in ((5, 1), (7, 1), (2, 3), (3, 2), (11, 1)):
+        want = literal_sweep(p, alpha, 600)
+        for cap in (0, 3, 600):
+            rep = verify_cd_bound(p, alpha, tight_cap=cap)
+            assert rep == dataclasses.replace(want, tight=want.tight[:cap])
+
+
+def test_exhaustive_z13():
+    rep = verify_cd_bound(13, 1, tight_cap=0)
+    assert rep.pairs == (2 ** 13 - 1) ** 2
+    assert rep.violations == ()
+    assert rep.tight_count == 28718665
 
 
 def test_sweep_accepts_and_ignores_jobs():
@@ -137,6 +202,11 @@ def test_sample_mode():
     for size in (0, -4):
         with pytest.raises(ValueError):
             verify_cd_bound(3, 1, sample=size, seed=1)
+
+
+def test_seed_needs_sample():
+    with pytest.raises(ValueError):
+        verify_cd_bound(3, 1, seed=5)
 
 
 def test_identical_sweeps_give_equal_reports():
