@@ -3,13 +3,15 @@ coefficient behind the odd-prime case.
 
 A scan enumerates (or samples) d-vectors with every entry a unit mod n
 and aggregates their feasibility into a ScanReport.  Feasibility only
-depends on the multiset of differences, so each sorted multiset stands
-for all its orderings and totals still count ordered vectors.  Two
-symmetries keep the verdict as well: a pair {x, x+d} is also a pair with
-difference -d, and x -> u*x for a unit u maps a partition for d onto one
-for u*d.  So the solver runs once per orbit, and the partition it finds
-is carried back to every multiset in the orbit and re-checked there with
-the independent verifier.
+depends on the multiset of differences, and a pair {x, x+d} is also a
+pair with difference -d, so the verdict belongs to the folded multiset
+of entries min(d_i, n - d_i); totals still count ordered vectors.  A
+unit u keeps the verdict as well: x -> u*x maps a partition for d onto
+one for u*d.  So the solver runs once per unit orbit of folded
+multisets, and the partition it finds is carried to every folded
+multiset in the orbit and re-checked there with the independent
+verifier.  Exhaustive scans walk the folded multisets themselves and
+report failures as the sorted keys that fold to them.
 
 The coefficient machinery evaluates two bijection sums over Z[w], w a
 primitive n-th root of unity and w_i = w^(d_i):
@@ -32,7 +34,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement, product
 from random import Random
 
 from .algebra import CycloInt, is_prime
@@ -80,54 +82,55 @@ class ScanReport:
 
 
 def _orbit_verdicts(n: int, universe: str):
-    """Feasibility of sorted difference multisets mod n, one solve per orbit.
+    """Feasibility of folded difference multisets mod n, one solve per orbit.
 
-    Flipping a difference and scaling all of them by one unit u keep the
-    verdict, so a key is solved through its orbit representative: the
-    least sorted vector of folded values min(u*k, -u*k) mod n.  The
-    representative's partition, scaled by u^-1 and each pair oriented to
-    the key's own difference, must pass the verifier for the key itself.
+    A folded multiset F has entries min(k, n - k): a pair with difference
+    d is also one with difference -d, so every sorted key that folds to F
+    has the same pairs to find.  Scaling all differences by one unit u
+    keeps the verdict too, so F is solved through its orbit
+    representative, the least sorted vector of min(u*h, -u*h) mod n over
+    h in F.  The solver runs once per representative; its partition,
+    scaled by u^-1 and each pair oriented to F's own entry, must pass the
+    verifier against F's own instance, once per F.
     """
     folds = [(pow(u, -1, n), [min(u * k % n, -u * k % n) for k in range(n)])
-             for u in units_mod(n)]
+             for u in units_mod(n) if 2 * u < n]
     solved: dict = {}
+    verdicts: dict = {}
 
-    def feasible(key) -> bool:
-        rep, inv, fold = min((sorted(map(f.__getitem__, key)), inv, f)
+    def feasible(folded) -> bool:
+        if folded in verdicts:
+            return verdicts[folded]
+        rep, inv, fold = min((sorted(map(f.__getitem__, folded)), inv, f)
                              for inv, f in folds)
         rep = tuple(rep)
         if rep not in solved:
             solved[rep] = solve_pair_partition(
                 PartitionInstance(n, rep, universe))
         res = solved[rep]
-        if isinstance(res, Infeasible):
-            return False
-        dealt = []
-        for k, (x, y) in zip(sorted(key, key=fold.__getitem__), res.pairs):
-            x, y = x * inv % n, y * inv % n
-            dealt.append((k, (x, y) if (y - x) % n == k else (y, x)))
-        dealt.sort()
-        if not verify_solution(PartitionInstance(n, key, universe),
-                               [pair for _, pair in dealt]):
-            raise ArithmeticError(
-                f"unverified partition for {list(key)} mod {n}")
-        return True
+        verdicts[folded] = not isinstance(res, Infeasible)
+        if verdicts[folded]:
+            dealt = []
+            for h, (x, y) in zip(sorted(folded, key=fold.__getitem__),
+                                 res.pairs):
+                x, y = x * inv % n, y * inv % n
+                dealt.append((h, (x, y) if (y - x) % n == h else (y, x)))
+            dealt.sort()
+            if not verify_solution(PartitionInstance(n, folded, universe),
+                                   [pair for _, pair in dealt]):
+                raise ArithmeticError(
+                    f"unverified partition for {list(folded)} mod {n}")
+        return verdicts[folded]
 
     return feasible
 
 
-def _tally(counts, feasible) -> tuple[int, int, list]:
-    """Total, feasible count and failures of a map from sorted key to the
-    number of ordered vectors it stands for, walked in key order."""
-    total = good = 0
-    failures = []
-    for key, count in sorted(counts.items()):
-        total += count
-        if feasible(key):
-            good += count
-        else:
-            failures.append(key)
-    return total, good, failures
+def _sign_variants(folded, n: int) -> list[tuple[int, ...]]:
+    """The sorted keys that fold to this multiset: a class h with c copies
+    becomes c - j copies of h and j of n - h, for each j in 0..c."""
+    runs = [[(h,) * (c - j) + (n - h,) * j for j in range(c + 1)]
+            for h, c in Counter(folded).items()]
+    return [tuple(sorted(chain(*parts))) for parts in product(*runs)]
 
 
 def _complete(line: bytes) -> bool:
@@ -139,6 +142,17 @@ def _complete(line: bytes) -> bool:
     return line.endswith(b"\n")
 
 
+def _well_formed(rec) -> bool:
+    """Does a record of this scan carry an int shard, total and feasible
+    count, and a list of failing keys of ints?"""
+    try:
+        values = [rec[k] for k in ("shard", "total", "feasible")]
+        values += [x for key in rec["failures"] for x in key]
+    except (KeyError, TypeError):
+        return False
+    return all(isinstance(v, int) for v in values)
+
+
 def _load_checkpoint(path, n, universe):
     """Finished shards of this scan from a checkpoint file.
 
@@ -146,7 +160,9 @@ def _load_checkpoint(path, n, universe):
     the middle of an append leaves a last line that is cut short.  That
     line is dropped and cut off the file, so its shard runs again and the
     new record starts on a line of its own.  An unparsable line anywhere
-    else raises.
+    else raises, and so does a line that parses but is not a record, or
+    a record of this scan with a missing or mistyped field
+    (InvalidInstance naming the line).
     """
     try:
         with open(path, "rb") as fh:
@@ -157,10 +173,16 @@ def _load_checkpoint(path, n, universe):
     if torn:
         lines.pop()
     done = {}
-    for line in lines:
+    for number, line in enumerate(lines, 1):
         if line.strip():
             rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise InvalidInstance(
+                    f"checkpoint line {number} is not a scan record")
             if rec.get("n") == n and rec.get("universe") == universe:
+                if not _well_formed(rec):
+                    raise InvalidInstance(
+                        f"checkpoint line {number} is a malformed scan record")
                 done[rec["shard"]] = rec
     if torn:
         os.truncate(path, sum(map(len, lines)))
@@ -173,13 +195,25 @@ def scan_conjecture(n: int, sample: "int | None" = None,
     """Scan all (or sample many) unit d-vectors mod n for feasibility.
 
     Odd n pairs the nonzero residues and even n pairs everything, with
-    m = n // 2 differences either way.  Exhaustive mode shards the
-    multisets by their smallest entry, each weighted by its number of
-    orderings; with a checkpoint path, finished shards are appended as
-    JSON lines and skipped on rerun.  Sample mode draws `sample` >= 1
-    vectors uniformly (seed mandatory, no checkpoint) and is deterministic
-    for a fixed seed; a seed without a sample is an error.  The scan runs
-    serially, solves each symmetry orbit once and does not time itself;
+    m = n // 2 differences either way.  Verdicts belong to folded
+    multisets (see _orbit_verdicts): the solver runs once per unit orbit
+    and the verifier once per folded multiset.
+
+    Exhaustive mode walks the folded multisets F over the units <= n/2;
+    F stands for 2^m * multinomial(Counter(F).values()) ordered vectors,
+    and these weights must sum to phi(n)^m.  Results are reported in
+    shards, one per unit u, covering the sorted keys whose smallest entry
+    is u: a shard's total is a^m - (a-1)^m with a = #{units >= u}, and an
+    infeasible F is expanded into its sign-variant sorted keys, which
+    fail in the shards of their smallest entries.  With a checkpoint
+    path, every shard the file lacks is appended as one JSON line after
+    the single pass over F, which only solves the F that reach a missing
+    shard; a file holding every shard costs no solve.
+
+    Sample mode draws `sample` >= 1 vectors uniformly (seed mandatory, no
+    checkpoint) and is deterministic for a fixed seed; each drawn sorted
+    key takes the verdict of the multiset it folds to.  A seed without a
+    sample is an error.  The scan runs serially and does not time itself;
     `jobs` is accepted for older callers and ignored.
     """
     if n < 3:
@@ -201,26 +235,47 @@ def scan_conjecture(n: int, sample: "int | None" = None,
         rng = Random(seed)
         draws = Counter(tuple(sorted(rng.choice(units) for _ in range(m)))
                         for _ in range(sample))
-        total, feasible, failures = _tally(draws, verdict)
-        return ScanReport(n, universe, total, feasible, tuple(failures))
+        failures = sorted(key for key in draws if not verdict(
+            tuple(sorted(min(k, n - k) for k in key))))
+        feasible = sample - sum(draws[key] for key in failures)
+        return ScanReport(n, universe, sample, feasible, tuple(failures))
+
+    done = _load_checkpoint(checkpoint, n, universe) if checkpoint else {}
+    missing = {u: [] for u in units if u not in done}
+    if missing:
+        weights = 0
+        for folded in combinations_with_replacement(units[:len(units) // 2],
+                                                    m):
+            weights += 2 ** m * multinomial(Counter(folded).values())
+            # a sign variant's smallest entry is a class of F, or n minus
+            # the largest class when every entry is flipped
+            reach = set(folded) | {n - folded[-1]}
+            if not reach.isdisjoint(missing) and not verdict(folded):
+                for key in _sign_variants(folded, n):
+                    if key[0] in missing:
+                        missing[key[0]].append(key)
+        if weights != len(units) ** m:
+            raise ArithmeticError("folded multiset weights do not add up")
+        lines = []
+        for i, u in enumerate(units):
+            if u in missing:
+                a = len(units) - i
+                shard_total = a ** m - (a - 1) ** m
+                shard_failures = sorted(missing[u])
+                done[u] = {"n": n, "universe": universe, "shard": u,
+                           "total": shard_total,
+                           "feasible": shard_total - sum(
+                               multinomial(Counter(key).values())
+                               for key in shard_failures),
+                           "failures": shard_failures}
+                lines.append(json.dumps(done[u], sort_keys=True) + "\n")
+        if checkpoint:
+            with open(checkpoint, "a", encoding="utf-8") as fh:
+                fh.writelines(lines)
 
     total = feasible = 0
     failures: list[tuple[int, ...]] = []
-    done = _load_checkpoint(checkpoint, n, universe) if checkpoint else {}
     for u in units:
-        if u not in done:
-            tail = [v for v in units if v >= u]
-            keys = ((u,) + rest
-                    for rest in combinations_with_replacement(tail, m - 1))
-            shard_total, shard_feasible, shard_failures = _tally(
-                {key: multinomial(Counter(key).values()) for key in keys},
-                verdict)
-            done[u] = {"n": n, "universe": universe, "shard": u,
-                       "total": shard_total, "feasible": shard_feasible,
-                       "failures": shard_failures}
-            if checkpoint:
-                with open(checkpoint, "a", encoding="utf-8") as fh:
-                    fh.write(json.dumps(done[u], sort_keys=True) + "\n")
         rec = done[u]
         total += rec["total"]
         feasible += rec["feasible"]

@@ -228,6 +228,23 @@ def test_seed_without_sample_is_one_error_line(capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("record", [
+    "[1, 2]",
+    '{"n": 7, "universe": "nonzero"}',
+    '{"failures": [], "feasible": 36, "n": 7, "shard": 1, "total": "x", '
+    '"universe": "nonzero"}',
+])
+def test_malformed_checkpoint_record_is_one_error_line(capsys, tmp_path,
+                                                       record):
+    path = tmp_path / "scan.jsonl"
+    path.write_text(record + "\n")
+    code, out, err = run(capsys, ["conjecture-scan", "--n", "7",
+                                  "--checkpoint", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "line 1" in err
+
+
 def test_readme_transcripts(capsys):
     """Every `$ pairpack ...` block in README.md prints the JSON shown
     under it."""

@@ -310,3 +310,126 @@ def test_divisibility_lemma():
                 prod[i + j] += a * b
         assert CycloInt(p, prod).is_zero()
         assert divisibility_lemma_check(prod, p)
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_folded_scan_matches_direct_scan(n):
+    assert scan_conjecture(n).to_json() == direct_scan(n)
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_sign_variants_cover_every_key_once(n):
+    """The sign variants of the folded multisets are the sorted keys, each
+    once, and a multiset's 2^m * multinomial weight is the ordered count
+    of its variants; so the weights sum to phi(n)^m."""
+    units, m = units_mod(n), n // 2
+    seen = []
+    weights = 0
+    for folded in itertools.combinations_with_replacement(
+            units[:len(units) // 2], m):
+        variants = conjectures._sign_variants(folded, n)
+        assert all(tuple(sorted(min(k, n - k) for k in key)) == folded
+                   for key in variants)
+        weight = 2 ** m * _orderings(folded)
+        assert sum(map(_orderings, variants)) == weight
+        seen += variants
+        weights += weight
+    assert sorted(seen) == list(
+        itertools.combinations_with_replacement(units, m))
+    assert weights == len(units) ** m
+
+
+def key_by_key_checkpoint(n, feasible):
+    """The checkpoint text of a scan that walks the sorted keys shard by
+    shard (shard u: the keys whose smallest entry is u), weighing each key
+    by its orderings and asking feasible(key) for its verdict."""
+    universe = "nonzero" if n % 2 else "full"
+    units, m = units_mod(n), n // 2
+    lines = []
+    for u in units:
+        total = good = 0
+        failures = []
+        for rest in itertools.combinations_with_replacement(
+                [v for v in units if v >= u], m - 1):
+            key = (u,) + rest
+            total += _orderings(key)
+            if feasible(key):
+                good += _orderings(key)
+            else:
+                failures.append(key)
+        lines.append(json.dumps({"n": n, "universe": universe, "shard": u,
+                                 "total": total, "feasible": good,
+                                 "failures": failures}, sort_keys=True))
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("n", [7, 11, 13])
+def test_checkpoint_matches_key_by_key_shards(tmp_path, n):
+    path = tmp_path / "scan.jsonl"
+    universe = "nonzero" if n % 2 else "full"
+    scan_conjecture(n, checkpoint=str(path))
+    assert path.read_text() == key_by_key_checkpoint(
+        n, lambda key: not isinstance(solve_pair_partition(
+            PartitionInstance(n, key, universe)), Infeasible))
+    units = units_mod(n)
+    for i, line in enumerate(path.read_text().splitlines()):
+        a = len(units) - i
+        assert json.loads(line)["total"] == a ** (n // 2) - (a - 1) ** (n // 2)
+
+
+def test_infeasible_orbit_even_modulus_checkpoint(tmp_path, monkeypatch):
+    """An infeasible orbit at an even modulus: each failing key lands in
+    the shard of its smallest entry, fresh and resumed checkpoints hold
+    the key-by-key text, and the reports equal a run without one."""
+    n, d = 14, (1, 3, 3, 5, 9, 11, 13)
+    orbit = {tuple(sorted(s * u * x % n for s, x in zip(signs, d)))
+             for u in units_mod(n)
+             for signs in itertools.product((1, -1), repeat=len(d))}
+    solve = conjectures.solve_pair_partition
+    monkeypatch.setattr(
+        conjectures, "solve_pair_partition",
+        lambda inst: Infeasible(0) if inst.d in orbit else solve(inst))
+    want = scan_conjecture(n)
+    assert want.failures == tuple(sorted(orbit))
+    assert len({key[0] for key in orbit}) > 1
+    text = key_by_key_checkpoint(n, lambda key: key not in orbit)
+    path = tmp_path / "scan.jsonl"
+    assert scan_conjecture(n, checkpoint=str(path)) == want
+    assert path.read_text() == text
+    for line in text.splitlines():
+        rec = json.loads(line)
+        assert rec["failures"] == [list(key) for key in sorted(orbit)
+                                   if key[0] == rec["shard"]]
+    lines = text.splitlines(keepends=True)
+    # shard 9 fails only keys with every entry flipped, such as
+    # (9, 9, 11, 11, 11, 13, 13), whose folded classes are all below 9
+    no_nine = [line for line in lines if json.loads(line)["shard"] != 9]
+    for kept in (lines[:2], lines[1::2], no_nine,
+                 lines[:-1] + [lines[-1][:9]]):
+        path.write_text("".join(kept))
+        assert scan_conjecture(n, checkpoint=str(path)) == want
+        assert sorted(path.read_text().splitlines(keepends=True)) == \
+            sorted(lines)
+
+
+@pytest.mark.parametrize("record", [
+    [1, 2],
+    {"n": 7, "universe": "nonzero"},
+    {"n": 7, "universe": "nonzero", "shard": 1, "total": "x",
+     "feasible": 0, "failures": []},
+    {"n": 7, "universe": "nonzero", "shard": 1, "total": 36,
+     "feasible": 36, "failures": 5},
+    {"n": 7, "universe": "nonzero", "shard": 1, "total": 36,
+     "feasible": 36, "failures": [[1, "2", 3]]},
+])
+def test_malformed_checkpoint_record_names_its_line(tmp_path, record):
+    path = tmp_path / "scan.jsonl"
+    scan_conjecture(7, checkpoint=str(path))
+    good = path.read_text().splitlines(keepends=True)
+    path.write_text(good[0] + json.dumps(record) + "\n" + "".join(good[1:]))
+    with pytest.raises(InvalidInstance, match="line 2"):
+        scan_conjecture(7, checkpoint=str(path))
+    # as a torn last line, the same text is dropped and its shard rerun
+    path.write_text("".join(good[:-1]) + json.dumps(record))
+    assert scan_conjecture(7, checkpoint=str(path)) == scan_conjecture(7)
+    assert path.read_text() == "".join(good)
