@@ -142,15 +142,33 @@ def _complete(line: bytes) -> bool:
     return line.endswith(b"\n")
 
 
-def _well_formed(rec) -> bool:
-    """Does a record of this scan carry an int shard, total and feasible
-    count, and a list of failing keys of ints?"""
+def _well_formed(rec, n: int, units) -> bool:
+    """Could the scan mod n have written this record?
+
+    Its fields are ints and lists of int keys; its shard u is a unit; its
+    total is a^m - (a-1)^m with a = #{units >= u}; its failures are
+    distinct keys of m units, each sorted with smallest entry u, listed
+    in order; its feasible count is the total minus their orderings.
+    """
     try:
-        values = [rec[k] for k in ("shard", "total", "feasible")]
-        values += [x for key in rec["failures"] for x in key]
+        shard, total, feasible = (rec[k] for k in ("shard", "total",
+                                                   "feasible"))
+        keys = [tuple(key) for key in rec["failures"]]
     except (KeyError, TypeError):
         return False
-    return all(isinstance(v, int) for v in values)
+    values = [shard, total, feasible] + [x for key in keys for x in key]
+    if not all(isinstance(v, int) for v in values) or shard not in units:
+        return False
+    m = n // 2
+    a = len(units) - units.index(shard)
+    unit_set = set(units)
+    return (total == a ** m - (a - 1) ** m
+            and keys == sorted(set(keys))
+            and all(len(key) == m and key[0] == shard
+                    and key == tuple(sorted(key)) and unit_set.issuperset(key)
+                    for key in keys)
+            and feasible == total - sum(multinomial(Counter(key).values())
+                                        for key in keys))
 
 
 def _load_checkpoint(path, n, universe):
@@ -161,8 +179,9 @@ def _load_checkpoint(path, n, universe):
     line is dropped and cut off the file, so its shard runs again and the
     new record starts on a line of its own.  An unparsable line anywhere
     else raises, and so does a line that parses but is not a record, or
-    a record of this scan with a missing or mistyped field
-    (InvalidInstance naming the line).
+    a record of this scan that the scan could not have written, with a
+    missing or mistyped field or counts and failures that disagree with
+    its shard (InvalidInstance naming the line).
     """
     try:
         with open(path, "rb") as fh:
@@ -172,6 +191,7 @@ def _load_checkpoint(path, n, universe):
     torn = bool(lines) and not _complete(lines[-1])
     if torn:
         lines.pop()
+    units = units_mod(n)
     done = {}
     for number, line in enumerate(lines, 1):
         if line.strip():
@@ -180,7 +200,7 @@ def _load_checkpoint(path, n, universe):
                 raise InvalidInstance(
                     f"checkpoint line {number} is not a scan record")
             if rec.get("n") == n and rec.get("universe") == universe:
-                if not _well_formed(rec):
+                if not _well_formed(rec, n, units):
                     raise InvalidInstance(
                         f"checkpoint line {number} is a malformed scan record")
                 done[rec["shard"]] = rec

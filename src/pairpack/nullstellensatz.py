@@ -15,6 +15,13 @@ distinct.
 A nonzero coefficient forces a grid point where f itself is nonzero, which
 is what the witness search exhumes.
 
+Every grid routine here reads f only through ``f.nonzero_points``, which
+lists the points of a product of sets where f is nonzero, in
+lexicographic order.  For an AffineProduct that is a walk that drops a
+whole subtree as soon as a prefix of coordinates makes a factor vanish;
+for the pairing polynomials nearly every point of F_p^m goes that way
+after two or three coordinates, since two pairs already collide.
+
 Also here: the helpers specific to pairing the nonzero residues of a prime
 field with prescribed differences, built as unexpanded affine products.
 """
@@ -79,16 +86,14 @@ def integral_over_field(f) -> int:
     """Sum of f over all points of F_p^m, reduced mod p.
 
     f may be a MultiPoly or an AffineProduct; its ring must be a prime
-    residue ring.
+    residue ring.  Only the points where f is nonzero are summed.
     """
     ring = f.ring
     if not isinstance(ring, ModRing) or not ring.is_field:
         raise ValueError("full-field sums need a prime residue ring")
     p = ring.n
-    total = 0
-    for point in itertools.product(range(p), repeat=f.arity):
-        total += f.evaluate(point)
-    return total % p
+    values = f.nonzero_points(*[range(p)] * f.arity)
+    return sum(value for _, value in values) % p
 
 
 def cn_coefficient_scaled(f, grid: GridSpec):
@@ -99,11 +104,13 @@ def cn_coefficient_scaled(f, grid: GridSpec):
     every axis i and every a in A_i.  Works over ZZ and over every residue
     ring, where N and D come reduced mod n; no division is performed.
     Distinctness within each A_i is re-checked mod n, since reducing can
-    collapse elements.
+    collapse elements.  The sum runs over the points where f is nonzero,
+    each value times the complement weight of each of its coordinates,
+    looked up in one table per axis.
     """
     _check_grid(f, grid)
     n = f.ring.n
-    sets, complements = [], []
+    sets, weights = [], []
     denom = 1
     for given in grid.sets:
         s = tuple(a % n for a in given) if n else given
@@ -117,16 +124,12 @@ def cn_coefficient_scaled(f, grid: GridSpec):
             comp = [c % n for c in comp]
             denom %= n
         sets.append(s)
-        complements.append(comp)
+        weights.append(dict(zip(s, comp)))
     total = 0
-    # both products walk the grid in the same (lexicographic) order
-    for point, weights in zip(itertools.product(*sets),
-                              itertools.product(*complements)):
-        v = f.evaluate(point)
-        if v:
-            for w in weights:
-                v *= w
-            total += v % n if n else v
+    for point, v in f.nonzero_points(*sets):
+        for w, a in zip(weights, point):
+            v *= w[a]
+        total += v % n if n else v
     return (total % n if n else total), denom
 
 
@@ -152,15 +155,15 @@ def cn_coefficient(f, grid: GridSpec):
 
 
 def cn_witness(f, grid: GridSpec):
-    """First grid point (lexicographic over the sets as given) where f is
-    nonzero, or None when f vanishes on the whole grid."""
+    """First grid point (lexicographic over the sets as given, each
+    reduced mod n) where f is nonzero, or None when f vanishes on the
+    whole grid.  The walk stops at that point."""
     if grid.arity != f.arity:
         raise ArityMismatch(f"grid arity {grid.arity} vs polynomial {f.arity}")
     n = f.ring.n
-    for point in grid.points():
-        point = tuple(a % n for a in point) if n else point
-        if f.evaluate(point):
-            return point
+    sets = [tuple(a % n for a in s) for s in grid.sets] if n else grid.sets
+    for point, _ in f.nonzero_points(*sets):
+        return point
     return None
 
 

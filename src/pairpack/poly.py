@@ -17,6 +17,7 @@ over ModRing(n) they are kept reduced into [0, n) with % n, over ZZ
 
 from __future__ import annotations
 
+import itertools
 import math
 
 
@@ -163,6 +164,17 @@ class MultiPoly:
             total += c
         return total % n if n else total
 
+    def nonzero_points(self, *sets):
+        """(point, value) for each point of sets[0] x ... x sets[m-1] where
+        the polynomial is nonzero, in lexicographic order over the sets as
+        given; every point is evaluated on its own."""
+        if len(sets) != self.arity:
+            raise ArityMismatch(f"{len(sets)} sets for arity {self.arity}")
+        for point in itertools.product(*sets):
+            value = self.evaluate(point)
+            if value:
+                yield point, value
+
     def sorted_terms(self):
         """Terms as (exponents, coeff) pairs in lexicographic exponent order."""
         return sorted(self.terms.items())
@@ -194,9 +206,9 @@ class AffineProduct:
     """A product of affine factors, kept unexpanded.
 
     Each factor is ``((var, coeff), ...), const`` and stands for
-    sum(coeff * x_var) + const.  Points are evaluated factor by factor, so
-    the cost is linear in the number of factors even when the expanded form
-    would be enormous.
+    sum(coeff * x_var) + const.  ``nonzero_points`` walks a product of
+    sets and skips every point below a prefix where the product already
+    vanishes, so no expansion is needed; ``evaluate`` is its one-point case.
     """
 
     __slots__ = ("ring", "arity", "factors")
@@ -223,18 +235,59 @@ class AffineProduct:
     def evaluate(self, point):
         if len(point) != self.arity:
             raise ArityMismatch(f"point of length {len(point)} for arity {self.arity}")
+        for _, value in self.nonzero_points(*((x,) for x in point)):
+            return value
+        return 0
+
+    def nonzero_points(self, *sets):
+        """(point, value) for each point of sets[0] x ... x sets[m-1] where
+        the product is nonzero, in lexicographic order over the sets as
+        given.
+
+        A factor is evaluated as soon as the largest variable it uses is
+        set, once per prefix, and the partial product is carried down an
+        explicit stack; a prefix where it is 0 (over Z/(n), possibly from
+        zero divisors) skips every point below it.
+        """
+        if len(sets) != self.arity:
+            raise ArityMismatch(f"{len(sets)} sets for arity {self.arity}")
         n = self.ring.n
-        acc = 1
+        # Level 0 is a one-value axis that carries the constant factors;
+        # x_i is set at level i + 1.
+        axes = ((0,),) + tuple(tuple(s) for s in sets)
+        levels = [[] for _ in axes]
         for lin, const in self.factors:
-            v = const
-            for i, c in lin:
-                v += c * point[i]
-            acc *= v
-            if n:
-                acc %= n
-            if acc == 0:
-                return 0
-        return acc
+            lin = tuple((i + 1, c) for i, c in lin)
+            levels[max((i for i, _ in lin), default=0)].append((lin, const))
+        last = len(axes) - 1
+        point = [0] * len(axes)
+        partial = [1] * len(axes)   # partial[k]: product of levels < k
+        pending = [iter(axes[0])] + [None] * last
+        k = 0
+        while k >= 0:
+            for x in pending[k]:
+                point[k] = x
+                acc = partial[k]
+                for lin, const in levels[k]:
+                    v = const
+                    for i, c in lin:
+                        v += c * point[i]
+                    acc *= v
+                    if n:
+                        acc %= n
+                    if acc == 0:
+                        break
+                if acc == 0:
+                    continue
+                if k == last:
+                    yield tuple(point[1:]), acc
+                else:
+                    k += 1
+                    partial[k] = acc
+                    pending[k] = iter(axes[k])
+                    break
+            else:
+                k -= 1
 
     def expand(self, budget: int = DEFAULT_TERM_BUDGET) -> MultiPoly:
         """Multiply the factors out into a MultiPoly.

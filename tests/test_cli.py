@@ -245,6 +245,29 @@ def test_malformed_checkpoint_record_is_one_error_line(capsys, tmp_path,
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("edit", [
+    {"feasible": 96},               # 5 more than shard 1's total of 91
+    {"failures": [[99, 98]]},
+])
+def test_inconsistent_checkpoint_record_is_one_error_line(capsys, tmp_path,
+                                                          edit):
+    """Edited records that a scan once merged into a report of 221
+    feasible out of 216 and a failure [99, 98]."""
+    path = tmp_path / "scan.jsonl"
+    code, _, _ = run(capsys, ["conjecture-scan", "--n", "7",
+                              "--checkpoint", str(path)])
+    assert code == 0
+    lines = path.read_text().splitlines(keepends=True)
+    lines[0] = json.dumps({**json.loads(lines[0]), **edit},
+                          sort_keys=True) + "\n"
+    path.write_text("".join(lines))
+    code, out, err = run(capsys, ["conjecture-scan", "--n", "7",
+                                  "--checkpoint", str(path)])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "line 1" in err
+
+
 def test_readme_transcripts(capsys):
     """Every `$ pairpack ...` block in README.md prints the JSON shown
     under it."""

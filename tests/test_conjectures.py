@@ -433,3 +433,47 @@ def test_malformed_checkpoint_record_names_its_line(tmp_path, record):
     path.write_text("".join(good[:-1]) + json.dumps(record))
     assert scan_conjecture(7, checkpoint=str(path)) == scan_conjecture(7)
     assert path.read_text() == "".join(good)
+
+
+@pytest.mark.parametrize("edit", [
+    {"shard": 0},                                   # not a unit
+    {"shard": 3},                                   # shard 3's total is 37
+    {"total": 62, "feasible": 62},                  # not 5^3 - 4^3 = 61
+    {"feasible": 66},                               # more than the total
+    {"failures": [[99, 98]]},
+    {"failures": [[2, 2, 3]], "feasible": 60},      # 3 orderings, not 1
+    {"failures": [[3, 2, 2]], "feasible": 58},      # not sorted
+    {"failures": [[1, 2, 2]], "feasible": 58},      # another shard's key
+    {"failures": [[2, 3]], "feasible": 59},         # not m = 3 entries
+    {"failures": [[2, 2, 7]], "feasible": 58},      # 7 is not a unit
+    {"failures": [[2, 3, 4], [2, 2, 3]], "feasible": 52},
+    {"failures": [[2, 2, 3], [2, 2, 3]], "feasible": 55},
+])
+def test_inconsistent_checkpoint_record_names_its_line(tmp_path, edit):
+    """A well-typed record must agree with the closed-form shard total
+    and its own failures."""
+    path = tmp_path / "scan.jsonl"
+    scan_conjecture(7, checkpoint=str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    record = json.loads(lines[1])
+    assert (record["shard"], record["total"], record["feasible"]) == \
+        (2, 61, 61)
+    lines[1] = json.dumps({**record, **edit}, sort_keys=True) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(InvalidInstance, match="line 2"):
+        scan_conjecture(7, checkpoint=str(path))
+
+
+def test_consistent_checkpoint_failure_is_trusted(tmp_path):
+    """A record that agrees with its shard is taken as written, failures
+    included: the loader checks counts, not verdicts."""
+    path = tmp_path / "scan.jsonl"
+    scan_conjecture(7, checkpoint=str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    record = {**json.loads(lines[1]), "failures": [[2, 2, 3]],
+              "feasible": 58}
+    lines[1] = json.dumps(record, sort_keys=True) + "\n"
+    path.write_text("".join(lines))
+    want = ScanReport(7, "nonzero", 216, 213, ((2, 2, 3),))
+    assert scan_conjecture(7, checkpoint=str(path)) == want
+    assert path.read_text() == "".join(lines)

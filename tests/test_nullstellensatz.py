@@ -1,6 +1,7 @@
 """Grid coefficient extraction and the pairing polynomials."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from pairpack.nullstellensatz import (DegreeTooHigh, GridSpec,
                                       cn_witness, integral_over_field,
                                       odd_residue_polynomial, partition_grid,
                                       partition_polynomial)
-from pairpack.poly import ArityMismatch, MultiPoly
+from pairpack.poly import AffineProduct, ArityMismatch, MultiPoly
 
 
 def test_gridspec_validation():
@@ -182,3 +183,147 @@ def test_full_field_sums_agree():
     assert sf == sg
     # g is supported on (1,3) and (3,1), each evaluating to 3; 3 + 3 = 6 = 1
     assert sg == 1
+
+
+def test_full_field_sums_at_p11_and_p13():
+    """The two pairing polynomials have the same nonzero full-field sum at
+    sizes (11^5 and 13^6 points) that a point-by-point sum made slow; the
+    values are pinned from such a sum."""
+    rng = random.Random(1013)
+    for p, want in ((11, 10), (13, 1)):
+        d = tuple(rng.randrange(1, p) for _ in range((p - 1) // 2))
+        assert integral_over_field(odd_residue_polynomial(p)) == want
+        assert integral_over_field(partition_polynomial(p, d)) == want, d
+
+
+# ---------------------------------------------------------------------------
+# The pruned walk of AffineProduct against a point-by-point reference.
+
+def _value(f, point):
+    """f at one point, factor by factor."""
+    n = f.ring.n
+    acc = 1
+    for lin, const in f.factors:
+        v = const
+        for i, c in lin:
+            v += c * point[i]
+        acc *= v
+        if n:
+            acc %= n
+        if acc == 0:
+            break
+    return acc
+
+
+def _reference_points(f, sets):
+    for point in itertools.product(*sets):
+        value = _value(f, point)
+        if value:
+            yield point, value
+
+
+def _reference_scaled(f, grid):
+    """(N, D) of the interpolation sum, one point and one weight at a time."""
+    n = f.ring.n
+    sets, complements, denom = [], [], 1
+    for given in grid.sets:
+        s = tuple(a % n for a in given) if n else given
+        if len(set(s)) != len(s):
+            return None
+        phi = [math.prod(a - b for b in s if b != a) for a in s]
+        complements.append([math.prod(phi[:t] + phi[t + 1:])
+                            for t in range(len(s))])
+        denom *= math.prod(phi)
+        sets.append(s)
+    total = sum(_value(f, point) * math.prod(weights)
+                for point, weights in zip(itertools.product(*sets),
+                                          itertools.product(*complements)))
+    return (total % n, denom % n) if n else (total, denom)
+
+
+def _reference_witness(f, grid):
+    n = f.ring.n
+    for point in itertools.product(*grid.sets):
+        point = tuple(a % n for a in point) if n else point
+        if _value(f, point):
+            return point
+    return None
+
+
+def _random_product(rng, ring, arity):
+    factors = []
+    for _ in range(rng.randrange(1, 7)):
+        lin = tuple((i, rng.randrange(-4, 5)) for i in range(arity)
+                    if rng.random() < 0.6)
+        factors.append((lin, rng.randrange(-6, 7)))
+    return AffineProduct(ring, arity, factors)
+
+
+def _random_grid(rng, f, span):
+    """Sets big enough for deg f, with elements past [0, n) so that some
+    collapse mod n."""
+    size = -(-f.total_degree() // max(f.arity, 1)) + 1
+    return GridSpec(tuple(tuple(rng.sample(range(-span, 2 * span), size))
+                          for _ in range(f.arity)))
+
+
+def _agree(f, grid):
+    sets = grid.sets
+    assert list(f.nonzero_points(*sets)) == \
+        list(_reference_points(f, sets))
+    for point in itertools.islice(itertools.product(*sets), 1000):
+        assert f.evaluate(point) == _value(f, point)
+    assert cn_witness(f, grid) == _reference_witness(f, grid)
+    want = _reference_scaled(f, grid)
+    if want is None:                                # a set collapses mod n
+        with pytest.raises(ValueError):
+            cn_coefficient_scaled(f, grid)
+        return
+    assert cn_coefficient_scaled(f, grid) == want
+    num, den = want
+    n = f.ring.n
+    if n and math.gcd(den, n) == 1:
+        assert cn_coefficient(f, grid) == num * pow(den, -1, n) % n
+    elif not n and den and num % den == 0:
+        assert cn_coefficient(f, grid) == num // den
+    else:
+        with pytest.raises(NonInvertibleDenominator):
+            cn_coefficient(f, grid)
+
+
+@pytest.mark.parametrize("ring", [ZZ, ModRing(5), ModRing(7), ModRing(35)],
+                         ids=repr)
+def test_pruned_walk_matches_point_by_point(ring):
+    rng = random.Random(ring.n or 0)
+    span = ring.n or 7
+    fixed = [
+        AffineProduct(ring, 0, []),
+        AffineProduct(ring, 0, [((), 3), ((), 4)]),
+        AffineProduct(ring, 1, [((), 2)]),                 # no linear part
+        AffineProduct(ring, 2, [(((0, 1),), 1), ((), 0),   # a zero factor
+                                (((1, 1),), 2)]),
+        AffineProduct(ring, 2, [(((0, 5),), 0), (((1, 7),), 0)]),
+    ]
+    randoms = [_random_product(rng, ring, arity)
+               for arity in (0, 1, 1, 2, 2, 3, 3, 4) for _ in range(12)]
+    for f in fixed + randoms:
+        for _ in range(2):
+            _agree(f, _random_grid(rng, f, span))
+        if ring.n and ring.is_field:
+            assert integral_over_field(f) == sum(
+                v for _, v in _reference_points(
+                    f, [range(ring.n)] * f.arity)) % ring.n
+
+
+def test_pruned_walk_on_pairing_polynomials():
+    rng = random.Random(11)
+    for p in (5, 7, 11):
+        m = (p - 1) // 2
+        d = tuple(rng.randrange(1, p) for _ in range(m))
+        f = partition_polynomial(p, d, include_nonzero_factors=False)
+        _agree(f, partition_grid(p, d))
+        full = partition_polynomial(p, d)
+        assert integral_over_field(full) == sum(
+            v for _, v in _reference_points(full, [range(p)] * m)) % p
+        if p < 11:
+            _agree(full, GridSpec((tuple(range(p)),) * m))

@@ -139,6 +139,15 @@ def test_affine_evaluate_early_zero():
     assert prod.evaluate((3,)) == 0
 
 
+
+def test_nonzero_points_order_and_arity():
+    prod = AffineProduct(ModRing(5), 2, [(((0, 1), (1, -1)), 0)])  # x0 - x1
+    want = [((3, 1), 2), ((3, 0), 3), ((1, 3), 3), ((1, 0), 1)]
+    for f in (prod, prod.expand()):
+        assert list(f.nonzero_points((3, 1), (1, 3, 0))) == want
+        with pytest.raises(ArityMismatch):
+            list(f.nonzero_points((3, 1)))
+
 def test_expansion_budget():
     with pytest.raises(BudgetExceeded):
         difference_product(ZZ, 6, 4, budget=50)
