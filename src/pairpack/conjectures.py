@@ -23,8 +23,10 @@ with pi ranging over bijections [m] -> {0..m-1}.  The first equals the
 second times prod_i (1 - w_i).  Substituting w_i -> 1 in the second gives
 m! (2m-1)!! whatever d is, which for odd prime n = 2m+1 is not divisible
 by n; a value not divisible by n certifies the sum is nonzero in Z[w].
-All three are permanents, taken by one Ryser routine over any commutative
-ring: Z[w] for the sums, the integers for the value at 1.
+All three are permanents, taken by one Glynn routine: over the integers
+for the value at 1; for the sums, mod a product of primes q = 1 (mod n)
+at the n powers of an n-th root of unity there, then interpolated back
+to exact coefficients in Z[x]/(x^n - 1).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import math
 import os
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import chain, combinations_with_replacement, product
 from random import Random
 
@@ -69,10 +72,6 @@ class ScanReport:
     instances_total: int
     instances_feasible: int
     failures: tuple[tuple[int, ...], ...]
-
-    @property
-    def all_feasible(self) -> bool:
-        return self.instances_feasible == self.instances_total
 
     def to_json(self) -> dict:
         return {"n": self.n, "universe": self.universe,
@@ -319,37 +318,88 @@ def _validated_units(n, d) -> tuple[int, ...]:
     return out
 
 
+def _glynn(rows) -> int:
+    """2^(m-1) times the permanent of a nonempty square integer matrix, by
+    Glynn's formula
+
+        2^(m-1) * perm M = sum_s s_1 ... s_m * prod_j sum_i s_i * M[i][j]
+
+    over the sign vectors s in {1, -1}^m with s_1 = 1, walked in Gray-code
+    order so one row changes sign per step."""
+    m = len(rows)
+    twice = [[2 * a for a in row] for row in rows]
+    sums = [sum(col) for col in zip(*rows)]
+    total = math.prod(sums)
+    for k in range(1, 1 << (m - 1)):
+        bit = k & -k
+        gray = k ^ (k >> 1)
+        row = twice[bit.bit_length()]
+        if gray & bit:
+            sums = [s - a for s, a in zip(sums, row)]
+        else:
+            sums = [s + a for s, a in zip(sums, row)]
+        if gray.bit_count() % 2:
+            total -= math.prod(sums)
+        else:
+            total += math.prod(sums)
+    return total
+
+
+@lru_cache(maxsize=None)
+def _modulus(n: int, count: int) -> tuple[int, int, int]:
+    """(Q, z, q): q the count-th largest prime k*n + 1 below 2^31, Q the
+    product of the count largest, z a primitive n-th root of unity mod Q,
+    glued by CRT from one root mod each prime; count 0 gives (1, 0, 0)."""
+    if not count:
+        return 1, 0, 0
+    big, root, q = _modulus(n, count - 1)
+    q = q - n if q else (2 ** 31 - 2) // n * n + 1
+    while not is_prime(q):
+        q -= n
+    g = 2
+    while len({pow(g, (q - 1) // n * k, q) for k in range(n)}) < n:
+        g += 1
+    z = pow(g, (q - 1) // n, q)
+    return big * q, root + big * ((z - root) * pow(big, -1, q) % q), q
+
+
 def _permanent(matrix, zero):
-    """Permanent of a square matrix over any commutative ring, by Ryser's
-    inclusion-exclusion formula
+    """Permanent of a square matrix of ints (zero is 0) or of CycloInts of
+    one order n (zero is CycloInt(n)); an empty matrix gives zero + 1.
 
-        perm M = (-1)^m * sum_S (-1)^|S| * prod_i sum_{j in S} M[i][j]
-
-    over the column sets S, walked in Gray-code order so one column
-    enters or leaves per step.  zero is the ring's zero (CycloInt(n) for
-    the bijection sums, so the result is exact in Z[x]/(x^n - 1); the int
-    0 for the certificate); an empty matrix gives zero + 1."""
+    Over the ints: Glynn's sum over 2^(m-1).  Over Z[x]/(x^n - 1) no
+    CycloInt is multiplied.  Each coefficient is at most
+    B = m! * prod_i max_j |M[i][j]|_1 in size, so it is found mod Q > 2B,
+    a product of primes q = 1 (mod n), where the ring splits into n copies
+    of Z/Q, one per power z^k of an n-th root z.  Glynn runs once per z^k
+    on the evaluated entries, and the inverse DFT gives the coefficients
+    mod Q, lifted into the symmetric range: the exact sum over
+    permutations of products of one entry per row."""
     m = len(matrix)
     if not m:
         return zero + 1
-    rowsums = [zero] * m
-    total = zero
-    prev = 0
-    for k in range(1, 1 << m):
-        gray = k ^ (k >> 1)
-        bit = gray ^ prev
-        j = bit.bit_length() - 1
-        if gray & bit:
-            rowsums = [rs + matrix[i][j] for i, rs in enumerate(rowsums)]
-        else:
-            rowsums = [rs - matrix[i][j] for i, rs in enumerate(rowsums)]
-        prev = gray
-        prod = math.prod(rowsums[1:], start=rowsums[0])
-        if gray.bit_count() % 2:
-            total = total - prod
-        else:
-            total = total + prod
-    return -total if m % 2 else total
+    if not isinstance(zero, CycloInt):
+        return _glynn(matrix) // 2 ** (m - 1)
+    n = zero.n
+    bound = math.factorial(m) * math.prod(
+        max(sum(map(abs, e.coeffs)) for e in row) for row in matrix)
+    count = 0
+    while _modulus(n, count)[0] <= 2 * bound:
+        count += 1
+    big, root, _ = _modulus(n, count)
+    powers = [pow(root, t, big) for t in range(n)]
+    terms = [[[(t, c) for t, c in enumerate(e.coeffs) if c] for e in row]
+             for row in matrix]
+    values = [_glynn([[sum(c * powers[t * k % n] for t, c in entry) % big
+                       for entry in row] for row in terms]) % big
+              for k in range(n)]
+    scale = pow(n << (m - 1), -1, big)
+    coeffs = []
+    for t in range(n):
+        c = scale * sum(v * powers[-t * k % n]
+                        for k, v in enumerate(values)) % big
+        coeffs.append(c - big if 2 * c > big else c)
+    return CycloInt(n, coeffs)
 
 
 def _bijection_sum(n: int, d, terms):
@@ -413,15 +463,3 @@ def prime_nonzero_certificate(p: int, d) -> tuple[int, bool]:
         raise ArithmeticError(
             f"value at 1 is {value}, expected {expected}")
     return value, value % p != 0
-
-
-def divisibility_lemma_check(coeffs, p: int) -> bool:
-    """Does this integer polynomial obey: vanishing at a primitive p-th
-    root of unity forces p to divide the value at 1?
-
-    Vacuously true when the polynomial does not vanish there.
-    """
-    f = CycloInt(p, tuple(int(c) for c in coeffs))
-    if not f.is_zero():
-        return True
-    return f.eval_at_one() % p == 0

@@ -28,7 +28,6 @@ field with prescribed differences, built as unexpanded affine products.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -67,10 +66,6 @@ class GridSpec:
     @property
     def target_exponents(self) -> tuple[int, ...]:
         return tuple(len(s) - 1 for s in self.sets)
-
-    def points(self):
-        """Grid points in lexicographic order over the sets as given."""
-        return itertools.product(*self.sets)
 
 
 def _check_grid(f, grid: GridSpec):

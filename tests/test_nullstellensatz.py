@@ -24,7 +24,7 @@ def test_gridspec_validation():
     g = GridSpec(((0, 1), (2, 3, 4)))
     assert g.arity == 2
     assert g.target_exponents == (1, 2)
-    assert next(iter(g.points())) == (0, 2)
+    assert g.sets == ((0, 1), (2, 3, 4))
 
 
 def test_coefficient_formula_random():
