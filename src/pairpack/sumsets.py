@@ -5,10 +5,12 @@ integer k strictly between n-r and s; |A+B| >= beta(p, |A|, |B|) for
 nonempty A, B inside Z/(p^alpha).  verify_cd_bound brute-forces that
 inequality over all (or sampled) pairs of nonempty subsets, with subsets
 as bitmasks so a sumset is a union of cyclic shifts.  The exhaustive
-sweep runs every B against one A per orbit of the affine maps
-x -> u*x + t (u a unit), which keep |A|, |B| and |A+B| up to a
-permutation of the B's, and gets each sumset from a smaller one with a
-single shift-OR.
+sweep runs the B that contain 0 against one A per orbit of the affine
+maps x -> u*x + t (u a unit) with 2|A| <= p^alpha, and gets the rest
+from translating B, swapping A and B, and the pairs with A+B the whole
+group.  Each sumset comes from a smaller one with a single shift-OR,
+all of a pass at once in one packed integer.  A sampled pair is a
+shift-OR of B over the bits of A, folded once.
 
 The closing check mirrors the argument the bound rests on: writing the
 coefficients of prod_i (x - c_i) for p^alpha-th roots of unity c_i as
@@ -19,7 +21,9 @@ has its value at 1 divisible by p.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from random import Random
 
@@ -29,11 +33,13 @@ from .algebra import CycloInt, is_prime
 DEFAULT_TIGHT_CAP = 32     # tight pairs a sweep report lists
 
 
+@lru_cache(maxsize=None)
 def beta(p: int, r: int, s: int) -> int:
     """Smallest n with p | C(n, k) for every k with n-r < k < s.
 
     Exact binomials reduced mod p; the scan starts at n = 1 and is done
-    by n = r+s-1 at the latest, where the k-range is empty.
+    by n = r+s-1 at the latest, where the k-range is empty.  Memoised:
+    every sweep reads a whole table of it.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -126,29 +132,62 @@ def _beta_table(p: int, size: int):
          for r in range(1, size + 1)]
 
 
-def _b_pass(A: int, row, steps, sums, size: int, cap: int):
-    """One literal pass of every B against the fixed mask A.
+class _Subsets:
+    """Every B in Z/(size) (lo = 0, B at index B, B = 0 included) or every
+    B that contains 0 (lo = 1, B = 1 + 2k at index k), with |A+B| for all
+    of them in one go.
 
-    S[B] = S[B without its low bit] | rot(A, that bit) fills `sums` with
-    every sumset A+B, B ascending.  Returns the violating B masks, the
-    number of tight B and the first `cap` tight B masks, in order.
+    S(B + {j}) = S(B) | rot(A, j) for j above every element of B.  The
+    sums are packed into one integer, w bits a field and a field per B,
+    so adding j to the first 2^(j-lo) sets is one OR and one shift.
+    Cardinalities come out one byte per B; cards and bounds must stay
+    below 128, so size does too.
     """
-    full = (1 << size) - 1
-    rots = [((A << b) | (A >> (size - b))) & full for b in range(size)]
-    bad = []
-    tight = []
-    tight_count = 0
-    for B, rest, low, s in steps:
-        acc = sums[B] = sums[rest] | rots[low]
-        card = acc.bit_count()
-        bound = row[s]
-        if card < bound:
-            bad.append(B)
-        elif card == bound:
-            tight_count += 1
-            if len(tight) < cap:
-                tight.append(B)
-    return bad, tight_count, tight
+
+    def __init__(self, size: int, lo: int):
+        self.size, self.lo = size, lo
+        self.nb = (size + 7) // 8                  # bytes per field
+        self.w = 8 * self.nb
+        self.ones = [1]                            # 2^i fields holding 1
+        for i in range(size - lo - 1):
+            self.ones.append(self.ones[i] | self.ones[i] << (self.w << i))
+        sizes = bytes([lo])                        # |B|, a byte per B
+        inc = bytes(range(1, 256)) + b"\0"
+        for _ in range(lo, size):
+            sizes += sizes.translate(inc)
+        self.sizes = sizes
+        self.packed_sizes = int.from_bytes(sizes, "little")
+        self.high = int.from_bytes(b"\x80" * len(sizes), "little")
+        self.pop = bytes(map(int.bit_count, range(256)))
+        self.tight_only = bytes(255 * (e == 128) for e in range(256))
+        self.not_below = bytes(range(128, 256))
+
+    def bounds(self, row) -> int:
+        """row[|B|] for every B, a byte each."""
+        table = bytes(row).ljust(256, b"\0")
+        return int.from_bytes(self.sizes.translate(table), "little")
+
+    def excess(self, A: int, bounds: int) -> bytes:
+        """128 + |A+B| - bound for every B, a byte each: 128 marks a tight
+        pair and anything less a violation."""
+        size, lo, nb, n = self.size, self.lo, self.nb, len(self.sizes)
+        full = (1 << size) - 1
+        packed = A if lo else 0
+        for j in range(lo, size):
+            rot = ((A << j) | (A >> (size - j))) & full
+            packed |= (packed | rot * self.ones[j - lo]) << (self.w << j - lo)
+        pops = packed.to_bytes(nb * n, "little").translate(self.pop)
+        cards = sum(int.from_bytes(pops[i::nb], "little") for i in range(nb))
+        return ((cards | self.high) - bounds).to_bytes(n, "little")
+
+    def violated(self, excess: bytes) -> bool:
+        return bool(excess.translate(None, self.not_below))
+
+    def tight_sizes(self, excess: bytes) -> bytes:
+        """|B| for every tight B, a byte each."""
+        tight = int.from_bytes(excess.translate(self.tight_only), "little")
+        tight &= self.packed_sizes
+        return tight.to_bytes(len(self.sizes), "little").translate(None, b"\0")
 
 
 def _affine_orbit(A: int, size: int, units) -> set:
@@ -165,46 +204,84 @@ def _affine_orbit(A: int, size: int, units) -> set:
 
 def _sweep(p: int, alpha: int, tight_cap: int):
     """Every (A, B) mask pair, with violations and tight pairs in (A, B)
-    order, from one B pass per affine orbit of A.
+    order, from one pass over the B that contain 0 per affine orbit of A
+    with 2|A| <= size.
 
     |(uA + t) + B| = |A + u^-1 (B - t)|, and B -> u^-1 (B - t) permutes
     the nonempty B keeping |B|, so every A in an orbit has as many tight
-    B as its representative (the smallest mask of the orbit).  An orbit
-    whose representative has a violation is expanded one A at a time.
-    The tight list comes from literal passes over A = 1, 2, ... until
-    tight_cap pairs are found; A = {0} alone makes every B tight.
+    B as its representative (the smallest mask of the orbit).  A
+    translation orbit of B has |orbit| * |B| / size members that contain
+    0, so the tight B of size s number size/s times the tight B that
+    contain 0.  The tight count T(r, s) over |A| = r, |B| = s is then:
+
+    * from the passes, for 2r <= size;
+    * C(size, r) * C(size, s) or 0 for r, s both above size/2, where
+      A + B is all of Z/(size): tight exactly when the bound is size;
+    * T(s, r) for the rest, when the bound is symmetric there, else from
+      passes over the orbits with |A| = r too.
+
+    Every violation has a translate with B containing 0, or a swap that
+    has, so none goes unseen; if there is any, literal passes over every
+    A list them.  The tight list comes from literal passes over
+    A = 1, 2, ... until tight_cap pairs are found; A = {0} alone makes
+    every B tight.
     """
     size = p ** alpha
     full = (1 << size) - 1
     table = _beta_table(p, size)
-    steps = [(B, B & (B - 1), (B & -B).bit_length() - 1, B.bit_count())
-             for B in range(1, full + 1)]
-    sums = [0] * (full + 1)
+    big = [2 * r > size for r in range(size + 1)]
+    passed = [not big[r] or any(table[r][s] != table[s][r]
+                                for s in range(1, size + 1) if not big[s])
+              for r in range(size + 1)]
+    with_zero = _Subsets(size, 1)
+    bounds = {}
+    counts = [[0] * (size + 1) for _ in range(size + 1)]
     units = [u for u in range(1, size) if u % p]
     seen = bytearray(full + 1)
-    violations = []
-    tight_count = 0
+    bad = False
     for A in range(1, full + 1):
-        if seen[A]:
+        r = A.bit_count()
+        if seen[A] or not passed[r]:
             continue
         orbit = _affine_orbit(A, size, units)
         for image in orbit:
             seen[image] = 1
-        row = table[A.bit_count()]
-        bad, count, _ = _b_pass(A, row, steps, sums, size, 0)
-        tight_count += count * len(orbit)
-        if bad:
-            for image in orbit:
-                bad, _, _ = _b_pass(image, row, steps, sums, size, 0)
-                violations.extend((image, B) for B in bad)
-    violations.sort()
+        if r not in bounds:
+            bounds[r] = with_zero.bounds(table[r])
+        excess = with_zero.excess(A, bounds[r])
+        bad = bad or with_zero.violated(excess)
+        tight = with_zero.tight_sizes(excess)
+        for s in range(1, size + 1):
+            counts[r][s] += len(orbit) * tight.count(s)
+
+    tight_count = 0
+    for r in range(1, size + 1):
+        for s in range(1, size + 1):
+            if big[r] and big[s]:
+                bad = bad or table[r][s] > size
+                if table[r][s] == size:
+                    tight_count += math.comb(size, r) * math.comb(size, s)
+            elif passed[r]:
+                tight_count += counts[r][s] * size // s
+            else:
+                tight_count += counts[s][r] * size // r
+
+    every = _Subsets(size, 0) if bad or tight_cap else None
+    literal = lambda A: every.excess(A, every.bounds(table[A.bit_count()]))
+    violations = []
+    if bad:
+        for A in range(1, full + 1):
+            violations.extend((A, B) for B, e in enumerate(literal(A))
+                              if e < 128)
     tight = []
     A = 0
     while len(tight) < tight_cap and A < full:
         A += 1
-        _, _, found = _b_pass(A, table[A.bit_count()], steps, sums, size,
-                              tight_cap - len(tight))
-        tight.extend((A, B) for B in found)
+        excess = literal(A)
+        B = excess.find(128, 1)
+        while B > 0 and len(tight) < tight_cap:
+            tight.append((A, B))
+            B = excess.find(128, B + 1)
     return full * full, violations, tight_count, tight
 
 
@@ -214,10 +291,13 @@ def verify_cd_bound(p: int, alpha: int, sample: "int | None" = None,
     """Check |A+B| >= beta(p, |A|, |B|) over nonempty subsets of Z/(p^alpha).
 
     Exhaustive by default: every one of (2^(p^alpha) - 1)^2 ordered pairs,
-    counted from one B pass per affine orbit of A (see _sweep).  With
-    sample, that many (at least 1) seeded-uniform pairs instead; a seed
-    without a sample is an error.  The sweep does not time itself; `jobs`
-    is accepted for older callers and ignored.
+    counted from one pass over the B that contain 0 per affine orbit of a
+    small A (see _sweep).  With sample, that many (at least 1)
+    seeded-uniform pairs instead, each A+B a shift-OR over the bits of A
+    folded once mod p^alpha; only the tight_cap smallest tight pairs are
+    kept while counting.  A seed without a sample is an error.  The sweep
+    does not time itself; `jobs` is accepted for older callers and
+    ignored.
     """
     if not is_prime(p) or alpha < 1:
         raise ValueError("need a prime p and alpha >= 1")
@@ -235,29 +315,31 @@ def verify_cd_bound(p: int, alpha: int, sample: "int | None" = None,
             raise ValueError(f"sample size {sample} is not positive")
         if seed is None:
             raise ValueError("sample mode needs a seed")
-        rng = Random(seed)
+        draw = Random(seed).randrange
         table = _beta_table(p, size)
         pairs = int(sample)
         violations = []
-        all_tight = []
+        tight = []
+        tight_count = 0
         for _ in range(pairs):
-            A = rng.randrange(1, full + 1)
-            B = rng.randrange(1, full + 1)
-            bits = _mask_to_set(A, size)
-            rots = [((B << a) | (B >> (size - a))) & full for a in bits]
+            A = draw(1, full + 1)
+            B = draw(1, full + 1)
+            a = A
             acc = 0
-            for r in rots:
-                acc |= r
-            bound = table[len(bits)][B.bit_count()]
-            card = acc.bit_count()
+            while a:
+                low = a & -a
+                acc |= B * low
+                a ^= low
+            card = ((acc | acc >> size) & full).bit_count()
+            bound = table[A.bit_count()][B.bit_count()]
             if card < bound:
                 violations.append((A, B))
             elif card == bound:
-                all_tight.append((A, B))
-        tight_count = len(all_tight)
-        all_tight.sort()
+                tight_count += 1
+                if len(tight) < tight_cap or tight and (A, B) < tight[-1]:
+                    insort(tight, (A, B))
+                    del tight[tight_cap:]
         violations.sort()
-        tight = all_tight[:tight_cap]
 
     unpack = lambda prs: tuple((_mask_to_set(a, size), _mask_to_set(b, size))
                                for a, b in prs)

@@ -165,6 +165,53 @@ def test_orbit_sweep_matches_literal_sweep():
             assert rep == dataclasses.replace(want, tight=want.tight[:cap])
 
 
+def test_sweep_lists_violations_against_literal_sweep(monkeypatch):
+    """With every bound raised by one, the pairs where both sizes exceed
+    size/2 and the swapped pairs violate too, and the listing must still
+    match the literal sweep."""
+    monkeypatch.setattr(sumsets, "beta", lambda p, r, s: beta(p, r, s) + 1)
+    for p, alpha in ((7, 1), (3, 2)):
+        want = literal_sweep(p, alpha, 10)
+        assert want.violations
+        assert verify_cd_bound(p, alpha, tight_cap=10) == want
+
+
+def test_sweep_with_an_asymmetric_bound(monkeypatch):
+    """Where beta(r, s) != beta(s, r) the swap does not hold, and the
+    sweep must count those (r, s) from passes of its own."""
+    def lopsided(p, r, s):
+        return beta(p, r, s) - (r > s and r + s - 1 > p)
+    monkeypatch.setattr(sumsets, "beta", lopsided)
+    for p, alpha in ((5, 1), (7, 1), (2, 3)):
+        want = literal_sweep(p, alpha, 40)
+        assert verify_cd_bound(p, alpha, tight_cap=40) == want
+
+
+def vosper_tight_count(p):
+    """Tight pairs over Z/(p), p prime, by Vosper's theorem: sizes with
+    r + s > p or min(r, s) = 1 are always tight, r + s = p (r, s >= 2)
+    gives C(p, r) * p tight pairs, and every other (r, s) gives the
+    p^2 (p - 1) / 2 pairs of progressions with a common difference."""
+    total = 0
+    for r in range(1, p + 1):
+        for s in range(1, p + 1):
+            if r + s > p or min(r, s) == 1:
+                total += math.comb(p, r) * math.comb(p, s)
+            elif r + s == p:
+                total += math.comb(p, r) * p
+            else:
+                total += p * p * (p - 1) // 2
+    return total
+
+
+def test_vosper_oracle():
+    for p in (2, 3, 5, 7, 11, 13):
+        assert verify_cd_bound(p, 1, tight_cap=0).tight_count == \
+            vosper_tight_count(p), p
+    assert vosper_tight_count(17) == 7430025577
+    assert vosper_tight_count(19) == 119796594671
+
+
 def test_exhaustive_z13():
     rep = verify_cd_bound(13, 1, tight_cap=0)
     assert rep.pairs == (2 ** 13 - 1) ** 2
@@ -202,6 +249,60 @@ def test_sample_mode():
     for size in (0, -4):
         with pytest.raises(ValueError):
             verify_cd_bound(3, 1, sample=size, seed=1)
+
+
+def reference_sample(p, alpha, sample, seed, tight_cap):
+    """Sample mode replayed from the same draws, each pair decoded to
+    sets and measured with sumset() and beta()."""
+    size = p ** alpha
+    full = (1 << size) - 1
+    rng = random.Random(seed)
+    violations, tight = [], []
+    for _ in range(sample):
+        A = rng.randrange(1, full + 1)
+        B = rng.randrange(1, full + 1)
+        As = tuple(a for a in range(size) if A >> a & 1)
+        Bs = tuple(b for b in range(size) if B >> b & 1)
+        card = len(sumset(As, Bs, size))
+        bound = sumsets.beta(p, len(As), len(Bs))
+        if card < bound:
+            violations.append((A, B))
+        elif card == bound:
+            tight.append((A, B))
+    unpack = lambda prs: tuple((sumsets._mask_to_set(a, size),
+                                sumsets._mask_to_set(b, size))
+                               for a, b in sorted(prs))
+    return CDReport(p, alpha, sample, unpack(violations), len(tight),
+                    unpack(tight)[:tight_cap])
+
+
+SAMPLED_SHAPES = ((3, 1), (2, 2), (3, 2), (13, 1), (2, 4), (17, 1))
+
+
+def test_sample_mode_matches_reference():
+    for p, alpha in SAMPLED_SHAPES:
+        for seed in (1, 2, 7, 2024):
+            want = reference_sample(p, alpha, 300, seed, 8)
+            assert verify_cd_bound(p, alpha, sample=300, seed=seed,
+                                   tight_cap=8) == want, (p, alpha, seed)
+
+
+def test_sample_mode_lists_violations_in_order(monkeypatch):
+    tight = {shape: reference_sample(*shape, 300, 5, 10 ** 6).tight
+             for shape in SAMPLED_SHAPES}
+    monkeypatch.setattr(sumsets, "beta", lambda p, r, s: beta(p, r, s) + 1)
+    for (p, alpha), want in tight.items():
+        rep = verify_cd_bound(p, alpha, sample=300, seed=5)
+        assert rep.violations == want
+
+
+def test_sample_mode_cap_keeps_exact_count():
+    uncapped = verify_cd_bound(3, 2, sample=4000, seed=3, tight_cap=10 ** 6)
+    assert uncapped.tight_count == len(uncapped.tight) > 40
+    for cap in (0, 1, 40):
+        capped = verify_cd_bound(3, 2, sample=4000, seed=3, tight_cap=cap)
+        assert capped.tight_count == uncapped.tight_count
+        assert capped.tight == uncapped.tight[:cap]
 
 
 def test_seed_needs_sample():
