@@ -7,11 +7,13 @@ depends on the multiset of differences, and a pair {x, x+d} is also a
 pair with difference -d, so the verdict belongs to the folded multiset
 of entries min(d_i, n - d_i); totals still count ordered vectors.  A
 unit u keeps the verdict as well: x -> u*x maps a partition for d onto
-one for u*d.  So the solver runs once per unit orbit of folded
-multisets, and the partition it finds is carried to every folded
-multiset in the orbit and re-checked there with the independent
-verifier.  Exhaustive scans walk the folded multisets themselves and
-report failures as the sorted keys that fold to them.
+one for u*d.  So find_pair_partition, the fewest-live-partners search,
+runs once per unit orbit of folded multisets, and the partition it finds
+is carried to every folded multiset in the orbit and re-checked there
+with the independent verifier; the CLI's partition keeps the canonical
+search and its first solution.  Exhaustive scans walk the folded
+multisets themselves and report failures as the sorted keys that fold
+to them.
 
 The coefficient machinery evaluates two bijection sums over Z[w], w a
 primitive n-th root of unity and w_i = w^(d_i):
@@ -43,7 +45,7 @@ from random import Random
 from .algebra import CycloInt, is_prime
 from .dyson import multinomial
 from .solvers import (Infeasible, InvalidInstance, PartitionInstance,
-                      solve_pair_partition, verify_solution)
+                      find_pair_partition, verify_solution)
 
 
 def units_mod(n: int) -> tuple[int, ...]:
@@ -88,9 +90,9 @@ def _orbit_verdicts(n: int, universe: str):
     has the same pairs to find.  Scaling all differences by one unit u
     keeps the verdict too, so F is solved through its orbit
     representative, the least sorted vector of min(u*h, -u*h) mod n over
-    h in F.  The solver runs once per representative; its partition,
-    scaled by u^-1 and each pair oriented to F's own entry, must pass the
-    verifier against F's own instance, once per F.
+    h in F.  find_pair_partition runs once per representative; its
+    partition, scaled by u^-1 and each pair oriented to F's own entry,
+    must pass the verifier against F's own instance, once per F.
     """
     folds = [(pow(u, -1, n), [min(u * k % n, -u * k % n) for k in range(n)])
              for u in units_mod(n) if 2 * u < n]
@@ -104,7 +106,7 @@ def _orbit_verdicts(n: int, universe: str):
                              for inv, f in folds)
         rep = tuple(rep)
         if rep not in solved:
-            solved[rep] = solve_pair_partition(
+            solved[rep] = find_pair_partition(
                 PartitionInstance(n, rep, universe))
         res = solved[rep]
         verdicts[folded] = not isinstance(res, Infeasible)
@@ -290,7 +292,7 @@ def scan_conjecture(n: int, sample: "int | None" = None,
                 lines.append(json.dumps(done[u], sort_keys=True) + "\n")
         if checkpoint:
             with open(checkpoint, "a", encoding="utf-8") as fh:
-                fh.writelines(lines)
+                fh.write("".join(lines))
 
     total = feasible = 0
     failures: list[tuple[int, ...]] = []

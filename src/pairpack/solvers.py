@@ -1,13 +1,16 @@
 """Backtracking solvers with certified infeasibility.
 
-Three search problems run on one driver, _search, which branches on the
-smallest object not yet dealt with and keeps its path on an explicit
-stack, so search depth has no limit.  The problems are pair partitions
-of Z/(n) with prescribed differences, pair partitions of (F_p)^k where
-each pair picks its difference from a private basis, and translate
-packings X_i + t_i with t_i drawn from a finite T_i.  A solver either
-returns a solution (deterministic, first in its branch order) or an
-Infeasible certificate recording how many search nodes it visited.
+Three search problems run on one driver, _search, which keeps its path
+on an explicit stack, so search depth has no limit.  The problems are
+pair partitions of Z/(n) with prescribed differences, pair partitions of
+(F_p)^k where each pair picks its difference from a private basis, and
+translate packings X_i + t_i with t_i drawn from a finite T_i.  Each
+search takes the smallest object not yet dealt with, except the one
+scans use, find_pair_partition, which takes the uncovered element with
+the fewest live partners; the CLI's partition keeps the canonical first
+solution.  A solver either returns a solution (deterministic, first in
+its branch order) or an Infeasible certificate recording how many search
+nodes it visited.
 """
 
 from __future__ import annotations
@@ -155,10 +158,7 @@ def solve_pair_partition(inst: PartitionInstance) -> PairPartition | Infeasible:
     pairs are re-dealt to indices in the order the instance listed them.
     """
     n = inst.n
-    counts: dict[int, int] = {}
-    for x in inst.d:
-        counts[x] = counts.get(x, 0) + 1
-    dvals = sorted(counts)
+    counts, dvals = _difference_counts(inst)
     used = bytearray(n)
     used[0] = inst.universe == "nonzero"     # 0 is then never a partner
     chosen: list[tuple[int, int, int]] = []
@@ -189,8 +189,73 @@ def solve_pair_partition(inst: PartitionInstance) -> PairPartition | Infeasible:
                 used[partner] = 0
         used[e] = 0
 
-    if failed := _search(node):
-        return failed
+    return _search(node) or _deal(inst, chosen)
+
+
+def find_pair_partition(inst: PartitionInstance) -> PairPartition | Infeasible:
+    """Depth-first search for a pair partition, or proof there is none,
+    branching on the uncovered element e with the fewest live partners:
+    remaining differences d with e + d or e - d uncovered, d = n/2 once.
+
+    A state where some e has none is cut.  Counts are capped at 3, ties
+    go to the smallest e, and partners come in solve_pair_partition's
+    order, but the partition found need not be that search's first.
+    """
+    n = inst.n
+    counts, dvals = _difference_counts(inst)
+    free = (1 << n) - 1 - (inst.universe == "nonzero")   # uncovered, as bits
+    chosen: list[tuple[int, int, int]] = []
+
+    def node(_):
+        nonlocal free
+        if not free:
+            yield -1
+            return
+        # bit-sliced counts of live partners, capped at 3
+        one = two = three = 0
+        for dv in dvals:
+            if counts[dv]:
+                up = free & (free >> dv | free << (n - dv))
+                down = free & (free << dv | free >> (n - dv))
+                for live in (up,) if 2 * dv == n else (up, down):
+                    three |= two & live
+                    two |= one & live
+                    one |= live
+        if free & ~one:
+            return
+        pick = free & ~two or free & ~three or free
+        bit = pick & -pick
+        e = bit.bit_length() - 1
+        free ^= bit
+        for dv in dvals:
+            if counts[dv]:
+                up, down = (e + dv) % n, (e - dv) % n
+                for x, y in ((e, up),) if up == down else ((e, up), (down, e)):
+                    partner = 1 << (y if x == e else x)
+                    if free & partner:
+                        free ^= partner
+                        counts[dv] -= 1
+                        chosen.append((x, y, dv))
+                        yield 0
+                        chosen.pop()
+                        counts[dv] += 1
+                        free ^= partner
+        free ^= bit
+
+    return _search(node) or _deal(inst, chosen)
+
+
+def _difference_counts(inst: PartitionInstance):
+    """The multiset of differences as counts, and its values ascending."""
+    counts: dict[int, int] = {}
+    for x in inst.d:
+        counts[x] = counts.get(x, 0) + 1
+    return counts, sorted(counts)
+
+
+def _deal(inst: PartitionInstance, chosen) -> PairPartition:
+    """Hand the found pairs (x, y, d) out to the instance's indices, equal
+    differences in the order the instance lists them."""
     queues: dict[int, deque[tuple[int, int]]] = {}
     for x, y, dv in chosen:
         queues.setdefault(dv, deque()).append((x, y))

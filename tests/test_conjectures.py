@@ -17,7 +17,8 @@ from pairpack.conjectures import (ScanReport, _permanent,
                                   prime_nonzero_certificate, scan_conjecture,
                                   units_mod)
 from pairpack.solvers import (Infeasible, InvalidInstance, PairPartition,
-                              PartitionInstance, solve_pair_partition)
+                              PartitionInstance, find_pair_partition,
+                              solve_pair_partition, verify_solution)
 
 
 def test_units_mod():
@@ -172,6 +173,30 @@ def direct_scan(n, sample=None, seed=None):
             "failures": [list(key) for key in failures]}
 
 
+def test_fewest_live_partners_search_agrees_with_canonical():
+    """The scans' search against the canonical one on arbitrary nonzero
+    differences (non-units, repeats, n/2 at even n), which folded unit
+    scans never feed it: same verdicts, and every partition verifies.
+    Drawing all differences from the multiples of one divisor g of n
+    makes infeasible instances common at odd n too."""
+    rng = random.Random(13)
+    seen = Counter()
+    for _ in range(400):
+        n = rng.randrange(3, 17)
+        universe = "nonzero" if n % 2 else "full"
+        g = rng.choice([g for g in range(1, n) if n % g == 0])
+        d = [g * rng.randrange(1, n // g) for _ in range(n // 2)]
+        inst = PartitionInstance(n, d, universe)
+        found = find_pair_partition(inst)
+        infeasible = isinstance(found, Infeasible)
+        assert infeasible == isinstance(solve_pair_partition(inst), Infeasible)
+        assert infeasible or verify_solution(inst, found)
+        seen[infeasible, n % 2 or n // 2 in d] += 1
+        seen[infeasible, universe] += 1
+    assert all(seen[infeasible, kind] for infeasible in (False, True)
+               for kind in (False, True, "nonzero", "full"))
+
+
 @pytest.mark.parametrize("n", range(3, 16))
 def test_orbit_scan_matches_direct_scan(n):
     assert scan_conjecture(n).to_json() == direct_scan(n)
@@ -191,7 +216,7 @@ def test_infeasible_orbit_fails_every_member(monkeypatch):
              for u in units_mod(n)
              for signs in itertools.product((1, -1), repeat=len(d))}
     seen = []
-    solve = conjectures.solve_pair_partition
+    solve = conjectures.find_pair_partition
 
     def patched(inst):
         if inst.d in orbit:
@@ -199,7 +224,7 @@ def test_infeasible_orbit_fails_every_member(monkeypatch):
             return Infeasible(0)
         return solve(inst)
 
-    monkeypatch.setattr(conjectures, "solve_pair_partition", patched)
+    monkeypatch.setattr(conjectures, "find_pair_partition", patched)
     rep = scan_conjecture(n)
     assert len(seen) == 1
     assert rep.failures == tuple(sorted(orbit))
@@ -210,7 +235,7 @@ def test_infeasible_orbit_fails_every_member(monkeypatch):
 
 def test_scan_rejects_unverified_partition(monkeypatch):
     """A feasible verdict counts only once its partition verifies."""
-    monkeypatch.setattr(conjectures, "solve_pair_partition",
+    monkeypatch.setattr(conjectures, "find_pair_partition",
                         lambda inst: PairPartition(((1, 2),) * inst.m))
     with pytest.raises(ArithmeticError):
         scan_conjecture(5, jobs=None)
@@ -435,9 +460,9 @@ def test_infeasible_orbit_even_modulus_checkpoint(tmp_path, monkeypatch):
     orbit = {tuple(sorted(s * u * x % n for s, x in zip(signs, d)))
              for u in units_mod(n)
              for signs in itertools.product((1, -1), repeat=len(d))}
-    solve = conjectures.solve_pair_partition
+    solve = conjectures.find_pair_partition
     monkeypatch.setattr(
-        conjectures, "solve_pair_partition",
+        conjectures, "find_pair_partition",
         lambda inst: Infeasible(0) if inst.d in orbit else solve(inst))
     want = scan_conjecture(n)
     assert want.failures == tuple(sorted(orbit))
