@@ -179,10 +179,12 @@ def _load_checkpoint(path, n, universe):
     the middle of an append leaves a last line that is cut short.  That
     line is dropped and cut off the file, so its shard runs again and the
     new record starts on a line of its own.  An unparsable line anywhere
-    else raises, and so does a line that parses but is not a record, or
-    a record of this scan that the scan could not have written, with a
-    missing or mistyped field or counts and failures that disagree with
-    its shard (InvalidInstance naming the line).
+    else raises, and so does a line that parses but is not a record (not
+    an object with an int "n" and a str "universe"), or a record of this
+    scan that the scan could not have written, with a missing or mistyped
+    field or counts and failures that disagree with its shard
+    (InvalidInstance naming the line).  Records of other scans are
+    skipped.
     """
     try:
         with open(path, "rb") as fh:
@@ -197,10 +199,11 @@ def _load_checkpoint(path, n, universe):
     for number, line in enumerate(lines, 1):
         if line.strip():
             rec = json.loads(line)
-            if not isinstance(rec, dict):
+            if not (isinstance(rec, dict) and isinstance(rec.get("n"), int)
+                    and isinstance(rec.get("universe"), str)):
                 raise InvalidInstance(
                     f"checkpoint line {number} is not a scan record")
-            if rec.get("n") == n and rec.get("universe") == universe:
+            if rec["n"] == n and rec["universe"] == universe:
                 if not _well_formed(rec, n, units):
                     raise InvalidInstance(
                         f"checkpoint line {number} is a malformed scan record")

@@ -7,10 +7,11 @@ pair partitions of Z/(n) with prescribed differences, pair partitions of
 translate packings X_i + t_i with t_i drawn from a finite T_i.  Each
 search takes the smallest object not yet dealt with, except the one
 scans use, find_pair_partition, which takes the uncovered element with
-the fewest live partners; the CLI's partition keeps the canonical first
-solution.  A solver either returns a solution (deterministic, first in
-its branch order) or an Infeasible certificate recording how many search
-nodes it visited.
+the fewest live partners and cuts a state where some element has no
+live partner or some difference fewer free placements than copies left;
+the CLI's partition keeps the canonical first solution.  A solver
+either returns a solution (deterministic, first in its branch order) or
+an Infeasible certificate recording how many search nodes it visited.
 """
 
 from __future__ import annotations
@@ -197,12 +198,17 @@ def find_pair_partition(inst: PartitionInstance) -> PairPartition | Infeasible:
     branching on the uncovered element e with the fewest live partners:
     remaining differences d with e + d or e - d uncovered, d = n/2 once.
 
-    A state where some e has none is cut.  Counts are capped at 3, ties
+    A state is cut where some e has none, or where some d with c copies
+    left has fewer than c uncovered x with x + d uncovered (2c at
+    d = n/2, where both ends of each pair are such an x); the cuts drop
+    only states with no partition below them.  Counts are capped at 3, ties
     go to the smallest e, and partners come in solve_pair_partition's
     order, but the partition found need not be that search's first.
     """
     n = inst.n
     counts, dvals = _difference_counts(inst)
+    # each value d with its shift n - d the other way and whether d = n/2
+    table = [(dv, n - dv, 2 * dv == n) for dv in dvals]
     free = (1 << n) - 1 - (inst.universe == "nonzero")   # uncovered, as bits
     chosen: list[tuple[int, int, int]] = []
 
@@ -213,33 +219,46 @@ def find_pair_partition(inst: PartitionInstance) -> PairPartition | Infeasible:
             return
         # bit-sliced counts of live partners, capped at 3
         one = two = three = 0
-        for dv in dvals:
+        lives = []
+        for dv, rv, half in table:
             if counts[dv]:
-                up = free & (free >> dv | free << (n - dv))
-                down = free & (free << dv | free >> (n - dv))
-                for live in (up,) if 2 * dv == n else (up, down):
-                    three |= two & live
-                    two |= one & live
-                    one |= live
+                up = free & (free >> dv | free << rv)
+                # the pairs (x, x + d) left need distinct x in up; at
+                # d = n/2 up holds both ends of each
+                if up.bit_count() < counts[dv] << half:
+                    return
+                down = 0 if half else free & (free << dv | free >> rv)
+                lives.append((dv, rv, up, down))
+                either = up | down
+                three |= two & either | one & up & down
+                two |= one & either | up & down
+                one |= either
         if free & ~one:
             return
         pick = free & ~two or free & ~three or free
         bit = pick & -pick
         e = bit.bit_length() - 1
         free ^= bit
-        for dv in dvals:
-            if counts[dv]:
-                up, down = (e + dv) % n, (e - dv) % n
-                for x, y in ((e, up),) if up == down else ((e, up), (down, e)):
-                    partner = 1 << (y if x == e else x)
-                    if free & partner:
-                        free ^= partner
-                        counts[dv] -= 1
-                        chosen.append((x, y, dv))
-                        yield 0
-                        chosen.pop()
-                        counts[dv] += 1
-                        free ^= partner
+        # the masks still hold here: each child undoes its move
+        for dv, rv, up, down in lives:
+            if up >> e & 1:
+                y = e + dv if e < rv else e - rv
+                free ^= 1 << y
+                counts[dv] -= 1
+                chosen.append((e, y, dv))
+                yield 0
+                chosen.pop()
+                counts[dv] += 1
+                free ^= 1 << y
+            if down >> e & 1:
+                x = e - dv if e >= dv else e + rv
+                free ^= 1 << x
+                counts[dv] -= 1
+                chosen.append((x, e, dv))
+                yield 0
+                chosen.pop()
+                counts[dv] += 1
+                free ^= 1 << x
         free ^= bit
 
     return _search(node) or _deal(inst, chosen)

@@ -233,6 +233,7 @@ def test_seed_without_sample_is_one_error_line(capsys, argv):
     '{"n": 7, "universe": "nonzero"}',
     '{"failures": [], "feasible": 36, "n": 7, "shard": 1, "total": "x", '
     '"universe": "nonzero"}',
+    '{"garbage": 1}',
 ])
 def test_malformed_checkpoint_record_is_one_error_line(capsys, tmp_path,
                                                        record):

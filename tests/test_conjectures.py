@@ -197,6 +197,21 @@ def test_fewest_live_partners_search_agrees_with_canonical():
                for kind in (False, True, "nonzero", "full"))
 
 
+@pytest.mark.parametrize("n", range(3, 11))
+def test_fewest_live_partners_search_on_every_multiset(n):
+    """Every multiset of nonzero differences mod n, non-units and n/2
+    included: the scans' search and the canonical one give the same
+    verdict, and every partition found verifies."""
+    universe = "nonzero" if n % 2 else "full"
+    for d in itertools.combinations_with_replacement(range(1, n), n // 2):
+        inst = PartitionInstance(n, d, universe)
+        found = find_pair_partition(inst)
+        infeasible = isinstance(found, Infeasible)
+        assert infeasible == isinstance(solve_pair_partition(inst),
+                                        Infeasible), d
+        assert infeasible or verify_solution(inst, found), d
+
+
 @pytest.mark.parametrize("n", range(3, 16))
 def test_orbit_scan_matches_direct_scan(n):
     assert scan_conjecture(n).to_json() == direct_scan(n)
@@ -496,6 +511,12 @@ def test_infeasible_orbit_even_modulus_checkpoint(tmp_path, monkeypatch):
      "feasible": 36, "failures": 5},
     {"n": 7, "universe": "nonzero", "shard": 1, "total": 36,
      "feasible": 36, "failures": [[1, "2", 3]]},
+    {},
+    {"garbage": 1},
+    {"n": "7", "universe": "nonzero"},
+    {"n": 7, "universe": None},
+    {"universe": "nonzero", "shard": 1, "total": 36, "feasible": 36,
+     "failures": []},
 ])
 def test_malformed_checkpoint_record_names_its_line(tmp_path, record):
     path = tmp_path / "scan.jsonl"
