@@ -7,12 +7,13 @@ point is used anywhere.  A ring is only a modulus (ModRing) or its absence
 reduces them into [0, n) when there is a modulus.
 Cyclotomic integers are integer coefficient vectors modulo x^n - 1, which
 is deliberately not a canonical form: zero is decided by exact divisibility
-by the n-th cyclotomic polynomial.  The paper's counting quantities are
-not here: the multinomial lives in dyson, the permanents in conjectures.
+by the n-th cyclotomic polynomial.  The package's one multinomial is here,
+so scans need not load dyson; the permanents live in conjectures.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 
@@ -39,6 +40,20 @@ def is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def multinomial(parts) -> int:
+    """(sum parts)! / prod(part!) for nonnegative integer parts: the number
+    of orderings of a multiset with these multiplicities (1 for no parts)."""
+    parts = tuple(parts)
+    return math.factorial(sum(parts)) // math.prod(map(math.factorial, parts))
+
+
+def json_value(value, name: str, kind: type = int):
+    """value if its type is exactly kind (so a bool is not a JSON int)."""
+    if type(value) is not kind:
+        raise TypeError(f"{name} must be a JSON {kind.__name__}, got {value!r}")
+    return value
 
 
 class ModRing:

@@ -18,20 +18,6 @@ import json
 import sys
 import time
 
-from .algebra import ZZ, ModRing
-from .conjectures import scan_conjecture
-from .dyson import (DEFAULT_DEGREE_BUDGET, DysonInstance, dyson_bruteforce,
-                    dyson_formula, dyson_via_evaluation)
-from .nullstellensatz import GridSpec, cn_coefficient, cn_witness
-from .poly import BudgetExceeded, MultiPoly
-from .solvers import (Infeasible, InvalidInstance, PackingInstance,
-                      PairPartition, PartitionInstance,
-                      VectorPartitionInstance, check_packing_hypotheses,
-                      solve_pair_partition, solve_translate_packing,
-                      solve_vector_partition, verify_solution)
-from .sumsets import (DEFAULT_TIGHT_CAP, SumsetInstance, check_bound, sumset,
-                      verify_cd_bound)
-
 
 class CliError(ValueError):
     pass
@@ -82,6 +68,9 @@ def _load(path: str) -> dict:
 
 
 def cmd_partition(args) -> int:
+    from .solvers import (Infeasible, PartitionInstance,
+                          VectorPartitionInstance, solve_pair_partition,
+                          solve_vector_partition)
     if args.file:
         doc = _load(args.file)
     else:
@@ -108,6 +97,8 @@ def cmd_partition(args) -> int:
 
 
 def cmd_pack(args) -> int:
+    from .solvers import (Infeasible, PackingInstance,
+                          check_packing_hypotheses, solve_translate_packing)
     if args.file:
         doc = _load(args.file)
     else:
@@ -130,9 +121,15 @@ def cmd_pack(args) -> int:
 
 
 def cmd_dyson(args) -> int:
+    from .dyson import (DEFAULT_DEGREE_BUDGET, BudgetExceeded, DysonInstance,
+                        dyson_bruteforce, dyson_formula, dyson_via_evaluation)
     inst = DysonInstance(_ints(args.a))
     formula = dyson_formula(inst)
-    brute = dyson_bruteforce(inst, args.max_degree)
+    try:
+        brute = dyson_bruteforce(
+            inst, getattr(args, "max_degree", DEFAULT_DEGREE_BUDGET))
+    except BudgetExceeded as exc:
+        raise CliError(str(exc)) from None
     evaluated = dyson_via_evaluation(inst)
     _emit({"a": list(inst.a), "formula": formula, "bruteforce": brute,
            "evaluation": evaluated})
@@ -140,6 +137,9 @@ def cmd_dyson(args) -> int:
 
 
 def cmd_cn_coeff(args) -> int:
+    from .algebra import ZZ, ModRing
+    from .nullstellensatz import GridSpec, cn_coefficient, cn_witness
+    from .poly import MultiPoly
     ring = ModRing(args.mod) if args.mod is not None else ZZ
     f = MultiPoly.from_json(ring, _load(args.file))
     grid = GridSpec(_int_sets(args.grid))
@@ -153,6 +153,7 @@ def cmd_cn_coeff(args) -> int:
 
 
 def cmd_conjecture_scan(args) -> int:
+    from .conjectures import scan_conjecture
     doc = _timed_report(args.timing, lambda: scan_conjecture(
         args.n, sample=args.sample, seed=args.seed,
         checkpoint=args.checkpoint))
@@ -169,6 +170,8 @@ def cmd_conjecture_scan(args) -> int:
 
 
 def cmd_sumset(args) -> int:
+    from .sumsets import (DEFAULT_TIGHT_CAP, SumsetInstance, check_bound,
+                          sumset, verify_cd_bound)
     if args.A is not None or args.B is not None:
         if args.A is None or args.B is None:
             raise CliError("--A and --B go together")
@@ -198,14 +201,13 @@ def cmd_sumset(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .solvers import (PackingInstance, PairPartition, PartitionInstance,
+                          VectorPartitionInstance, verify_solution)
     inst_doc = _load(args.instance)
     sol_doc = _load(args.solution)
-    if "bases" in inst_doc:
-        inst = VectorPartitionInstance.from_json(inst_doc)
-    elif "X" in inst_doc:
-        inst = PackingInstance.from_json(inst_doc)
-    else:
-        inst = PartitionInstance.from_json(inst_doc)
+    inst = (VectorPartitionInstance if "bases" in inst_doc else
+            PackingInstance if "X" in inst_doc else
+            PartitionInstance).from_json(inst_doc)
 
     if sol_doc.get("result") != "feasible":
         _emit({"verified": False})
@@ -256,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dyson", help="constant term three ways")
     p.add_argument("--a", required=True, help="comma-separated exponents")
-    p.add_argument("--max-degree", type=int, default=DEFAULT_DEGREE_BUDGET,
+    p.add_argument("--max-degree", type=int, default=argparse.SUPPRESS,
                    help="expansion budget for the brute-force route")
     p.set_defaults(func=cmd_dyson)
 
@@ -291,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--tight-cap", type=int,
                    help="how many equality pairs to keep in the report "
-                        f"(default {DEFAULT_TIGHT_CAP})")
+                        "(default 32)")
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=cmd_sumset)
 
@@ -309,8 +311,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (InvalidInstance, BudgetExceeded, ValueError, ArithmeticError,
-            OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

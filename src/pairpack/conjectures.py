@@ -42,8 +42,7 @@ from functools import lru_cache
 from itertools import chain, combinations_with_replacement, product
 from random import Random
 
-from .algebra import CycloInt, is_prime
-from .dyson import multinomial
+from .algebra import CycloInt, is_prime, multinomial
 from .solvers import (Infeasible, InvalidInstance, PartitionInstance,
                       find_pair_partition, verify_solution)
 

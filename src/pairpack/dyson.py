@@ -4,10 +4,10 @@ Equivalently: the coefficient of prod x_i^(a - a_i), a = sum a_i, in
 
     f = prod_{i < j} (-1)^{a_j} (x_j - x_i)^{a_i + a_j}.
 
-The closed form is the multinomial a! / (a_1! ... a_n!), and multinomial
-is the one place the package computes one: the packing coefficient
-(md)! / (d!)^m is its value at a = (d, ..., d), and a scan weighs each
-sorted difference multiset by the multinomial of its multiplicities.
+The closed form is the multinomial a! / (a_1! ... a_n!), computed by
+algebra.multinomial: the packing coefficient (md)! / (d!)^m is its value
+at a = (d, ..., d), and a scan weighs each sorted difference multiset by
+the multinomial of its multiplicities.
 The brute-force route expands f literally through poly's difference
 product and reads the coefficient off; it shares nothing with the other
 two routes and serves as the independent oracle.
@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import ZZ
+from .algebra import ZZ, multinomial
 from .poly import BudgetExceeded, difference_product
 
 DEFAULT_DEGREE_BUDGET = 24
@@ -50,14 +50,6 @@ def _as_instance(inst) -> DysonInstance:
     if isinstance(inst, DysonInstance):
         return inst
     return DysonInstance(tuple(inst))
-
-
-def multinomial(parts) -> int:
-    """(sum parts)! / prod(part!) for nonnegative integer parts: the number
-    of orderings of a multiset with these multiplicities.  Empty parts give
-    1, and zero parts change nothing."""
-    parts = tuple(parts)
-    return math.factorial(sum(parts)) // math.prod(map(math.factorial, parts))
 
 
 def dyson_formula(inst) -> int:

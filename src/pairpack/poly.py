@@ -20,6 +20,8 @@ from __future__ import annotations
 import itertools
 import math
 
+from .algebra import json_value
+
 
 class ArityMismatch(ValueError):
     """Polynomials or points with different variable counts were combined."""
@@ -188,9 +190,12 @@ class MultiPoly:
 
     @classmethod
     def from_json(cls, ring, doc: dict) -> MultiPoly:
-        try:
-            terms = [(tuple(t["e"]), int(t["c"])) for t in doc["terms"]]
-            return cls(ring, doc["arity"], terms)
+        try:    # a coefficient is a JSON int or, as to_json writes, a string
+            terms = [([json_value(x, "e") for x in t["e"]],
+                      json_value(int(c) if type(c := t["c"]) is str and
+                                 c.removeprefix("-").isdecimal() else c, "c"))
+                     for t in doc["terms"]]
+            return cls(ring, json_value(doc["arity"], "arity"), terms)
         except (KeyError, TypeError) as exc:
             raise ValueError(
                 f"malformed polynomial JSON ({type(exc).__name__}: {exc})"

@@ -22,8 +22,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
 
-from .algebra import is_basis, is_prime, vec_add, vec_sub
-from .dyson import packing_coefficient
+from .algebra import is_basis, is_prime, json_value, vec_add, vec_sub
 
 
 class InvalidInstance(ValueError):
@@ -134,9 +133,9 @@ class PartitionInstance:
     @classmethod
     @_json_errors
     def from_json(cls, doc: dict) -> "PartitionInstance":
-        n = int(doc["n"])
+        n = json_value(doc["n"], "n")
         universe = doc.get("universe") or ("nonzero" if n % 2 else "full")
-        return cls(n, tuple(doc["d"]), universe)
+        return cls(n, tuple(json_value(x, "d") for x in doc["d"]), universe)
 
 
 @dataclass(frozen=True)
@@ -334,9 +333,10 @@ class VectorPartitionInstance:
     @classmethod
     @_json_errors
     def from_json(cls, doc: dict) -> "VectorPartitionInstance":
-        bases = tuple(tuple(tuple(v) for v in basis) for basis in doc["bases"])
-        return cls(int(doc["p"]), int(doc["k"]), bases,
-                   check=bool(doc.get("check", True)))
+        bases = tuple(tuple(tuple(json_value(c, "bases") for c in v)
+                            for v in basis) for basis in doc["bases"])
+        return cls(json_value(doc["p"], "p"), json_value(doc["k"], "k"), bases,
+                   check=json_value(doc.get("check", True), "check", bool))
 
 
 def solve_vector_partition(inst: VectorPartitionInstance):
@@ -443,8 +443,10 @@ class PackingInstance:
     @classmethod
     @_json_errors
     def from_json(cls, doc: dict) -> "PackingInstance":
-        return cls(doc["n"], tuple(map(tuple, doc["X"])),
-                   tuple(map(tuple, doc["T"])), int(doc["d"]))
+        n = doc["n"] if doc["n"] == "integers" else json_value(doc["n"], "n")
+        X, T = (tuple(tuple(json_value(v, key) for v in s) for s in doc[key])
+                for key in ("X", "T"))
+        return cls(n, X, T, json_value(doc["d"], "d"))
 
 
 def solve_translate_packing(inst: PackingInstance):
@@ -514,6 +516,7 @@ class PackingReport:
 
 
 def check_packing_hypotheses(inst: PackingInstance) -> PackingReport:
+    from .dyson import packing_coefficient  # so partitions never load dyson
     m, d = inst.m, inst.d
     mod = inst.modulus
     factorial_ok = mod is None or packing_coefficient(m, d) % mod != 0

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line front end."""
 
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -11,7 +12,9 @@ import pytest
 
 from pairpack import cli
 from pairpack.algebra import ZZ
+from pairpack.dyson import DEFAULT_DEGREE_BUDGET
 from pairpack.poly import MultiPoly
+from pairpack.sumsets import DEFAULT_TIGHT_CAP
 
 
 def run(capsys, argv):
@@ -107,6 +110,23 @@ def test_dyson_budget_error(capsys):
                                 "--max-degree", "30"])
     assert code == 0
     assert json.loads(out)["formula"] == 756756
+
+
+def test_budget_exceeded_is_one_error_line(capsys):
+    # the handler maps BudgetExceeded, a RuntimeError, to the error line;
+    # main itself catches no RuntimeError
+    assert run(capsys, ["dyson", "--a", "2,2", "--max-degree", "-5"]) == (
+        1, "", "error: expansion degree 4 exceeds budget -5\n")
+    assert run(capsys, ["dyson", "--a", "5,5,5"]) == (
+        1, "", "error: expansion degree 30 exceeds budget "
+               f"{DEFAULT_DEGREE_BUDGET}\n")
+
+
+def test_help_names_the_library_defaults(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["sumset", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert f"(default {DEFAULT_TIGHT_CAP})" in out
 
 
 def test_cn_coeff(capsys, tmp_path):
@@ -337,6 +357,7 @@ def test_bad_subcommand_and_bad_file(capsys, tmp_path):
 
 
 INSTANCE = {"n": 5, "d": [1, 2]}
+SOLUTION = {"result": "feasible", "pairs": [[2, 3], [4, 1]]}
 
 
 @pytest.mark.parametrize("command, doc, solution", [
@@ -354,19 +375,76 @@ INSTANCE = {"n": 5, "d": [1, 2]}
 ])
 def test_malformed_json_is_one_error_line(capsys, tmp_path, command, doc,
                                           solution):
+    if solution is not None:
+        (tmp_path / "sol.json").write_text(json.dumps(solution))
+    code, out, err = run(capsys, _doc_argv(command, doc, tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _doc_argv(command, doc, tmp_path):
+    """argv that makes command read doc from a file in tmp_path; verify
+    reads its solution from sol.json there."""
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
-    argv = {"partition": ["partition", "--file", str(path)],
+    return {"partition": ["partition", "--file", str(path)],
             "pack": ["pack", "--file", str(path)],
             "cn-coeff": ["cn-coeff", "--file", str(path), "--grid", "0,1;0,1"],
             "verify": ["verify", "--instance", str(path),
                        "--solution", str(tmp_path / "sol.json")]}[command]
-    if solution is not None:
-        (tmp_path / "sol.json").write_text(json.dumps(solution))
-    code, out, err = run(capsys, argv)
-    assert code == 1
-    assert out == ""
+
+
+@pytest.mark.parametrize("command, doc, field", [
+    ("partition", {"n": 5, "d": [1, 2.5]}, "d"),
+    ("partition", {"n": "5", "d": "12"}, "n"),
+    ("partition", {"n": 5.9, "d": [1, 2]}, "n"),
+    ("partition", {"p": 3, "k": 1.5, "bases": [[[1]]]}, "k"),
+    ("partition", {"p": 3, "k": 1, "bases": [[[1]]], "check": 1}, "check"),
+    ("pack", {"n": 7, "X": [[0], [0, 1]], "T": [[0, 1], [0, 1]], "d": 1.7},
+     "d"),
+    ("pack", {"n": "7", "X": [[0]], "T": [[0]], "d": 1}, "n"),
+    ("verify", {"n": 5, "d": [1, 2.5]}, "d"),
+    ("verify", {"n": 7, "X": [[0]], "T": [[0]], "d": 1.7}, "d"),
+    ("verify", {"p": 3, "k": 1.5, "bases": [[[1]]]}, "k"),
+    ("cn-coeff", {"arity": 2, "terms": [{"e": [1, 1], "c": 2.7}]}, "c"),
+])
+def test_non_integer_json_field_is_one_error_line(capsys, tmp_path, command,
+                                                  doc, field):
+    (tmp_path / "sol.json").write_text(json.dumps(SOLUTION))
+    code, out, err = run(capsys, _doc_argv(command, doc, tmp_path))
+    assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{field} must be a JSON" in err
+
+
+NOT_FOR_SOLVES = {"conjectures", "sumsets", "nullstellensatz", "dyson", "poly"}
+
+
+@pytest.mark.parametrize("argv, needed, unneeded", [
+    (["dyson", "--a", "2,2,2"], "dyson",
+     {"solvers", "conjectures", "sumsets", "nullstellensatz"}),
+    (["sumset", "--p", "3", "--alpha", "2"], "sumsets",
+     {"solvers", "conjectures", "dyson", "poly", "nullstellensatz"}),
+    (["partition", "--file", "{inst}"], "solvers", NOT_FOR_SOLVES),
+    (["verify", "--instance", "{inst}", "--solution", "{sol}"], "solvers",
+     NOT_FOR_SOLVES),
+])
+def test_subcommand_loads_only_its_modules(tmp_path, argv, needed, unneeded):
+    inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
+    inst.write_text(json.dumps(INSTANCE))
+    sol.write_text(json.dumps(SOLUTION))
+    argv = [a.format(inst=inst, sol=sol) for a in argv]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "pairpack.cli", *argv],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr[-500:]
+    loaded = set(re.findall(r"\|\s+pairpack\.(\w+)\s*$", proc.stderr,
+                            re.MULTILINE))
+    assert needed in loaded
+    assert not loaded & unneeded, sorted(loaded)
 
 
 def test_console_script_runs():

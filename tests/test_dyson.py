@@ -5,10 +5,9 @@ import random
 
 import pytest
 
-from pairpack.algebra import ZZ
+from pairpack.algebra import ZZ, multinomial
 from pairpack.dyson import (DysonInstance, dyson_bruteforce, dyson_formula,
-                            dyson_via_evaluation, multinomial,
-                            packing_coefficient)
+                            dyson_via_evaluation, packing_coefficient)
 from pairpack.nullstellensatz import GridSpec, cn_coefficient
 from pairpack.poly import BudgetExceeded, MultiPoly, _difference_power
 

@@ -105,6 +105,21 @@ def test_json_round_trip():
             assert p == q
 
 
+def test_from_json_coefficients_are_ints_or_decimal_strings():
+    doc = {"arity": 2, "terms": [{"e": [1, 0], "c": "-12"},
+                                 {"e": [0, 1], "c": 5}]}
+    assert MultiPoly.from_json(ZZ, doc) == MultiPoly(
+        ZZ, 2, {(1, 0): -12, (0, 1): 5})
+    for term, field in (({"e": [1, 1], "c": 2.7}, "c"),
+                        ({"e": [1, 1], "c": "2.7"}, "c"),
+                        ({"e": [1, 1], "c": True}, "c"),
+                        ({"e": [1.0, 1], "c": 2}, "e")):
+        with pytest.raises(ValueError, match=rf"\b{field} must be a JSON"):
+            MultiPoly.from_json(ZZ, {"arity": 2, "terms": [term]})
+    with pytest.raises(ValueError, match=r"arity must be a JSON"):
+        MultiPoly.from_json(ZZ, {"arity": 2.0, "terms": []})
+
+
 def test_sorted_terms_deterministic():
     R = ModRing(5)
     terms = [((0, 1), 1), ((2, 0), 3), ((1, 1), 4)]

@@ -78,6 +78,43 @@ def test_partition_json_round_trip():
     assert PartitionInstance.from_json({"n": 4, "d": [1, 1]}).universe == "full"
 
 
+@pytest.mark.parametrize("cls, doc, field", [
+    (PartitionInstance, {"n": 5, "d": [1, 2.5]}, "d"),
+    (PartitionInstance, {"n": "5", "d": "12"}, "n"),
+    (PartitionInstance, {"n": 5, "d": "12"}, "d"),
+    (PartitionInstance, {"n": 5.9, "d": [1, 2]}, "n"),
+    (PartitionInstance, {"n": True, "d": [1, 2]}, "n"),
+    (PartitionInstance, {"n": 5, "d": [True, 2]}, "d"),
+    (VectorPartitionInstance, {"p": 3, "k": 1.5, "bases": [[[1]]]}, "k"),
+    (VectorPartitionInstance, {"p": "3", "k": 1, "bases": [[[1]]]}, "p"),
+    (VectorPartitionInstance, {"p": 3, "k": 1, "bases": [[[1.0]]]}, "bases"),
+    (VectorPartitionInstance,
+     {"p": 3, "k": 1, "bases": [[[1]]], "check": 1}, "check"),
+    (VectorPartitionInstance,
+     {"p": 3, "k": 1, "bases": [[[1]]], "check": "false"}, "check"),
+    (PackingInstance, {"n": 7, "X": [[0]], "T": [[0]], "d": 1.7}, "d"),
+    (PackingInstance, {"n": "7", "X": [[0]], "T": [[0]], "d": 1}, "n"),
+    (PackingInstance, {"n": 7.0, "X": [[0]], "T": [[0]], "d": 1}, "n"),
+    (PackingInstance, {"n": 7, "X": [[0.5]], "T": [[0]], "d": 1}, "X"),
+    (PackingInstance, {"n": 7, "X": [[0]], "T": [["0"]], "d": 1}, "T"),
+])
+def test_from_json_takes_only_json_integers(cls, doc, field):
+    # a float, bool or string in an integer field used to be truncated or
+    # reinterpreted (d = [1, 2.5] solved d = (1, 2)); now it names the field
+    with pytest.raises(InvalidInstance, match=rf"\b{field} must be a JSON"):
+        cls.from_json(doc)
+
+
+def test_from_json_keeps_integers_ambient_and_check_flag():
+    inst = PackingInstance.from_json({"n": "integers", "X": [[0, 2]],
+                                      "T": [[0]], "d": 1})
+    assert inst.modulus is None
+    doc = {"p": 3, "k": 1, "bases": [[[0]]], "check": False}
+    assert VectorPartitionInstance.from_json(doc).bases == (((0,),),)
+    with pytest.raises(InvalidInstance):
+        VectorPartitionInstance.from_json({**doc, "check": True})
+
+
 def test_solver_known_answers():
     assert solve_pair_partition(PartitionInstance(3, (1,))).pairs == ((1, 2),)
     assert solve_pair_partition(PartitionInstance(5, (1, 2))).pairs == \
