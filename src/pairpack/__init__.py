@@ -32,3 +32,7 @@ def __getattr__(name):
     if name not in _MODULE_OF:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_MODULE_OF})

@@ -14,6 +14,7 @@ so scans need not load dyson; the permanents live in conjectures.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from functools import lru_cache
 
 
@@ -54,6 +55,18 @@ def json_value(value, name: str, kind: type = int):
     if type(value) is not kind:
         raise TypeError(f"{name} must be a JSON {kind.__name__}, got {value!r}")
     return value
+
+
+@contextmanager
+def json_errors(what: str, error: type):
+    """Report a missing key or a mistyped value in a JSON document as
+    error("malformed <what> JSON (...)") instead of a KeyError or
+    TypeError.  A with block or, like any context manager, a decorator."""
+    try:
+        yield
+    except (KeyError, TypeError) as exc:
+        raise error(
+            f"malformed {what} JSON ({type(exc).__name__}: {exc})") from None
 
 
 class ModRing:

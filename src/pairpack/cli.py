@@ -201,6 +201,7 @@ def cmd_sumset(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .algebra import json_errors, json_value
     from .solvers import (PackingInstance, PairPartition, PartitionInstance,
                           VectorPartitionInstance, verify_solution)
     inst_doc = _load(args.instance)
@@ -213,19 +214,18 @@ def cmd_verify(args) -> int:
         _emit({"verified": False})
         return 2
 
-    try:
+    with json_errors("solution", CliError):
+        ints = lambda key, values: tuple(json_value(v, key) for v in values)
         if isinstance(inst, PackingInstance):
-            solution = tuple(sol_doc["t"])
+            solution = ints("t", sol_doc["t"])
         elif isinstance(inst, VectorPartitionInstance):
-            pairs = tuple((tuple(x), tuple(y)) for x, y in sol_doc["pairs"])
-            solution = (pairs, tuple(sol_doc["g"]))
+            pairs = tuple((ints("pairs", x), ints("pairs", y))
+                          for x, y in sol_doc["pairs"])
+            solution = (pairs, ints("g", sol_doc["g"]))
         else:
             solution = PairPartition(
-                tuple((x, y) for x, y in sol_doc["pairs"]))
+                tuple(ints("pairs", (x, y)) for x, y in sol_doc["pairs"]))
         ok = verify_solution(inst, solution)
-    except (KeyError, TypeError) as exc:
-        raise CliError(
-            f"malformed solution JSON ({type(exc).__name__}: {exc})") from None
 
     _emit({"verified": ok})
     return 0 if ok else 2

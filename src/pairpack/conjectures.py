@@ -133,15 +133,6 @@ def _sign_variants(folded, n: int) -> list[tuple[int, ...]]:
     return [tuple(sorted(chain(*parts))) for parts in product(*runs)]
 
 
-def _complete(line: bytes) -> bool:
-    """Is this checkpoint line a whole record, newline included?"""
-    try:
-        json.loads(line)
-    except ValueError:
-        return False
-    return line.endswith(b"\n")
-
-
 def _well_formed(rec, n: int, units) -> bool:
     """Could the scan mod n have written this record?
 
@@ -174,23 +165,22 @@ def _well_formed(rec, n: int, units) -> bool:
 def _load_checkpoint(path, n, universe):
     """Finished shards of this scan from a checkpoint file.
 
-    Each record is appended as one line with its newline, so a crash in
-    the middle of an append leaves a last line that is cut short.  That
-    line is dropped and cut off the file, so its shard runs again and the
-    new record starts on a line of its own.  An unparsable line anywhere
-    else raises, and so does a line that parses but is not a record (not
-    an object with an int "n" and a str "universe"), or a record of this
-    scan that the scan could not have written, with a missing or mistyped
-    field or counts and failures that disagree with its shard
-    (InvalidInstance naming the line).  Records of other scans are
-    skipped.
+    Each record is appended together with its newline, so a crash in the
+    middle of an append leaves a last line without one, and only that
+    line is torn.  It is dropped and cut off the file, so its shard runs
+    again and the new record starts on a line of its own.  Every other
+    line must parse (else json.JSONDecodeError, the file unchanged) to
+    an object with an int "n" and a str "universe"; a record with this
+    n must be one this scan could have written: its universe, fields,
+    counts and failures agree with n and its shard.  Otherwise
+    InvalidInstance names the line.  Records of other moduli are skipped.
     """
     try:
         with open(path, "rb") as fh:
             lines = fh.readlines()
     except FileNotFoundError:
         return {}
-    torn = bool(lines) and not _complete(lines[-1])
+    torn = bool(lines) and not lines[-1].endswith(b"\n")
     if torn:
         lines.pop()
     units = units_mod(n)
@@ -198,12 +188,13 @@ def _load_checkpoint(path, n, universe):
     for number, line in enumerate(lines, 1):
         if line.strip():
             rec = json.loads(line)
-            if not (isinstance(rec, dict) and isinstance(rec.get("n"), int)
+            if not (isinstance(rec, dict) and type(rec.get("n")) is int
                     and isinstance(rec.get("universe"), str)):
                 raise InvalidInstance(
                     f"checkpoint line {number} is not a scan record")
-            if rec["n"] == n and rec["universe"] == universe:
-                if not _well_formed(rec, n, units):
+            if rec["n"] == n:
+                if rec["universe"] != universe or \
+                        not _well_formed(rec, n, units):
                     raise InvalidInstance(
                         f"checkpoint line {number} is a malformed scan record")
                 done[rec["shard"]] = rec

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .algebra import json_value
+from .algebra import json_errors, json_value
 
 
 class ArityMismatch(ValueError):
@@ -87,19 +87,8 @@ class MultiPoly:
         if isinstance(other, int):
             other = MultiPoly.constant(self.ring, self.arity, other)
         _check_pair(self, other)
-        n = self.ring.n
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if n:
-                s %= n
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        res = MultiPoly(self.ring, self.arity)
-        res.terms = out
-        return res
+        return MultiPoly(self.ring, self.arity,
+                         [*self.terms.items(), *other.terms.items()])
 
     __radd__ = __add__
 
@@ -189,17 +178,14 @@ class MultiPoly:
         }
 
     @classmethod
+    @json_errors("polynomial", ValueError)
     def from_json(cls, ring, doc: dict) -> MultiPoly:
-        try:    # a coefficient is a JSON int or, as to_json writes, a string
-            terms = [([json_value(x, "e") for x in t["e"]],
-                      json_value(int(c) if type(c := t["c"]) is str and
-                                 c.removeprefix("-").isdecimal() else c, "c"))
-                     for t in doc["terms"]]
-            return cls(ring, json_value(doc["arity"], "arity"), terms)
-        except (KeyError, TypeError) as exc:
-            raise ValueError(
-                f"malformed polynomial JSON ({type(exc).__name__}: {exc})"
-            ) from None
+        # a coefficient is a JSON int or, as to_json writes, a string
+        terms = [([json_value(x, "e") for x in t["e"]],
+                  json_value(int(c) if type(c := t["c"]) is str and
+                             c.removeprefix("-").isdecimal() else c, "c"))
+                 for t in doc["terms"]]
+        return cls(ring, json_value(doc["arity"], "arity"), terms)
 
     def __repr__(self):
         shown = ", ".join(f"{e}:{c}" for e, c in self.sorted_terms()[:4])

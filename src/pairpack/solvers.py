@@ -16,33 +16,17 @@ an Infeasible certificate recording how many search nodes it visited.
 
 from __future__ import annotations
 
-import functools
 import operator
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import product
 
-from .algebra import is_basis, is_prime, json_value, vec_add, vec_sub
+from .algebra import (is_basis, is_prime, json_errors, json_value, vec_add,
+                      vec_sub)
 
 
 class InvalidInstance(ValueError):
     """Instance data breaks a structural requirement."""
-
-
-def _json_errors(from_json):
-    """Report a missing key or a mistyped value in an instance document
-    as InvalidInstance instead of a KeyError or TypeError."""
-
-    @functools.wraps(from_json)
-    def parse(cls, doc):
-        try:
-            return from_json(cls, doc)
-        except (KeyError, TypeError) as exc:
-            raise InvalidInstance(
-                f"malformed instance JSON ({type(exc).__name__}: {exc})"
-            ) from None
-
-    return parse
 
 
 @dataclass(frozen=True)
@@ -131,7 +115,7 @@ class PartitionInstance:
         return {"n": self.n, "universe": self.universe, "d": list(self.d)}
 
     @classmethod
-    @_json_errors
+    @json_errors("instance", InvalidInstance)
     def from_json(cls, doc: dict) -> "PartitionInstance":
         n = json_value(doc["n"], "n")
         universe = doc.get("universe") or ("nonzero" if n % 2 else "full")
@@ -331,7 +315,7 @@ class VectorPartitionInstance:
                 "bases": [[list(v) for v in basis] for basis in self.bases]}
 
     @classmethod
-    @_json_errors
+    @json_errors("instance", InvalidInstance)
     def from_json(cls, doc: dict) -> "VectorPartitionInstance":
         bases = tuple(tuple(tuple(json_value(c, "bases") for c in v)
                             for v in basis) for basis in doc["bases"])
@@ -441,7 +425,7 @@ class PackingInstance:
                 "T": [list(s) for s in self.T], "d": self.d}
 
     @classmethod
-    @_json_errors
+    @json_errors("instance", InvalidInstance)
     def from_json(cls, doc: dict) -> "PackingInstance":
         n = doc["n"] if doc["n"] == "integers" else json_value(doc["n"], "n")
         X, T = (tuple(tuple(json_value(v, key) for v in s) for s in doc[key])

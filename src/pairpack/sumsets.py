@@ -217,8 +217,11 @@ def _sweep(p: int, alpha: int, tight_cap: int):
     * from the passes, for 2r <= size;
     * C(size, r) * C(size, s) or 0 for r, s both above size/2, where
       A + B is all of Z/(size): tight exactly when the bound is size;
-    * T(s, r) for the rest, when the bound is symmetric there, else from
-      passes over the orbits with |A| = r too.
+    * T(s, r) for the rest: (A, B) -> (B, A) keeps A + B, and beta is
+      symmetric (in its definition k -> n - k maps n - r < k < s onto
+      n - s < k < r, and C(n, k) = C(n, n - k)), so the swap maps the
+      tight pairs of sizes (r, s) onto those of sizes (s, r).  An
+      asymmetric table raises ArithmeticError.
 
     Every violation has a translate with B containing 0, or a swap that
     has, so none goes unseen; if there is any, literal passes over every
@@ -229,10 +232,10 @@ def _sweep(p: int, alpha: int, tight_cap: int):
     size = p ** alpha
     full = (1 << size) - 1
     table = _beta_table(p, size)
+    if any(table[r][s] != table[s][r] for r in range(size + 1)
+           for s in range(r)):
+        raise ArithmeticError(f"beta is not symmetric mod {size}")
     big = [2 * r > size for r in range(size + 1)]
-    passed = [not big[r] or any(table[r][s] != table[s][r]
-                                for s in range(1, size + 1) if not big[s])
-              for r in range(size + 1)]
     with_zero = _Subsets(size, 1)
     bounds = {}
     counts = [[0] * (size + 1) for _ in range(size + 1)]
@@ -241,7 +244,7 @@ def _sweep(p: int, alpha: int, tight_cap: int):
     bad = False
     for A in range(1, full + 1):
         r = A.bit_count()
-        if seen[A] or not passed[r]:
+        if seen[A] or big[r]:
             continue
         orbit = _affine_orbit(A, size, units)
         for image in orbit:
@@ -261,10 +264,10 @@ def _sweep(p: int, alpha: int, tight_cap: int):
                 bad = bad or table[r][s] > size
                 if table[r][s] == size:
                     tight_count += math.comb(size, r) * math.comb(size, s)
-            elif passed[r]:
-                tight_count += counts[r][s] * size // s
-            else:
+            elif big[r]:
                 tight_count += counts[s][r] * size // r
+            else:
+                tight_count += counts[r][s] * size // s
 
     every = _Subsets(size, 0) if bad or tight_cap else None
     literal = lambda A: every.excess(A, every.bounds(table[A.bit_count()]))

@@ -266,6 +266,21 @@ def test_malformed_checkpoint_record_is_one_error_line(capsys, tmp_path,
     assert "line 1" in err
 
 
+def test_unparsable_last_checkpoint_line_is_one_error_line(capsys, tmp_path):
+    """A last line that keeps its newline was not torn by an append, so
+    when it does not parse the scan stops and leaves the file alone."""
+    path = tmp_path / "scan.jsonl"
+    argv = ["conjecture-scan", "--n", "7", "--checkpoint", str(path)]
+    assert run(capsys, argv)[0] == 0
+    lines = path.read_text().splitlines(keepends=True)
+    broken = "".join(lines[:-1]) + lines[-1][:20] + "\n"
+    path.write_text(broken)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert path.read_text() == broken
+
+
 @pytest.mark.parametrize("edit", [
     {"feasible": 96},               # 5 more than shard 1's total of 91
     {"failures": [[99, 98]]},
@@ -358,6 +373,7 @@ def test_bad_subcommand_and_bad_file(capsys, tmp_path):
 
 INSTANCE = {"n": 5, "d": [1, 2]}
 SOLUTION = {"result": "feasible", "pairs": [[2, 3], [4, 1]]}
+PACKING = {"n": 7, "X": [[0, 1], [0, 2]], "T": [[0, 1, 2], [3, 4]], "d": 1}
 
 
 @pytest.mark.parametrize("command, doc, solution", [
@@ -408,10 +424,19 @@ def _doc_argv(command, doc, tmp_path):
     ("verify", {"n": 7, "X": [[0]], "T": [[0]], "d": 1.7}, "d"),
     ("verify", {"p": 3, "k": 1.5, "bases": [[[1]]]}, "k"),
     ("cn-coeff", {"arity": 2, "terms": [{"e": [1, 1], "c": 2.7}]}, "c"),
+    # an (instance, solution) pair: the solution's field is at fault
+    ("verify", (INSTANCE, {"result": "feasible", "pairs": [[2, 3], [4, True]]}),
+     "pairs"),
+    ("verify", (PACKING, {"result": "feasible", "t": [0, 3.0]}), "t"),
+    ("verify", (PACKING, {"result": "feasible", "t": [False, 3]}), "t"),
+    ("verify", ({"p": 3, "k": 1, "bases": [[[1]]]},
+                {"result": "feasible", "pairs": [[[1], [2]]], "g": [0.0]}),
+     "g"),
 ])
 def test_non_integer_json_field_is_one_error_line(capsys, tmp_path, command,
                                                   doc, field):
-    (tmp_path / "sol.json").write_text(json.dumps(SOLUTION))
+    doc, solution = doc if isinstance(doc, tuple) else (doc, SOLUTION)
+    (tmp_path / "sol.json").write_text(json.dumps(solution))
     code, out, err = run(capsys, _doc_argv(command, doc, tmp_path))
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -517,18 +517,38 @@ def test_infeasible_orbit_even_modulus_checkpoint(tmp_path, monkeypatch):
     {"n": 7, "universe": None},
     {"universe": "nonzero", "shard": 1, "total": 36, "feasible": 36,
      "failures": []},
+    # the universe follows from n: odd n pairs the nonzero residues
+    {"n": 7, "universe": "full", "shard": 1, "total": 1, "feasible": 1,
+     "failures": []},
+    {"n": 8, "universe": "nonzero", "total": "garbage"},
+    {"n": True, "universe": "nonzero"},             # a bool is not an int
 ])
 def test_malformed_checkpoint_record_names_its_line(tmp_path, record):
     path = tmp_path / "scan.jsonl"
-    scan_conjecture(7, checkpoint=str(path))
+    n = 8 if isinstance(record, dict) and record.get("n") == 8 else 7
+    scan_conjecture(n, checkpoint=str(path))
     good = path.read_text().splitlines(keepends=True)
     path.write_text(good[0] + json.dumps(record) + "\n" + "".join(good[1:]))
     with pytest.raises(InvalidInstance, match="line 2"):
-        scan_conjecture(7, checkpoint=str(path))
+        scan_conjecture(n, checkpoint=str(path))
     # as a torn last line, the same text is dropped and its shard rerun
     path.write_text("".join(good[:-1]) + json.dumps(record))
-    assert scan_conjecture(7, checkpoint=str(path)) == scan_conjecture(7)
+    assert scan_conjecture(n, checkpoint=str(path)) == scan_conjecture(n)
     assert path.read_text() == "".join(good)
+
+
+def test_unparsable_last_line_with_its_newline_raises(tmp_path):
+    """Only a last line without its newline is a torn append; a whole
+    last line that does not parse is an error like any other, and the
+    file is left as it was."""
+    path = tmp_path / "scan.jsonl"
+    scan_conjecture(7, checkpoint=str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    broken = "".join(lines[:-1]) + lines[-1][:20] + "\n"
+    path.write_text(broken)
+    with pytest.raises(json.JSONDecodeError):
+        scan_conjecture(7, checkpoint=str(path))
+    assert path.read_text() == broken
 
 
 @pytest.mark.parametrize("edit", [

@@ -13,6 +13,8 @@ import pairpack
 
 def test_every_public_name_resolves():
     assert len(pairpack.__all__) == len(set(pairpack.__all__))
+    assert "scan_conjecture" in dir(pairpack)
+    assert set(pairpack.__all__) <= set(dir(pairpack))
     for name in pairpack.__all__:
         value = getattr(pairpack, name)
         if name != "__version__":

@@ -74,6 +74,27 @@ def test_arithmetic_over_integers():
         assert (a * b).evaluate(pt) == a.evaluate(pt) * b.evaluate(pt)
 
 
+def test_sum_with_cancelling_terms_is_termwise():
+    """a + b drops every exponent whose coefficients cancel, over Z and
+    over Z/(35), and keeps the rest reduced."""
+    rng = random.Random(8)
+    for ring in (ZZ, ModRing(35)):
+        for _ in range(30):
+            a = rand_poly(rng, ring, 2)
+            b = rand_poly(rng, ring, 2) - a + rand_poly(rng, ring, 2)
+            want = {}
+            for e in {*a.terms, *b.terms}:
+                c = a.coefficient(e) + b.coefficient(e)
+                c = c % ring.n if ring.n else c
+                if c:
+                    want[e] = c
+            assert (a + b).terms == want
+        x = MultiPoly(ring, 1, {(1,): 34, (0,): 2})
+        y = MultiPoly(ring, 1, {(1,): -34, (2,): 1})
+        assert (x + y).terms == {(0,): 2, (2,): 1}
+        assert (x + (-x)).is_zero() and (x - x).is_zero()
+
+
 def test_total_degree():
     R = ModRing(7)
     assert MultiPoly(R, 2).total_degree() == 0
