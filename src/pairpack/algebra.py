@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from functools import lru_cache
+from operator import attrgetter
 
 
 class DimensionMismatch(ValueError):
@@ -57,6 +58,54 @@ def json_value(value, name: str, kind: type = int):
     return value
 
 
+class Value:
+    """A frozen plain value whose fields are its class's __slots__, less
+    any that a class keyword hidden=(names) names: they alone decide
+    equality (within one class), the hash and the repr Class(field=value,
+    ...).  Assigning or deleting an attribute raises AttributeError.  The
+    generic __init__ takes every field by position or keyword.  Classes
+    that validate or are built per solve write their own and store through
+    _fill, or object.__setattr__ where a single field or a build per solve
+    would make the extra call show."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, hidden=()):
+        cls._fields = tuple(f for f in cls.__slots__ if f not in hidden)
+        cls._key = attrgetter(*cls._fields)    # self._key(self): the fields
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        args += tuple(kwargs.pop(f) for f in names[len(args):] if f in kwargs)
+        if kwargs or len(args) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {', '.join(names)}")
+        self._fill(*args)
+
+    def _fill(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setstate__(self, state):      # copy and pickle: (None, slots)
+        self._fill(*map(state[1].get, self.__slots__))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
 @contextmanager
 def json_errors(what: str, error: type):
     """Report a missing key or a mistyped value in a JSON document as
@@ -69,26 +118,20 @@ def json_errors(what: str, error: type):
             f"malformed {what} JSON ({type(exc).__name__}: {exc})") from None
 
 
-class ModRing:
-    """The residue ring Z/(n), named by its modulus.  Elements are plain
-    ints; MultiPoly and AffineProduct reduce them with % n."""
+class ModRing(Value):
+    """The residue ring Z/(n), a value named by its modulus.  Elements are
+    plain ints; MultiPoly and AffineProduct reduce them with % n."""
 
     __slots__ = ("n",)
 
     def __init__(self, n: int):
         if not isinstance(n, int) or n < 2:
             raise ValueError("modulus must be an integer >= 2")
-        self.n = n
+        object.__setattr__(self, "n", n)
 
     @property
     def is_field(self) -> bool:
         return is_prime(self.n)
-
-    def __eq__(self, other):
-        return isinstance(other, ModRing) and self.n == other.n
-
-    def __hash__(self):
-        return hash(("ModRing", self.n))
 
     def __repr__(self):
         return f"ModRing({self.n})"

@@ -67,13 +67,20 @@ def _load(path: str) -> dict:
 # subcommands
 
 
+def _file_doc(args, flags):
+    """The --file instance (None without --file), given none of flags."""
+    given = [f"--{flag}" for flag in flags if getattr(args, flag) is not None]
+    if args.file and given:
+        raise CliError(f"--file with instance flags: {', '.join(given)}")
+    return _load(args.file) if args.file else None
+
+
 def cmd_partition(args) -> int:
     from .solvers import (Infeasible, PartitionInstance,
                           VectorPartitionInstance, solve_pair_partition,
                           solve_vector_partition)
-    if args.file:
-        doc = _load(args.file)
-    else:
+    doc = _file_doc(args, ("n", "d"))
+    if doc is None:
         if args.n is None or args.d is None:
             raise CliError("need --n and --d, or --file")
         doc = {"n": args.n, "d": list(_ints(args.d))}
@@ -99,9 +106,8 @@ def cmd_partition(args) -> int:
 def cmd_pack(args) -> int:
     from .solvers import (Infeasible, PackingInstance,
                           check_packing_hypotheses, solve_translate_packing)
-    if args.file:
-        doc = _load(args.file)
-    else:
+    doc = _file_doc(args, ("n", "X", "T", "d"))
+    if doc is None:
         if None in (args.n, args.X, args.T, args.d):
             raise CliError("need --n, --X, --T and --d, or --file")
         ambient = args.n if args.n == "integers" else int(args.n)
@@ -113,8 +119,7 @@ def cmd_pack(args) -> int:
     report = check_packing_hypotheses(inst).to_json()
     res = solve_translate_packing(inst)
     if isinstance(res, Infeasible):
-        _emit({"result": "infeasible", "nodes": res.nodes,
-               "hypotheses": report})
+        _emit({**res.to_json(), "hypotheses": report})
         return 2
     _emit({"result": "feasible", "t": list(res), "hypotheses": report})
     return 0
@@ -218,13 +223,16 @@ def cmd_verify(args) -> int:
         ints = lambda key, values: tuple(json_value(v, key) for v in values)
         if isinstance(inst, PackingInstance):
             solution = ints("t", sol_doc["t"])
-        elif isinstance(inst, VectorPartitionInstance):
-            pairs = tuple((ints("pairs", x), ints("pairs", y))
-                          for x, y in sol_doc["pairs"])
-            solution = (pairs, ints("g", sol_doc["g"]))
         else:
-            solution = PairPartition(
-                tuple(ints("pairs", (x, y)) for x, y in sol_doc["pairs"]))
+            pairs = json_value(sol_doc["pairs"], "pairs", list)
+            for pair in pairs:
+                if len(json_value(pair, "pairs", list)) != 2:
+                    raise TypeError(f"pairs must be [x, y] lists, got {pair!r}")
+            if isinstance(inst, VectorPartitionInstance):
+                solution = (tuple((ints("pairs", x), ints("pairs", y))
+                                  for x, y in pairs), ints("g", sol_doc["g"]))
+            else:
+                solution = PairPartition(tuple(ints("pairs", p) for p in pairs))
         ok = verify_solution(inst, solution)
 
     _emit({"verified": ok})

@@ -37,12 +37,11 @@ import json
 import math
 import os
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement, product
 from random import Random
 
-from .algebra import CycloInt, is_prime, multinomial
+from .algebra import CycloInt, Value, is_prime, multinomial
 from .solvers import (Infeasible, InvalidInstance, PartitionInstance,
                       find_pair_partition, verify_solution)
 
@@ -56,8 +55,7 @@ def units_mod(n: int) -> tuple[int, ...]:
 # scanning
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(Value):
     """Aggregate of one scan, a plain value: two identical scans give
     equal reports.
 
@@ -68,11 +66,8 @@ class ScanReport:
     exactly when every scanned vector was feasible.
     """
 
-    n: int
-    universe: str
-    instances_total: int
-    instances_feasible: int
-    failures: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "universe", "instances_total", "instances_feasible",
+                 "failures")
 
     def to_json(self) -> dict:
         return {"n": self.n, "universe": self.universe,

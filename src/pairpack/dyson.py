@@ -19,22 +19,20 @@ with factorial closed forms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .algebra import ZZ, multinomial
+from .algebra import ZZ, Value, multinomial
 from .poly import BudgetExceeded, difference_product
 
 DEFAULT_DEGREE_BUDGET = 24
 
 
-@dataclass(frozen=True)
-class DysonInstance:
+class DysonInstance(Value):
     """A vector of positive integer exponents a_1 .. a_n."""
 
-    a: tuple[int, ...]
+    __slots__ = ("a",)
 
-    def __post_init__(self):
-        a = tuple(int(x) for x in self.a)
+    def __init__(self, a):
+        a = tuple(int(x) for x in a)
         if not a:
             raise ValueError("need at least one exponent")
         if any(x < 1 for x in a):
@@ -47,9 +45,7 @@ class DysonInstance:
 
 
 def _as_instance(inst) -> DysonInstance:
-    if isinstance(inst, DysonInstance):
-        return inst
-    return DysonInstance(tuple(inst))
+    return inst if isinstance(inst, DysonInstance) else DysonInstance(inst)
 
 
 def dyson_formula(inst) -> int:

@@ -29,9 +29,8 @@ field with prescribed differences, built as unexpanded affine products.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .algebra import ModRing
+from .algebra import ModRing, Value
 from .poly import AffineProduct, ArityMismatch
 
 
@@ -43,15 +42,14 @@ class NonInvertibleDenominator(ArithmeticError):
     """The cleared denominator is not invertible in the coefficient ring."""
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(Value):
     """Evaluation grid A_1 x ... x A_n; set sizes fix the target exponents
     c_i = |A_i| - 1."""
 
-    sets: tuple[tuple[int, ...], ...]
+    __slots__ = ("sets",)
 
-    def __post_init__(self):
-        norm = tuple(tuple(int(a) for a in s) for s in self.sets)
+    def __init__(self, sets):
+        norm = tuple(tuple(int(a) for a in s) for s in sets)
         for s in norm:
             if not s:
                 raise ValueError("grid sets must be nonempty")

@@ -18,26 +18,27 @@ from __future__ import annotations
 
 import operator
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import product
 
-from .algebra import (is_basis, is_prime, json_errors, json_value, vec_add,
-                      vec_sub)
+from .algebra import (Value, is_basis, is_prime, json_errors, json_value,
+                      vec_add, vec_sub)
 
 
 class InvalidInstance(ValueError):
     """Instance data breaks a structural requirement."""
 
 
-@dataclass(frozen=True)
-class Infeasible:
+class Infeasible(Value):
     """A completed exhaustive search that found nothing.
 
     nodes counts search-tree states expanded before giving up; it makes
     the certificate auditable and keeps reports comparable across runs.
     """
 
-    nodes: int
+    __slots__ = ("nodes",)
+
+    def __init__(self, nodes: int):
+        object.__setattr__(self, "nodes", nodes)
 
     def to_json(self) -> dict:
         return {"result": "infeasible", "nodes": self.nodes}
@@ -68,8 +69,7 @@ def _search(node) -> "Infeasible | None":
 # pair partitions of Z/(n)
 
 
-@dataclass(frozen=True)
-class PartitionInstance:
+class PartitionInstance(Value):
     """Pair up a universe inside Z/(n) so that pair i has difference d[i].
 
     universe "nonzero" covers Z/(n) minus 0 and needs odd n; "full"
@@ -78,30 +78,25 @@ class PartitionInstance:
     not be units.
     """
 
-    n: int
-    d: tuple[int, ...]
-    universe: str = "nonzero"
+    __slots__ = ("n", "d", "universe")
 
-    def __post_init__(self):
-        n = int(self.n)
+    def __init__(self, n: int, d, universe: str = "nonzero"):
+        n = int(n)
         if n < 2:
             raise InvalidInstance(f"modulus {n} too small")
-        d = tuple(int(x) % n for x in self.d)
+        d = tuple(int(x) % n for x in d)
         if any(x == 0 for x in d):
             raise InvalidInstance("zero difference")
-        if self.universe == "nonzero":
-            if n % 2 == 0:
-                raise InvalidInstance("universe 'nonzero' needs an odd modulus")
-        elif self.universe == "full":
-            if n % 2:
-                raise InvalidInstance("universe 'full' needs an even modulus")
-        else:
-            raise InvalidInstance(f"unknown universe {self.universe!r}")
-        m = n // 2
-        if len(d) != m:
-            raise InvalidInstance(f"need {m} differences, got {len(d)}")
+        if universe not in ("nonzero", "full"):
+            raise InvalidInstance(f"unknown universe {universe!r}")
+        if n % 2 != (universe == "nonzero"):    # nonzero: odd n, full: even
+            raise InvalidInstance(f"universe {universe!r} needs an "
+                                  f"{'even' if n % 2 else 'odd'} modulus")
+        if len(d) != n // 2:
+            raise InvalidInstance(f"need {n // 2} differences, got {len(d)}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "d", d)
+        object.__setattr__(self, "universe", universe)
 
     @property
     def m(self) -> int:
@@ -122,11 +117,13 @@ class PartitionInstance:
         return cls(n, tuple(json_value(x, "d") for x in doc["d"]), universe)
 
 
-@dataclass(frozen=True)
-class PairPartition:
+class PairPartition(Value):
     """Pairs (x_i, y_i) with y_i - x_i = d_i, indexed like the instance."""
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ("pairs",)
+
+    def __init__(self, pairs):
+        object.__setattr__(self, "pairs", pairs)
 
     def to_json(self) -> dict:
         return {"result": "feasible", "pairs": [list(p) for p in self.pairs]}
@@ -268,8 +265,7 @@ def _deal(inst: PartitionInstance, chosen) -> PairPartition:
 # pair partitions of (F_p)^k with basis alternatives
 
 
-@dataclass(frozen=True)
-class VectorPartitionInstance:
+class VectorPartitionInstance(Value, hidden=("check",)):
     """(p^k - 1)/2 pair slots over (F_p)^k, one basis per slot.
 
     Slot i must realize some basis vector v_{i,j} (up to sign handled by
@@ -278,28 +274,22 @@ class VectorPartitionInstance:
     difference systems can still be fed to the search.
     """
 
-    p: int
-    k: int
-    bases: tuple[tuple[tuple[int, ...], ...], ...]
-    check: bool = field(default=True, repr=False, compare=False)
+    __slots__ = ("p", "k", "bases", "check")
 
-    def __post_init__(self):
-        p, k = int(self.p), int(self.k)
+    def __init__(self, p: int, k: int, bases, check: bool = True):
+        p, k = int(p), int(k)
         if p < 2 or k < 1:
             raise InvalidInstance("need p >= 2 and k >= 1")
         m = (p ** k - 1) // 2
-        bases = tuple(
-            tuple(tuple(int(c) % p for c in v) for v in basis)
-            for basis in self.bases)
+        bases = tuple(tuple(tuple(int(c) % p for c in v) for v in basis)
+                      for basis in bases)
         if len(bases) != m:
             raise InvalidInstance(f"need {m} bases, got {len(bases)}")
         for basis in bases:
             if len(basis) != k or any(len(v) != k for v in basis):
                 raise InvalidInstance("basis shape mismatch")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "bases", bases)
-        if self.check:
+        self._fill(p, k, bases, check)
+        if check:
             if p % 2 == 0 or not is_prime(p):
                 raise InvalidInstance(f"{p} is not an odd prime")
             for i, basis in enumerate(bases):
@@ -368,8 +358,7 @@ def solve_vector_partition(inst: VectorPartitionInstance):
 # translate packings
 
 
-@dataclass(frozen=True)
-class PackingInstance:
+class PackingInstance(Value):
     """Finite sets X_i to be translated by representatives t_i in T_i.
 
     ambient is a modulus n (arithmetic in Z/(n)) or the string
@@ -377,39 +366,29 @@ class PackingInstance:
     d is the packing parameter the hypothesis report measures against.
     """
 
-    ambient: "int | str"
-    X: tuple[tuple[int, ...], ...]
-    T: tuple[tuple[int, ...], ...]
-    d: int
+    __slots__ = ("ambient", "X", "T", "d")
 
-    def __post_init__(self):
-        amb = self.ambient
-        if amb != "integers":
-            amb = int(amb)
-            if amb < 2:
-                raise InvalidInstance(f"modulus {amb} too small")
-        d = int(self.d)
+    def __init__(self, ambient: "int | str", X, T, d: int):
+        if ambient != "integers":
+            ambient = int(ambient)
+            if ambient < 2:
+                raise InvalidInstance(f"modulus {ambient} too small")
+        d = int(d)
         if d < 1:
             raise InvalidInstance("packing parameter must be positive")
-        if not self.X:
+        if not X:
             raise InvalidInstance("no sets to pack")
-        if len(self.X) != len(self.T):
+        if len(X) != len(T):
             raise InvalidInstance("need one T per X")
 
-        def clean(sets):
-            out = []
-            for s in sets:
-                vals = {int(v) % amb for v in s} if isinstance(amb, int) \
-                    else {int(v) for v in s}
-                if not vals:
-                    raise InvalidInstance("empty set")
-                out.append(tuple(sorted(vals)))
-            return tuple(out)
+        def clean(s):
+            vals = {int(v) % ambient for v in s} if isinstance(ambient, int) \
+                else {int(v) for v in s}
+            if not vals:
+                raise InvalidInstance("empty set")
+            return tuple(sorted(vals))
 
-        object.__setattr__(self, "ambient", amb)
-        object.__setattr__(self, "X", clean(self.X))
-        object.__setattr__(self, "T", clean(self.T))
-        object.__setattr__(self, "d", d)
+        self._fill(ambient, tuple(map(clean, X)), tuple(map(clean, T)), d)
 
     @property
     def m(self) -> int:
@@ -458,8 +437,7 @@ def solve_translate_packing(inst: PackingInstance):
     return _search(node) or tuple(t)
 
 
-@dataclass(frozen=True)
-class PackingReport:
+class PackingReport(Value):
     """Which packing hypotheses an instance satisfies.
 
     factorial_nonzero: the packing coefficient +-(md)!/(d!)^m does not
@@ -472,12 +450,8 @@ class PackingReport:
     lists which sufficient conditions ("main", "squares") apply in full.
     """
 
-    m: int
-    d: int
-    factorial_nonzero: bool
-    difference_bound: bool
-    translate_bound: bool
-    squares_bound: "bool | None"
+    __slots__ = ("m", "d", "factorial_nonzero", "difference_bound",
+                 "translate_bound", "squares_bound")
 
     @property
     def main_hypotheses(self) -> bool:

@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import math
 from bisect import insort
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from random import Random
 
-from .algebra import CycloInt, is_prime
+from .algebra import CycloInt, Value, is_prime
 
 
 DEFAULT_TIGHT_CAP = 32     # tight pairs a sweep report lists
@@ -57,30 +56,23 @@ def sumset(A, B, modulus: int) -> tuple[int, ...]:
     return tuple(sorted({(a + b) % modulus for a in A for b in B}))
 
 
-@dataclass(frozen=True)
-class SumsetInstance:
+class SumsetInstance(Value):
     """A pair of nonempty subsets of Z/(p^alpha)."""
 
-    p: int
-    alpha: int
-    A: tuple[int, ...]
-    B: tuple[int, ...]
+    __slots__ = ("p", "alpha", "A", "B")
 
-    def __post_init__(self):
-        p, alpha = int(self.p), int(self.alpha)
+    def __init__(self, p: int, alpha: int, A, B):
+        p, alpha = int(p), int(alpha)
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if alpha < 1:
             raise ValueError("alpha must be at least 1")
         mod = p ** alpha
-        A = tuple(sorted({int(a) % mod for a in self.A}))
-        B = tuple(sorted({int(b) % mod for b in self.B}))
+        A = tuple(sorted({int(a) % mod for a in A}))
+        B = tuple(sorted({int(b) % mod for b in B}))
         if not A or not B:
             raise ValueError("subsets must be nonempty")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
+        self._fill(p, alpha, A, B)
 
     @property
     def modulus(self) -> int:
@@ -98,8 +90,7 @@ def check_bound(inst: SumsetInstance) -> tuple[int, int, bool, bool]:
 # brute-force verification over all subset pairs
 
 
-@dataclass(frozen=True)
-class CDReport:
+class CDReport(Value):
     """Outcome of a bound sweep, a plain value: two identical sweeps give
     equal reports.
 
@@ -108,12 +99,7 @@ class CDReport:
     (A, B) order, are kept.
     """
 
-    p: int
-    alpha: int
-    pairs: int
-    violations: tuple
-    tight_count: int
-    tight: tuple
+    __slots__ = ("p", "alpha", "pairs", "violations", "tight_count", "tight")
 
     def to_json(self) -> dict:
         return {"p": self.p, "alpha": self.alpha, "pairs": self.pairs,

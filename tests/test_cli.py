@@ -399,6 +399,43 @@ def test_malformed_json_is_one_error_line(capsys, tmp_path, command, doc,
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+VECTOR = {"p": 3, "k": 1, "bases": [[[1]]]}
+
+
+@pytest.mark.parametrize("instance, solution", [
+    (INSTANCE, {"result": "feasible", "pairs": [[2, 3, 9], [4, 1]]}),
+    (INSTANCE, {"result": "feasible", "pairs": [[2, 3], [4]]}),
+    (INSTANCE, {"result": "feasible", "pairs": [[2, 3], 4]}),
+    (INSTANCE, {"result": "feasible", "pairs": {"a": 1}}),
+    (VECTOR, {"result": "feasible", "pairs": [[[1], [2], [0]]], "g": [0]}),
+    (VECTOR, {"result": "feasible", "pairs": [[[1]]], "g": [0]}),
+    (VECTOR, {"result": "feasible", "pairs": "ab", "g": [0]}),
+])
+def test_malformed_solution_pair_is_one_error_line(capsys, tmp_path,
+                                                   instance, solution):
+    """A pair that is not two ends is malformed solution JSON, not an
+    unpacking error."""
+    (tmp_path / "sol.json").write_text(json.dumps(solution))
+    code, out, err = run(capsys, _doc_argv("verify", instance, tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: malformed solution JSON (")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, doc, flags, named", [
+    ("partition", INSTANCE, ["--n", "5", "--d", "1,2"], "--n, --d"),
+    ("partition", INSTANCE, ["--d", "1,2"], "--d"),
+    ("pack", PACKING, ["--n", "7", "--X", "0;0,1", "--T", "0,1;0,1",
+                       "--d", "1"], "--n, --X, --T, --d"),
+    ("pack", PACKING, ["--T", "0,1;0,1"], "--T"),
+])
+def test_file_excludes_instance_flags(capsys, tmp_path, command, doc, flags,
+                                      named):
+    code, out, err = run(capsys, _doc_argv(command, doc, tmp_path) + flags)
+    assert (code, out) == (1, "")
+    assert err == f"error: --file with instance flags: {named}\n"
+
+
 def _doc_argv(command, doc, tmp_path):
     """argv that makes command read doc from a file in tmp_path; verify
     reads its solution from sol.json there."""
@@ -454,12 +491,23 @@ NOT_FOR_SOLVES = {"conjectures", "sumsets", "nullstellensatz", "dyson", "poly"}
     (["partition", "--file", "{inst}"], "solvers", NOT_FOR_SOLVES),
     (["verify", "--instance", "{inst}", "--solution", "{sol}"], "solvers",
      NOT_FOR_SOLVES),
+    (["pack", "--file", "{pack}"], "solvers",
+     {"conjectures", "sumsets", "nullstellensatz"}),
+    (["cn-coeff", "--file", "{poly}", "--grid", "0,1;0,1"], "nullstellensatz",
+     {"solvers", "conjectures", "sumsets", "dyson"}),
+    (["conjecture-scan", "--n", "5"], "conjectures",
+     {"sumsets", "nullstellensatz", "dyson", "poly"}),
 ])
 def test_subcommand_loads_only_its_modules(tmp_path, argv, needed, unneeded):
-    inst, sol = tmp_path / "inst.json", tmp_path / "sol.json"
-    inst.write_text(json.dumps(INSTANCE))
-    sol.write_text(json.dumps(SOLUTION))
-    argv = [a.format(inst=inst, sol=sol) for a in argv]
+    """Also: no subcommand imports dataclasses, whose import alone pulls
+    in inspect, ast, dis and tokenize."""
+    paths = {name: tmp_path / f"{name}.json" for name in
+             ("inst", "sol", "pack", "poly")}
+    for name, doc in (("inst", INSTANCE), ("sol", SOLUTION), ("pack", PACKING),
+                      ("poly", {"arity": 2,
+                                "terms": [{"e": [1, 1], "c": 1}]})):
+        paths[name].write_text(json.dumps(doc))
+    argv = [a.format(**paths) for a in argv]
     src = str(Path(cli.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-m", "pairpack.cli", *argv],
@@ -470,6 +518,7 @@ def test_subcommand_loads_only_its_modules(tmp_path, argv, needed, unneeded):
                             re.MULTILINE))
     assert needed in loaded
     assert not loaded & unneeded, sorted(loaded)
+    assert not re.search(r"\|\s+dataclasses\s*$", proc.stderr, re.MULTILINE)
 
 
 def test_console_script_runs():
