@@ -128,13 +128,25 @@ def _sign_variants(folded, n: int) -> list[tuple[int, ...]]:
     return [tuple(sorted(chain(*parts))) for parts in product(*runs)]
 
 
-def _well_formed(rec, n: int, units) -> bool:
+def _shard(n: int, universe: str, units, u: int, failures) -> dict:
+    """The record of shard u of the scan mod n: its total is
+    a^m - (a-1)^m with a = #{units >= u}, and its feasible count is the
+    total minus the orderings of its failing sorted keys."""
+    m = n // 2
+    a = len(units) - units.index(u)
+    total = a ** m - (a - 1) ** m
+    return {"n": n, "universe": universe, "shard": u, "total": total,
+            "feasible": total - sum(multinomial(Counter(key).values())
+                                    for key in failures),
+            "failures": failures}
+
+
+def _well_formed(rec, n: int, universe: str, units) -> bool:
     """Could the scan mod n have written this record?
 
     Its fields are ints and lists of int keys; its shard u is a unit; its
-    total is a^m - (a-1)^m with a = #{units >= u}; its failures are
-    distinct keys of m units, each sorted with smallest entry u, listed
-    in order; its feasible count is the total minus their orderings.
+    failures are distinct keys of m units, each sorted with smallest
+    entry u, listed in order; and it is _shard of u and those failures.
     """
     try:
         shard, total, feasible = (rec[k] for k in ("shard", "total",
@@ -145,16 +157,12 @@ def _well_formed(rec, n: int, units) -> bool:
     values = [shard, total, feasible] + [x for key in keys for x in key]
     if not all(isinstance(v, int) for v in values) or shard not in units:
         return False
-    m = n // 2
-    a = len(units) - units.index(shard)
     unit_set = set(units)
-    return (total == a ** m - (a - 1) ** m
-            and keys == sorted(set(keys))
-            and all(len(key) == m and key[0] == shard
+    return (keys == sorted(set(keys))
+            and all(len(key) == n // 2 and key[0] == shard
                     and key == tuple(sorted(key)) and unit_set.issuperset(key)
                     for key in keys)
-            and feasible == total - sum(multinomial(Counter(key).values())
-                                        for key in keys))
+            and rec == _shard(n, universe, units, shard, rec["failures"]))
 
 
 def _load_checkpoint(path, n, universe):
@@ -188,8 +196,7 @@ def _load_checkpoint(path, n, universe):
                 raise InvalidInstance(
                     f"checkpoint line {number} is not a scan record")
             if rec["n"] == n:
-                if rec["universe"] != universe or \
-                        not _well_formed(rec, n, units):
+                if not _well_formed(rec, n, universe, units):
                     raise InvalidInstance(
                         f"checkpoint line {number} is a malformed scan record")
                 done[rec["shard"]] = rec
@@ -266,18 +273,9 @@ def scan_conjecture(n: int, sample: "int | None" = None,
         if weights != len(units) ** m:
             raise ArithmeticError("folded multiset weights do not add up")
         lines = []
-        for i, u in enumerate(units):
-            if u in missing:
-                a = len(units) - i
-                shard_total = a ** m - (a - 1) ** m
-                shard_failures = sorted(missing[u])
-                done[u] = {"n": n, "universe": universe, "shard": u,
-                           "total": shard_total,
-                           "feasible": shard_total - sum(
-                               multinomial(Counter(key).values())
-                               for key in shard_failures),
-                           "failures": shard_failures}
-                lines.append(json.dumps(done[u], sort_keys=True) + "\n")
+        for u in missing:
+            done[u] = _shard(n, universe, units, u, sorted(missing[u]))
+            lines.append(json.dumps(done[u], sort_keys=True) + "\n")
         if checkpoint:
             with open(checkpoint, "a", encoding="utf-8") as fh:
                 fh.write("".join(lines))

@@ -9,7 +9,8 @@ sweep runs the B that contain 0 against one A per orbit of the affine
 maps x -> u*x + t (u a unit) with 2|A| <= p^alpha, and gets the rest
 from translating B, swapping A and B, and the pairs with A+B the whole
 group.  Each sumset comes from a smaller one with a single shift-OR,
-all of a pass at once in one packed integer.  A sampled pair is a
+all of a pass at once in one packed integer; that integer caps the
+group at MAX_SWEEP_SIZE elements.  A listed or sampled pair is a
 shift-OR of B over the bits of A, folded once.
 
 The closing check mirrors the argument the bound rests on: writing the
@@ -30,6 +31,8 @@ from .algebra import CycloInt, Value, is_prime
 
 
 DEFAULT_TIGHT_CAP = 32     # tight pairs a sweep report lists
+MAX_SWEEP_SIZE = 23        # exhaustive sweeps: one packed integer of a
+                           # pass is 12 MiB at 23, 64 MiB at 25, 4 GiB at 31
 
 
 @lru_cache(maxsize=None)
@@ -113,33 +116,32 @@ def _mask_to_set(mask: int, size: int) -> tuple[int, ...]:
 
 
 def _beta_table(p: int, size: int):
-    return [[0] * (size + 1)] + \
-        [[0] + [beta(p, r, s) for s in range(1, size + 1)]
-         for r in range(1, size + 1)]
+    return [[beta(p, r, s) if r and s else 0 for s in range(size + 1)]
+            for r in range(size + 1)]
 
 
 class _Subsets:
-    """Every B in Z/(size) (lo = 0, B at index B, B = 0 included) or every
-    B that contains 0 (lo = 1, B = 1 + 2k at index k), with |A+B| for all
-    of them in one go.
+    """Every B in Z/(size) that contains 0, B = 1 + 2k at index k, with
+    |A+B| for all of them in one go.
 
     S(B + {j}) = S(B) | rot(A, j) for j above every element of B.  The
-    sums are packed into one integer, w bits a field and a field per B,
-    so adding j to the first 2^(j-lo) sets is one OR and one shift.
-    Cardinalities come out one byte per B; cards and bounds must stay
-    below 128, so size does too.
+    sums are packed into one integer, a field of ceil(size/8) bytes per
+    B, so adding j to the first 2^(j-1) sets is one OR and one shift.
+    Cardinalities come out one byte per B, below 128 as size is.  Only
+    the sweep's counts come from here; listed pairs use _sum_card.
     """
 
-    def __init__(self, size: int, lo: int):
-        self.size, self.lo = size, lo
+    def __init__(self, size: int):
+        self.size = size
         self.nb = (size + 7) // 8                  # bytes per field
-        self.w = 8 * self.nb
-        self.ones = [1]                            # 2^i fields holding 1
-        for i in range(size - lo - 1):
-            self.ones.append(self.ones[i] | self.ones[i] << (self.w << i))
-        sizes = bytes([lo])                        # |B|, a byte per B
+        # (j, 2^(j-1) fields holding 1, the bits of 2^(j-1) fields)
+        self.steps = [(1, 1, 8 * self.nb)]
+        for j in range(2, size):
+            _, ones, shift = self.steps[-1]
+            self.steps.append((j, ones | ones << shift, shift << 1))
+        sizes = b"\1"                              # |B|, a byte per B
         inc = bytes(range(1, 256)) + b"\0"
-        for _ in range(lo, size):
+        for _ in range(1, size):
             sizes += sizes.translate(inc)
         self.sizes = sizes
         self.packed_sizes = int.from_bytes(sizes, "little")
@@ -156,24 +158,31 @@ class _Subsets:
     def excess(self, A: int, bounds: int) -> bytes:
         """128 + |A+B| - bound for every B, a byte each: 128 marks a tight
         pair and anything less a violation."""
-        size, lo, nb, n = self.size, self.lo, self.nb, len(self.sizes)
+        size, nb, n = self.size, self.nb, len(self.sizes)
         full = (1 << size) - 1
-        packed = A if lo else 0
-        for j in range(lo, size):
+        packed = A
+        for j, ones, shift in self.steps:
             rot = ((A << j) | (A >> (size - j))) & full
-            packed |= (packed | rot * self.ones[j - lo]) << (self.w << j - lo)
+            packed |= (packed | rot * ones) << shift
         pops = packed.to_bytes(nb * n, "little").translate(self.pop)
         cards = sum(int.from_bytes(pops[i::nb], "little") for i in range(nb))
         return ((cards | self.high) - bounds).to_bytes(n, "little")
-
-    def violated(self, excess: bytes) -> bool:
-        return bool(excess.translate(None, self.not_below))
 
     def tight_sizes(self, excess: bytes) -> bytes:
         """|B| for every tight B, a byte each."""
         tight = int.from_bytes(excess.translate(self.tight_only), "little")
         tight &= self.packed_sizes
         return tight.to_bytes(len(self.sizes), "little").translate(None, b"\0")
+
+
+def _sum_card(A: int, B: int, size: int, full: int) -> int:
+    """|A+B| in Z/(size): B shifted by each bit of A, ORed, folded once."""
+    acc = 0
+    while A:
+        low = A & -A
+        acc |= B * low
+        A ^= low
+    return ((acc | acc >> size) & full).bit_count()
 
 
 def _affine_orbit(A: int, size: int, units) -> set:
@@ -210,10 +219,10 @@ def _sweep(p: int, alpha: int, tight_cap: int):
       asymmetric table raises ArithmeticError.
 
     Every violation has a translate with B containing 0, or a swap that
-    has, so none goes unseen; if there is any, literal passes over every
-    A list them.  The tight list comes from literal passes over
-    A = 1, 2, ... until tight_cap pairs are found; A = {0} alone makes
-    every B tight.
+    has, so none goes unseen.  The listed pairs come from one walk over
+    (A, B) in ascending order, each sumset by _sum_card: it stops at
+    tight_cap tight pairs (A = {0} alone makes every B tight), unless a
+    violation was seen, when it runs to the end to list every one.
     """
     size = p ** alpha
     full = (1 << size) - 1
@@ -222,8 +231,8 @@ def _sweep(p: int, alpha: int, tight_cap: int):
            for s in range(r)):
         raise ArithmeticError(f"beta is not symmetric mod {size}")
     big = [2 * r > size for r in range(size + 1)]
-    with_zero = _Subsets(size, 1)
-    bounds = {}
+    with_zero = _Subsets(size)
+    bounds = [with_zero.bounds(row) for row in table[:size // 2 + 1]]
     counts = [[0] * (size + 1) for _ in range(size + 1)]
     units = [u for u in range(1, size) if u % p]
     seen = bytearray(full + 1)
@@ -235,10 +244,8 @@ def _sweep(p: int, alpha: int, tight_cap: int):
         orbit = _affine_orbit(A, size, units)
         for image in orbit:
             seen[image] = 1
-        if r not in bounds:
-            bounds[r] = with_zero.bounds(table[r])
         excess = with_zero.excess(A, bounds[r])
-        bad = bad or with_zero.violated(excess)
+        bad = bad or bool(excess.translate(None, with_zero.not_below))
         tight = with_zero.tight_sizes(excess)
         for s in range(1, size + 1):
             counts[r][s] += len(orbit) * tight.count(s)
@@ -255,22 +262,19 @@ def _sweep(p: int, alpha: int, tight_cap: int):
             else:
                 tight_count += counts[r][s] * size // s
 
-    every = _Subsets(size, 0) if bad or tight_cap else None
-    literal = lambda A: every.excess(A, every.bounds(table[A.bit_count()]))
-    violations = []
-    if bad:
-        for A in range(1, full + 1):
-            violations.extend((A, B) for B, e in enumerate(literal(A))
-                              if e < 128)
-    tight = []
+    violations, tight = [], []
     A = 0
-    while len(tight) < tight_cap and A < full:
+    while A < full and (bad or len(tight) < tight_cap):
         A += 1
-        excess = literal(A)
-        B = excess.find(128, 1)
-        while B > 0 and len(tight) < tight_cap:
-            tight.append((A, B))
-            B = excess.find(128, B + 1)
+        row = table[A.bit_count()]
+        for B in range(1, full + 1):
+            card, bound = _sum_card(A, B, size, full), row[B.bit_count()]
+            if card < bound:
+                violations.append((A, B))
+            elif card == bound and len(tight) < tight_cap:
+                tight.append((A, B))
+                if len(tight) == tight_cap and not bad:
+                    break
     return full * full, violations, tight_count, tight
 
 
@@ -281,12 +285,12 @@ def verify_cd_bound(p: int, alpha: int, sample: "int | None" = None,
 
     Exhaustive by default: every one of (2^(p^alpha) - 1)^2 ordered pairs,
     counted from one pass over the B that contain 0 per affine orbit of a
-    small A (see _sweep).  With sample, that many (at least 1)
-    seeded-uniform pairs instead, each A+B a shift-OR over the bits of A
-    folded once mod p^alpha; only the tight_cap smallest tight pairs are
-    kept while counting.  A seed without a sample is an error.  The sweep
-    does not time itself; `jobs` is accepted for older callers and
-    ignored.
+    small A (see _sweep), for p^alpha <= MAX_SWEEP_SIZE.  With sample,
+    that many (at least 1) seeded-uniform pairs instead, each |A+B| from
+    _sum_card and each bound read once per drawn (|A|, |B|); only the
+    tight_cap smallest tight pairs are kept while counting.  A seed
+    without a sample is an error.  The sweep does not time itself; `jobs`
+    is accepted for older callers and ignored.
     """
     if not is_prime(p) or alpha < 1:
         raise ValueError("need a prime p and alpha >= 1")
@@ -298,6 +302,9 @@ def verify_cd_bound(p: int, alpha: int, sample: "int | None" = None,
     full = (1 << size) - 1
 
     if sample is None:
+        if size > MAX_SWEEP_SIZE:
+            raise ValueError(f"Z/({size}) is too big for an exhaustive sweep "
+                             f"(at most {MAX_SWEEP_SIZE}); use sample mode")
         pairs, violations, tight_count, tight = _sweep(p, alpha, tight_cap)
     else:
         if sample < 1:
@@ -305,22 +312,15 @@ def verify_cd_bound(p: int, alpha: int, sample: "int | None" = None,
         if seed is None:
             raise ValueError("sample mode needs a seed")
         draw = Random(seed).randrange
-        table = _beta_table(p, size)
+        table = [[0] * (size + 1) for _ in range(size + 1)]   # 0: not yet read
         pairs = int(sample)
-        violations = []
-        tight = []
-        tight_count = 0
+        violations, tight, tight_count = [], [], 0
         for _ in range(pairs):
             A = draw(1, full + 1)
             B = draw(1, full + 1)
-            a = A
-            acc = 0
-            while a:
-                low = a & -a
-                acc |= B * low
-                a ^= low
-            card = ((acc | acc >> size) & full).bit_count()
-            bound = table[A.bit_count()][B.bit_count()]
+            card = _sum_card(A, B, size, full)
+            r, s = A.bit_count(), B.bit_count()
+            bound = table[r][s] = table[r][s] or beta(p, r, s)
             if card < bound:
                 violations.append((A, B))
             elif card == bound:

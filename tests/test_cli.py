@@ -227,6 +227,13 @@ def test_sample_below_one_is_one_error_line(capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_sumset_sweep_too_big_is_one_error_line(capsys):
+    code, out, err = run(capsys, ["sumset", "--p", "31"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "sample mode" in err
+
+
 @pytest.mark.parametrize("flags", [
     ["--sample", "3"], ["--seed", "1"], ["--tight-cap", "0"], ["--timing"],
 ])

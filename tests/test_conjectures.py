@@ -564,6 +564,8 @@ def test_unparsable_last_line_with_its_newline_raises(tmp_path):
     {"failures": [[2, 2, 7]], "feasible": 58},      # 7 is not a unit
     {"failures": [[2, 3, 4], [2, 2, 3]], "feasible": 52},
     {"failures": [[2, 2, 3], [2, 2, 3]], "feasible": 55},
+    {"total": 61.0, "feasible": 61.0},              # equal, but not ints
+    {"note": "x"},                                  # a key the scan never writes
 ])
 def test_inconsistent_checkpoint_record_names_its_line(tmp_path, edit):
     """A well-typed record must agree with the closed-form shard total

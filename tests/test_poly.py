@@ -40,8 +40,13 @@ def test_bad_shapes():
     a = MultiPoly.one(R, 2)
     with pytest.raises(ArityMismatch):
         a + MultiPoly.one(R, 3)
-    with pytest.raises(RingMismatch):
+    with pytest.raises(RingMismatch, match=r"^ModRing\(5\) vs ModRing\(7\)$"):
         a + MultiPoly.one(ModRing(7), 2)
+    with pytest.raises(RingMismatch, match=r"^ZZ vs ModRing\(5\)$"):
+        MultiPoly.one(ZZ, 2) * a
+    # a ring is its modulus: equal moduli are one ring, ZZ is none of them
+    assert a == MultiPoly.one(ModRing(5), 2) != MultiPoly.one(ZZ, 2)
+    assert a + MultiPoly.one(ModRing(5), 2) == MultiPoly.constant(R, 2, 2)
 
 
 def test_arithmetic_matches_evaluation():

@@ -221,6 +221,16 @@ def test_exhaustive_z13():
     assert rep.tight_count == 28718665
 
 
+@pytest.mark.parametrize("p, alpha", [(5, 2), (31, 1), (2, 7)])
+def test_exhaustive_sweep_refuses_a_group_above_the_limit(p, alpha):
+    """Z/(25) would pack 2^24 fields into one integer and Z/(31) 2^30;
+    the sweep names sample mode instead, and sample mode still runs."""
+    assert p ** alpha > sumsets.MAX_SWEEP_SIZE
+    with pytest.raises(ValueError, match="sample mode"):
+        verify_cd_bound(p, alpha)
+    assert verify_cd_bound(p, alpha, sample=5, seed=1).pairs == 5
+
+
 def test_sweep_accepts_and_ignores_jobs():
     a = verify_cd_bound(3, 1)
     b = verify_cd_bound(3, 1, jobs=2)
@@ -296,6 +306,24 @@ def test_sample_mode_lists_violations_in_order(monkeypatch):
     for (p, alpha), want in tight.items():
         rep = verify_cd_bound(p, alpha, sample=300, seed=5)
         assert rep.violations == want
+
+
+def test_sample_mode_reads_only_the_drawn_bounds(monkeypatch):
+    """A sampled sweep asks beta for the (|A|, |B|) it draws, not for
+    the whole (p^alpha)^2 table."""
+    asked = []
+
+    def recorder(p, r, s):
+        asked.append((r, s))
+        return beta(p, r, s)
+
+    monkeypatch.setattr(sumsets, "beta", recorder)
+    verify_cd_bound(2, 6, sample=3, seed=1)
+    rng = random.Random(1)
+    draws = [(rng.randrange(1, 2 ** 64).bit_count(),
+              rng.randrange(1, 2 ** 64).bit_count()) for _ in range(3)]
+    assert sorted(set(asked)) == sorted(set(draws))
+    assert len(asked) == len(set(asked))
 
 
 def test_sample_mode_cap_keeps_exact_count():
