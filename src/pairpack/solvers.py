@@ -9,9 +9,10 @@ search takes the smallest object not yet dealt with, except the one
 scans use, find_pair_partition, which takes the uncovered element with
 the fewest live partners and cuts a state where some element has no
 live partner or some difference fewer free placements than copies left;
-the CLI's partition keeps the canonical first solution.  A solver
-either returns a solution (deterministic, first in its branch order) or
-an Infeasible certificate recording how many search nodes it visited.
+the CLI's partition keeps the canonical first solution and skips dead
+states it has seen.  A solver either returns a solution (deterministic,
+first in its branch order) or an Infeasible certificate counting the
+nodes of its whole search tree, subtrees read from a table included.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from itertools import product
 from .algebra import (Value, is_basis, is_prime, json_errors, json_value,
                       vec_add, vec_sub)
 
+DEAD_STATES = 1 << 18   # solve_pair_partition clears its table at this size
+
 
 class InvalidInstance(ValueError):
     """Instance data breaks a structural requirement."""
@@ -31,8 +34,8 @@ class InvalidInstance(ValueError):
 class Infeasible(Value):
     """A completed exhaustive search that found nothing.
 
-    nodes counts search-tree states expanded before giving up; it makes
-    the certificate auditable and keeps reports comparable across runs.
+    nodes counts the states of the exhausted search tree; it makes the
+    certificate auditable and keeps reports comparable across runs.
     """
 
     __slots__ = ("nodes",)
@@ -137,40 +140,62 @@ def solve_pair_partition(inst: PartitionInstance) -> PairPartition | Infeasible:
     above (pair (e, e+d)) and then the partner below (pair (e-d, e)).
     Equal differences are collapsed into multiset counts; the returned
     pairs are re-dealt to indices in the order the instance listed them.
+    Dead states are kept with their subtrees' node counts and not searched
+    again; Infeasible.nodes still counts the whole canonical tree.
     """
     n = inst.n
     counts, dvals = _difference_counts(inst)
     used = bytearray(n)
     used[0] = inst.universe == "nonzero"     # 0 is then never a partner
     chosen: list[tuple[int, int, int]] = []
+    # a state's key: the elements covered and, above bit n, the copies of
+    # each difference used, in a field as wide as its count; the root's is 0
+    unit, shift = {}, n
+    for dv in dvals:
+        unit[dv] = 1 << shift
+        shift += counts[dv].bit_length()
+    dead: dict[int, int] = {}       # key -> nodes in its subtree
 
-    def node(start):
-        e = used.find(0, start)
+    def node(key):
+        e = used.find(0)
         if e < 0:
             yield -1
             return
         used[e] = 1
+        covered = key + (1 << e)
+        nodes = 1
         for dv in dvals:
             if not counts[dv]:
                 continue
             up = (e + dv) % n
             down = (e - dv) % n
             # up == down only for dv = n/2: one pair, so branch once.
-            branches = ((e, up),) if up == down else ((e, up), (down, e))
-            for x, y in branches:
-                partner = y if x == e else x
+            branches = ((e, up, up),) if up == down else \
+                ((e, up, up), (down, e, down))
+            for x, y, partner in branches:
                 if used[partner]:
+                    continue
+                child = covered + (1 << partner) + unit[dv]
+                seen = dead.get(child)
+                if seen:
+                    nodes += seen
                     continue
                 used[partner] = 1
                 counts[dv] -= 1
                 chosen.append((x, y, dv))
-                yield e + 1
+                yield child
+                nodes += dead[child]
                 chosen.pop()
                 counts[dv] += 1
                 used[partner] = 0
         used[e] = 0
+        if len(dead) >= DEAD_STATES:
+            dead.clear()                # costs only re-search
+        dead[key] = nodes
 
-    return _search(node) or _deal(inst, chosen)
+    if _search(node):
+        return Infeasible(dead[0])  # the root's tree, read-off subtrees included
+    return _deal(inst, chosen)
 
 
 def find_pair_partition(inst: PartitionInstance) -> PairPartition | Infeasible:

@@ -9,6 +9,7 @@ from collections import Counter
 
 import pytest
 
+from pairpack import solvers
 from pairpack.dyson import packing_coefficient
 from pairpack.solvers import (Infeasible, InvalidInstance, PackingInstance,
                               PairPartition, PartitionInstance,
@@ -444,3 +445,78 @@ def test_branch_order_is_pinned():
         json.dumps(results, sort_keys=True).encode()).hexdigest()
     assert digest == \
         "055027e46c1a6c003af5ec9bfa2854e1a4431b46dc285b935de574de218baa4e"
+
+
+def plain_canonical_search(inst):
+    """The canonical branch order as a plain recursion that walks every
+    state, dead or not: the smallest uncovered element e, each remaining
+    difference value ascending, partner e + d before e - d.  Returns the
+    pairs dealt to the instance's indices, or the number of states."""
+    n, m = inst.n, len(inst.d)
+    left = Counter(inst.d)
+    dvals = sorted(left)
+    used = [False] * n
+    used[0] = inst.universe == "nonzero"
+    path = []
+    nodes = 0
+
+    def walk():
+        nonlocal nodes
+        nodes += 1
+        if len(path) == m:
+            return True
+        e = used.index(False)
+        used[e] = True
+        for dv in dvals:
+            if not left[dv]:
+                continue
+            up, down = (e + dv) % n, (e - dv) % n
+            for x, y in [(e, up)] if up == down else [(e, up), (down, e)]:
+                partner = y if x == e else x
+                if used[partner]:
+                    continue
+                used[partner] = True
+                left[dv] -= 1
+                path.append((x, y, dv))
+                if walk():
+                    return True
+                path.pop()
+                left[dv] += 1
+                used[partner] = False
+        used[e] = False
+        return False
+
+    if not walk():
+        return nodes
+    pairs = {dv: [(x, y) for x, y, d in path if d == dv] for dv in dvals}
+    return tuple(pairs[dv].pop(0) for dv in inst.d)
+
+
+def test_canonical_search_matches_a_plain_recursion():
+    """Skipping dead states already seen changes neither the first
+    solution nor any node count (101 of the 300 are infeasible)."""
+    rng = random.Random(1970)
+    cases = []
+    for _ in range(240):
+        n = rng.choice((9, 10, 11, 12, 13, 14, 15, 21, 25))
+        cases.append((n, [rng.randrange(1, n) for _ in range(n // 2)]))
+    for _ in range(60):     # a factor g of n dividing every d: mostly dead
+        n, g = rng.choice(((9, 3), (12, 3), (15, 3), (15, 5), (16, 2)))
+        cases.append((n, [g * rng.randrange(1, n // g) for _ in range(n // 2)]))
+    infeasible = 0
+    for n, d in cases:
+        inst = PartitionInstance(n, d, "nonzero" if n % 2 else "full")
+        res, want = solve_pair_partition(inst), plain_canonical_search(inst)
+        if isinstance(want, int):
+            infeasible += 1
+            assert res == Infeasible(want), (n, d)
+        else:
+            assert res.pairs == want, (n, d)
+    assert infeasible == 101
+
+
+def test_clearing_the_dead_state_table_keeps_every_count(monkeypatch):
+    monkeypatch.setattr(solvers, "DEAD_STATES", 8)
+    test_branch_order_is_pinned()
+    inst = PartitionInstance(16, (3, 4, 6, 7, 9, 11, 12, 13), "full")
+    assert solve_pair_partition(inst) == Infeasible(232123)
