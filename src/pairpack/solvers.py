@@ -194,7 +194,7 @@ def solve_pair_partition(inst: PartitionInstance) -> PairPartition | Infeasible:
         dead[key] = nodes
 
     if _search(node):
-        return Infeasible(dead[0])  # the root's tree, read-off subtrees included
+        return Infeasible(dead[0])  # the root's subtree is the whole tree
     return _deal(inst, chosen)
 
 
