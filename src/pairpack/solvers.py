@@ -170,9 +170,9 @@ def solve_pair_partition(inst: PartitionInstance) -> PairPartition | Infeasible:
             up = (e + dv) % n
             down = (e - dv) % n
             # up == down only for dv = n/2: one pair, so branch once.
-            branches = ((e, up, up),) if up == down else \
-                ((e, up, up), (down, e, down))
-            for x, y, partner in branches:
+            branches = ((e, up),) if up == down else ((e, up), (down, e))
+            for x, y in branches:
+                partner = y if x == e else x
                 if used[partner]:
                     continue
                 child = covered + (1 << partner) + unit[dv]
