@@ -15,7 +15,8 @@ _MODULE_OF = {name: module for module, names in {
     "algebra": "ZZ CycloInt ModRing cyclotomic_poly",
     "conjectures": "permanent_coefficient permanent2_coefficient "
                    "prime_nonzero_certificate scan_conjecture",
-    "dyson": "dyson_bruteforce dyson_formula dyson_via_evaluation",
+    "dyson": "dyson_bruteforce dyson_formula dyson_via_evaluation "
+             "packing_coefficient",
     "nullstellensatz": "GridSpec cn_coefficient cn_witness partition_grid "
                        "integral_over_field odd_residue_polynomial",
     "poly": "AffineProduct MultiPoly",

@@ -8,7 +8,8 @@ reduces them into [0, n) when there is a modulus.
 Cyclotomic integers are integer coefficient vectors modulo x^n - 1, which
 is deliberately not a canonical form: zero is decided by exact divisibility
 by the n-th cyclotomic polynomial.  The package's one multinomial is here,
-so scans need not load dyson; the permanents live in conjectures.
+so scans and packing reports need not load dyson; the permanents live in
+conjectures.
 """
 
 from __future__ import annotations
@@ -59,20 +60,18 @@ def json_value(value, name: str, kind: type = int):
 
 
 class Value:
-    """A frozen plain value whose fields are its class's __slots__, less
-    any that a class keyword hidden=(names) names: they alone decide
-    equality (within one class), the hash and the repr Class(field=value,
-    ...).  Assigning or deleting an attribute raises AttributeError.  The
-    generic __init__ takes every field by position or keyword.  Classes
-    that validate or are built per solve write their own and store through
-    _fill, or object.__setattr__ where a single field or a build per solve
-    would make the extra call show."""
+    """A frozen plain value whose fields are its class's __slots__: they
+    alone decide equality (within one class), the hash and the repr
+    Class(field=value, ...).  Assigning or deleting an attribute raises
+    AttributeError.  The generic __init__ takes every field by position or
+    keyword.  Classes that validate or are built per solve write their own
+    and store through _fill, or object.__setattr__ where a single field or
+    a build per solve would make the extra call show."""
 
     __slots__ = ()
 
-    def __init_subclass__(cls, hidden=()):
-        cls._fields = tuple(f for f in cls.__slots__ if f not in hidden)
-        cls._key = attrgetter(*cls._fields)    # self._key(self): the fields
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls.__slots__)    # self._key(self): the fields
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
@@ -94,7 +93,7 @@ class Value:
         return hash(self._key(self))
 
     def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
 
     def __setstate__(self, state):      # copy and pickle: (None, slots)
@@ -142,12 +141,6 @@ class IntegerRing:
 
     n = None
     is_field = False
-
-    def __eq__(self, other):
-        return isinstance(other, IntegerRing)
-
-    def __hash__(self):
-        return hash("IntegerRing")
 
     def __repr__(self):
         return "ZZ"
@@ -243,18 +236,6 @@ def poly_divmod_monic(num, den):
     return _poly_trim(quot), _poly_trim(rem)
 
 
-def _divisors(n: int) -> list[int]:
-    out = []
-    f = 1
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            if f != n // f:
-                out.append(n // f)
-        f += 1
-    return sorted(out)
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, ascending degree.
@@ -266,12 +247,12 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     if n < 1:
         raise ValueError("n must be positive")
     num = [-1] + [0] * (n - 1) + [1]
-    for d in _divisors(n):
-        if d == n:
-            continue
-        num, rem = poly_divmod_monic(num, cyclotomic_poly(d))
-        if rem:
-            raise ArithmeticError(f"non-exact cyclotomic division at n={n}, d={d}")
+    for d in range(1, n):
+        if n % d == 0:
+            num, rem = poly_divmod_monic(num, cyclotomic_poly(d))
+            if rem:
+                raise ArithmeticError(
+                    f"non-exact cyclotomic division at n={n}, d={d}")
     return tuple(num)
 
 
@@ -307,14 +288,17 @@ class CycloInt:
         c[k % n] = 1
         return cls(n, c)
 
-    def _check(self, other: CycloInt):
+    def _coerce(self, other) -> CycloInt:
+        """other as a cyclotomic integer of this order: an int is a
+        constant, another order raises OrderMismatch."""
+        if isinstance(other, int):
+            return CycloInt.from_int(self.n, other)
         if self.n != other.n:
             raise OrderMismatch(f"root orders {self.n} and {other.n} differ")
+        return other
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = CycloInt.from_int(self.n, other)
-        self._check(other)
+        other = self._coerce(other)
         return CycloInt(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     __radd__ = __add__
@@ -323,18 +307,14 @@ class CycloInt:
         return CycloInt(self.n, [-a for a in self.coeffs])
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = CycloInt.from_int(self.n, other)
-        self._check(other)
+        other = self._coerce(other)
         return CycloInt(self.n, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __rsub__(self, other):
-        return (-self) + other
+        return -self + other
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return CycloInt(self.n, [other * a for a in self.coeffs])
-        self._check(other)
+        other = self._coerce(other)
         n = self.n
         out = [0] * n
         for i, a in enumerate(self.coeffs):
@@ -362,11 +342,10 @@ class CycloInt:
         return sum(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = CycloInt.from_int(self.n, other)
-        if not isinstance(other, CycloInt) or self.n != other.n:
-            return NotImplemented
-        return (self - other).is_zero()
+        if isinstance(other, int) or (isinstance(other, CycloInt)
+                                      and other.n == self.n):
+            return (self - other).is_zero()
+        return NotImplemented
 
     __hash__ = None
 

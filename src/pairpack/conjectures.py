@@ -41,7 +41,7 @@ from functools import lru_cache
 from itertools import chain, combinations_with_replacement, product
 from random import Random
 
-from .algebra import CycloInt, Value, is_prime, multinomial
+from .algebra import CycloInt, Value, is_prime, json_value, multinomial
 from .solvers import (Infeasible, InvalidInstance, PartitionInstance,
                       find_pair_partition, verify_solution)
 
@@ -144,21 +144,20 @@ def _shard(n: int, universe: str, units, u: int, failures) -> dict:
 def _well_formed(rec, n: int, universe: str, units) -> bool:
     """Could the scan mod n have written this record?
 
-    Its fields are ints and lists of int keys; its shard u is a unit; its
-    failures are distinct keys of m units, each sorted with smallest
-    entry u, listed in order; and it is _shard of u and those failures.
+    Its fields are JSON ints (no bools) and lists of int keys; its shard
+    u is a unit; its failures are distinct keys of m units, each sorted
+    with smallest entry u, listed in order; and it is _shard of u and
+    those failures.
     """
     try:
-        shard, total, feasible = (rec[k] for k in ("shard", "total",
-                                                   "feasible"))
-        keys = [tuple(key) for key in rec["failures"]]
+        shard, total, feasible = (json_value(rec[k], k)
+                                  for k in ("shard", "total", "feasible"))
+        keys = [tuple(json_value(x, "failures") for x in key)
+                for key in rec["failures"]]
     except (KeyError, TypeError):
         return False
-    values = [shard, total, feasible] + [x for key in keys for x in key]
-    if not all(isinstance(v, int) for v in values) or shard not in units:
-        return False
     unit_set = set(units)
-    return (keys == sorted(set(keys))
+    return (shard in unit_set and keys == sorted(set(keys))
             and all(len(key) == n // 2 and key[0] == shard
                     and key == tuple(sorted(key)) and unit_set.issuperset(key)
                     for key in keys)

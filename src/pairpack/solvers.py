@@ -22,7 +22,7 @@ from collections import deque
 from itertools import product
 
 from .algebra import (Value, is_basis, is_prime, json_errors, json_value,
-                      vec_add, vec_sub)
+                      multinomial, vec_add, vec_sub)
 
 DEAD_STATES = 1 << 18   # solve_pair_partition clears its table at this size
 
@@ -290,16 +290,16 @@ def _deal(inst: PartitionInstance, chosen) -> PairPartition:
 # pair partitions of (F_p)^k with basis alternatives
 
 
-class VectorPartitionInstance(Value, hidden=("check",)):
+class VectorPartitionInstance(Value):
     """(p^k - 1)/2 pair slots over (F_p)^k, one basis per slot.
 
     Slot i must realize some basis vector v_{i,j} (up to sign handled by
-    orientation) as its pair difference y - x.  Construction with
-    check=False skips the basis validation so that deliberately broken
-    difference systems can still be fed to the search.
+    orientation) as its pair difference y - x.  check is a construction
+    flag, not a field: check=False skips the basis validation so that
+    deliberately broken difference systems can still be fed to the search.
     """
 
-    __slots__ = ("p", "k", "bases", "check")
+    __slots__ = ("p", "k", "bases")
 
     def __init__(self, p: int, k: int, bases, check: bool = True):
         p, k = int(p), int(k)
@@ -313,7 +313,7 @@ class VectorPartitionInstance(Value, hidden=("check",)):
         for basis in bases:
             if len(basis) != k or any(len(v) != k for v in basis):
                 raise InvalidInstance("basis shape mismatch")
-        self._fill(p, k, bases, check)
+        self._fill(p, k, bases)
         if check:
             if p % 2 == 0 or not is_prime(p):
                 raise InvalidInstance(f"{p} is not an odd prime")
@@ -499,10 +499,10 @@ class PackingReport(Value):
 
 
 def check_packing_hypotheses(inst: PackingInstance) -> PackingReport:
-    from .dyson import packing_coefficient  # so partitions never load dyson
     m, d = inst.m, inst.d
     mod = inst.modulus
-    factorial_ok = mod is None or packing_coefficient(m, d) % mod != 0
+    # (md)!/(d!)^m, the packing coefficient up to a sign
+    factorial_ok = mod is None or multinomial((d,) * m) % mod != 0
     diff_ok = all(len({(a - b) % mod if mod else a - b
                        for a in inst.X[i] for b in inst.X[j]}) <= 2 * d
                   for i in range(m) for j in range(i + 1, m))

@@ -11,7 +11,8 @@ from translating B, swapping A and B, and the pairs with A+B the whole
 group.  Each sumset comes from a smaller one with a single shift-OR,
 all of a pass at once in one packed integer; that integer caps the
 group at MAX_SWEEP_SIZE elements.  A listed or sampled pair is a
-shift-OR of B over the bits of A, folded once.
+shift-OR of B over the bits of A, folded once; the beta of a drawn pair
+caps sampled sweeps at MAX_SAMPLE_SIZE elements.
 
 The closing check mirrors the argument the bound rests on: writing the
 coefficients of prod_i (x - c_i) for p^alpha-th roots of unity c_i as
@@ -33,6 +34,8 @@ from .algebra import CycloInt, Value, is_prime
 DEFAULT_TIGHT_CAP = 32     # tight pairs a sweep report lists
 MAX_SWEEP_SIZE = 19        # exhaustive sweeps: Z/(19) takes seconds, Z/(23)
                            # 8,290+ passes of 0.15 s each (about 20 min)
+MAX_SAMPLE_SIZE = 1000     # sampled sweeps: a draw's beta took at most
+                           # 0.32 s on Z/(512)..Z/(997), 3 s on Z/(1024)
 
 
 @lru_cache(maxsize=None)
@@ -286,11 +289,11 @@ def verify_cd_bound(p: int, alpha: int, sample: "int | None" = None,
     Exhaustive by default: every one of (2^(p^alpha) - 1)^2 ordered pairs,
     counted from one pass over the B that contain 0 per affine orbit of a
     small A (see _sweep), for p^alpha <= MAX_SWEEP_SIZE.  With sample,
-    that many (at least 1) seeded-uniform pairs instead, each |A+B| from
-    _sum_card and each bound read once per drawn (|A|, |B|); only the
-    tight_cap smallest tight pairs are kept while counting.  A seed
-    without a sample is an error.  The sweep does not time itself; `jobs`
-    is accepted for older callers and ignored.
+    that many (at least 1) seeded-uniform pairs instead, for p^alpha <=
+    MAX_SAMPLE_SIZE, each |A+B| from _sum_card and each bound read once
+    per drawn (|A|, |B|); only the tight_cap smallest tight pairs are kept
+    while counting.  A seed without a sample is an error.  The sweep does
+    not time itself; `jobs` is accepted for older callers and ignored.
     """
     if not is_prime(p) or alpha < 1:
         raise ValueError("need a prime p and alpha >= 1")
@@ -299,7 +302,6 @@ def verify_cd_bound(p: int, alpha: int, sample: "int | None" = None,
     if sample is None and seed is not None:
         raise ValueError("a seed needs sample mode")
     size = p ** alpha
-    full = (1 << size) - 1
 
     if sample is None:
         if size > MAX_SWEEP_SIZE:
@@ -311,6 +313,10 @@ def verify_cd_bound(p: int, alpha: int, sample: "int | None" = None,
             raise ValueError(f"sample size {sample} is not positive")
         if seed is None:
             raise ValueError("sample mode needs a seed")
+        if size > MAX_SAMPLE_SIZE:
+            raise ValueError(f"Z/({size}) is too big for a sampled sweep "
+                             f"(at most {MAX_SAMPLE_SIZE})")
+        full = (1 << size) - 1
         draw = Random(seed).randrange
         table = [[0] * (size + 1) for _ in range(size + 1)]   # 0: not yet read
         pairs = int(sample)

@@ -228,10 +228,15 @@ def test_sample_below_one_is_one_error_line(capsys, argv):
 
 
 def test_sumset_sweep_too_big_is_one_error_line(capsys):
-    code, out, err = run(capsys, ["sumset", "--p", "31"])
-    assert (code, out) == (1, "")
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "sample mode" in err
+    for flags, hint in [
+            (["--p", "31"], "use sample mode"),
+            (["--p", "2", "--alpha", "40"], "use sample mode"),
+            (["--p", "2", "--alpha", "40", "--sample", "2", "--seed", "1"],
+             "sampled sweep")]:
+        code, out, err = run(capsys, ["sumset", *flags])
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert hint in err
 
 
 @pytest.mark.parametrize("flags", [
@@ -498,8 +503,7 @@ NOT_FOR_SOLVES = {"conjectures", "sumsets", "nullstellensatz", "dyson", "poly"}
     (["partition", "--file", "{inst}"], "solvers", NOT_FOR_SOLVES),
     (["verify", "--instance", "{inst}", "--solution", "{sol}"], "solvers",
      NOT_FOR_SOLVES),
-    (["pack", "--file", "{pack}"], "solvers",
-     {"conjectures", "sumsets", "nullstellensatz"}),
+    (["pack", "--file", "{pack}"], "solvers", NOT_FOR_SOLVES),
     (["cn-coeff", "--file", "{poly}", "--grid", "0,1;0,1"], "nullstellensatz",
      {"solvers", "conjectures", "sumsets", "dyson"}),
     (["conjecture-scan", "--n", "5"], "conjectures",

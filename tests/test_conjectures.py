@@ -582,6 +582,25 @@ def test_inconsistent_checkpoint_record_names_its_line(tmp_path, edit):
         scan_conjecture(7, checkpoint=str(path))
 
 
+@pytest.mark.parametrize("edit", [
+    {"shard": True},
+    {"failures": [[True, 2, 2]], "feasible": 88},   # 3 orderings of (1, 2, 2)
+])
+def test_checkpoint_bool_is_not_an_int(tmp_path, edit):
+    """A JSON bool equals 1 in Python, so on shard 1's line it would pass
+    for the shard, or for a failure's smallest entry."""
+    path = tmp_path / "scan.jsonl"
+    scan_conjecture(7, checkpoint=str(path))
+    lines = path.read_text().splitlines(keepends=True)
+    record = json.loads(lines[0])
+    assert (record["shard"], record["total"], record["feasible"]) == \
+        (1, 91, 91)
+    lines[0] = json.dumps({**record, **edit}, sort_keys=True) + "\n"
+    path.write_text("".join(lines))
+    with pytest.raises(InvalidInstance, match="line 1"):
+        scan_conjecture(7, checkpoint=str(path))
+
+
 def test_consistent_checkpoint_failure_is_trusted(tmp_path):
     """A record that agrees with its shard is taken as written, failures
     included: the loader checks counts, not verdicts."""

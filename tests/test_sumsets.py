@@ -221,15 +221,23 @@ def test_exhaustive_z13():
     assert rep.tight_count == 28718665
 
 
-@pytest.mark.parametrize("p, alpha", [(23, 1), (5, 2), (31, 1), (2, 7)])
+@pytest.mark.parametrize("p, alpha", [(23, 1), (5, 2), (31, 1), (2, 7),
+                                      (3, 5), (31, 2), (2, 10), (2, 40)])
 def test_exhaustive_sweep_refuses_a_group_above_the_limit(p, alpha):
     """Z/(23) would take some 8,290 passes, Z/(25) would pack 2^24 fields
     into one integer and Z/(31) 2^30; the sweep names sample mode
-    instead, and sample mode still runs."""
-    assert p ** alpha > sumsets.MAX_SWEEP_SIZE
+    instead, and sample mode still runs up to Z/(1000).  Above that
+    (a Z/(1024) draw can take 3 s) sample mode is refused too, and neither
+    mode builds anything first (Z/(2^40) used to die in a MemoryError)."""
+    size = p ** alpha
+    assert size > sumsets.MAX_SWEEP_SIZE
     with pytest.raises(ValueError, match="sample mode"):
         verify_cd_bound(p, alpha)
-    assert verify_cd_bound(p, alpha, sample=5, seed=1).pairs == 5
+    if size <= sumsets.MAX_SAMPLE_SIZE:
+        assert verify_cd_bound(p, alpha, sample=5, seed=1).pairs == 5
+    else:
+        with pytest.raises(ValueError, match="sampled sweep"):
+            verify_cd_bound(p, alpha, sample=5, seed=1)
 
 
 def test_sweep_accepts_and_ignores_jobs():

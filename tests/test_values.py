@@ -112,8 +112,6 @@ def test_check_is_not_part_of_the_value():
     assert checked == unchecked and hash(checked) == hash(unchecked)
     assert repr(checked) == repr(unchecked)
     assert "check" not in repr(unchecked)
-    assert (checked.check, unchecked.check) == (True, False)
-    assert pickle.loads(pickle.dumps(unchecked)).check is False
 
 
 def test_missing_or_unknown_fields_raise_type_error():
