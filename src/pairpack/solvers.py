@@ -9,10 +9,12 @@ search takes the smallest object not yet dealt with, except the one
 scans use, find_pair_partition, which takes the uncovered element with
 the fewest live partners and cuts a state where some element has no
 live partner or some difference fewer free placements than copies left;
-the CLI's partition keeps the canonical first solution and skips dead
-states it has seen.  A solver either returns a solution (deterministic,
-first in its branch order) or an Infeasible certificate counting the
-nodes of its whole search tree, subtrees read from a table included.
+the CLI's partition keeps the canonical first solution, cutting the
+same states on an odd prime (where the paper's theorem promises a
+partition) and elsewhere skipping dead states it has seen.  A solver
+either returns a solution (deterministic, first in its branch order) or
+an Infeasible certificate counting the nodes of its whole search tree,
+subtrees read from a table included.
 """
 
 from __future__ import annotations
@@ -140,9 +142,16 @@ def solve_pair_partition(inst: PartitionInstance) -> PairPartition | Infeasible:
     above (pair (e, e+d)) and then the partner below (pair (e-d, e)).
     Equal differences are collapsed into multiset counts; the returned
     pairs are re-dealt to indices in the order the instance listed them.
-    Dead states are kept with their subtrees' node counts and not searched
-    again; Infeasible.nodes still counts the whole canonical tree.
+    On an odd prime modulus this order runs first with the cuts of
+    find_pair_partition, which drop only states with no partition below
+    them, so the first partition stays the same.  Otherwise, or if that
+    finds none, dead states are kept with their subtrees' node counts and
+    not searched again; Infeasible.nodes counts the whole canonical tree.
     """
+    if inst.universe == "nonzero" and is_prime(inst.n):
+        found = _cut_search(inst, lambda free, lives: free)
+        if not isinstance(found, Infeasible):
+            return found
     n = inst.n
     counts, dvals = _difference_counts(inst)
     used = bytearray(n)
@@ -202,13 +211,31 @@ def find_pair_partition(inst: PartitionInstance) -> PairPartition | Infeasible:
     """Depth-first search for a pair partition, or proof there is none,
     branching on the uncovered element e with the fewest live partners:
     remaining differences d with e + d or e - d uncovered, d = n/2 once.
+    Counts are capped at 3, ties go to the smallest e, and the partition
+    found need not be solve_pair_partition's first."""
+    return _cut_search(inst, _fewest_partners)
 
-    A state is cut where some e has none, or where some d with c copies
-    left has fewer than c uncovered x with x + d uncovered (2c at
+
+def _fewest_partners(free: int, lives) -> int:
+    """The uncovered elements with one live partner, else two, else all."""
+    one = two = three = 0       # bit-sliced counts, capped at 3
+    for _, _, up, down in lives:
+        either = up | down
+        three |= two & either | one & up & down
+        two |= one & either | up & down
+        one |= either
+    return free & ~two or free & ~three or free
+
+
+def _cut_search(inst: PartitionInstance, pick) -> PairPartition | Infeasible:
+    """Depth-first search from the lowest element e of pick(free, lives),
+    the uncovered elements as bits and each difference's live x, trying
+    partners by difference ascending, e + d before e - d.
+
+    A state is cut where some e has no live partner, or where some d with
+    c copies left has fewer than c uncovered x with x + d uncovered (2c at
     d = n/2, where both ends of each pair are such an x); the cuts drop
-    only states with no partition below them.  Counts are capped at 3, ties
-    go to the smallest e, and partners come in solve_pair_partition's
-    order, but the partition found need not be that search's first.
+    only states with no partition below them.
     """
     n = inst.n
     counts, dvals = _difference_counts(inst)
@@ -222,8 +249,7 @@ def find_pair_partition(inst: PartitionInstance) -> PairPartition | Infeasible:
         if not free:
             yield -1
             return
-        # bit-sliced counts of live partners, capped at 3
-        one = two = three = 0
+        one = 0
         lives = []
         for dv, rv, half in table:
             if counts[dv]:
@@ -234,14 +260,11 @@ def find_pair_partition(inst: PartitionInstance) -> PairPartition | Infeasible:
                     return
                 down = 0 if half else free & (free << dv | free >> rv)
                 lives.append((dv, rv, up, down))
-                either = up | down
-                three |= two & either | one & up & down
-                two |= one & either | up & down
-                one |= either
+                one |= up | down
         if free & ~one:
             return
-        pick = free & ~two or free & ~three or free
-        bit = pick & -pick
+        bits = pick(free, lives)
+        bit = bits & -bits
         e = bit.bit_length() - 1
         free ^= bit
         # the masks still hold here: each child undoes its move

@@ -292,30 +292,36 @@ def verify_cd_bound(p: int, alpha: int, sample: "int | None" = None,
     that many (at least 1) seeded-uniform pairs instead, for p^alpha <=
     MAX_SAMPLE_SIZE, each |A+B| from _sum_card and each bound read once
     per drawn (|A|, |B|); only the tight_cap smallest tight pairs are kept
-    while counting.  A seed without a sample is an error.  The sweep does
-    not time itself; `jobs` is accepted for older callers and ignored.
+    while counting.  A seed without a sample is an error, and so is a
+    group above its mode's limit, found before p^alpha is built.  The
+    sweep does not time itself; `jobs` is accepted for older callers and
+    ignored.
     """
     if not is_prime(p) or alpha < 1:
         raise ValueError("need a prime p and alpha >= 1")
     if tight_cap < 0:
         raise ValueError("tight_cap must be nonnegative")
-    if sample is None and seed is not None:
-        raise ValueError("a seed needs sample mode")
-    size = p ** alpha
-
     if sample is None:
-        if size > MAX_SWEEP_SIZE:
-            raise ValueError(f"Z/({size}) is too big for an exhaustive sweep "
-                             f"(at most {MAX_SWEEP_SIZE}); use sample mode")
-        pairs, violations, tight_count, tight = _sweep(p, alpha, tight_cap)
+        if seed is not None:
+            raise ValueError("a seed needs sample mode")
+        limit, kind, tip = MAX_SWEEP_SIZE, "an exhaustive", "; use sample mode"
     else:
         if sample < 1:
             raise ValueError(f"sample size {sample} is not positive")
         if seed is None:
             raise ValueError("sample mode needs a seed")
-        if size > MAX_SAMPLE_SIZE:
-            raise ValueError(f"Z/({size}) is too big for a sampled sweep "
-                             f"(at most {MAX_SAMPLE_SIZE})")
+        limit, kind, tip = MAX_SAMPLE_SIZE, "a sampled", ""
+    # p^alpha >= 2^alpha, so a large alpha is refused before the power is
+    # built (or printed: Python will not print an int of 4300+ digits)
+    if alpha >= limit.bit_length() or p ** alpha > limit:
+        group = f"Z/({p})" if alpha == 1 else f"Z/({p}^{alpha})"
+        raise ValueError(f"{group} is too big for {kind} sweep "
+                         f"(at most {limit}){tip}")
+    size = p ** alpha
+
+    if sample is None:
+        pairs, violations, tight_count, tight = _sweep(p, alpha, tight_cap)
+    else:
         full = (1 << size) - 1
         draw = Random(seed).randrange
         table = [[0] * (size + 1) for _ in range(size + 1)]   # 0: not yet read

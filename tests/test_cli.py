@@ -231,6 +231,7 @@ def test_sumset_sweep_too_big_is_one_error_line(capsys):
     for flags, hint in [
             (["--p", "31"], "use sample mode"),
             (["--p", "2", "--alpha", "40"], "use sample mode"),
+            (["--p", "2", "--alpha", "20000"], "use sample mode"),
             (["--p", "2", "--alpha", "40", "--sample", "2", "--seed", "1"],
              "sampled sweep")]:
         code, out, err = run(capsys, ["sumset", *flags])

@@ -515,6 +515,45 @@ def test_canonical_search_matches_a_plain_recursion():
     assert infeasible == 101
 
 
+def test_prime_cut_search_keeps_the_canonical_first_solution(monkeypatch):
+    """On an odd prime the cut search runs first, and its cuts never move
+    the canonical first solution (sizes the test above does not draw)."""
+    cut_search, found = solvers._cut_search, []
+
+    def spy(inst, pick):
+        found.append(cut_search(inst, pick))
+        return found[-1]
+
+    monkeypatch.setattr(solvers, "_cut_search", spy)
+    rng = random.Random(1729)
+    for p in (17, 19, 23):
+        for _ in range(100):
+            inst = PartitionInstance(
+                p, tuple(rng.randrange(1, p) for _ in range(p // 2)))
+            assert solve_pair_partition(inst).pairs == \
+                plain_canonical_search(inst), (p, inst.d)
+    assert len(found) == 300
+    assert all(isinstance(res, PairPartition) for res in found)
+
+
+def test_prime_falls_back_to_the_whole_tree(monkeypatch):
+    """Should the cut search find nothing on a prime, the table search
+    still gives the canonical first solution."""
+    calls = []
+    monkeypatch.setattr(solvers, "_cut_search",
+                        lambda inst, pick: calls.append(inst) or Infeasible(1))
+    rng = random.Random(1801)
+    cases = [PartitionInstance(3, (1,)), PartitionInstance(5, (1, 2))]
+    for p in (7, 11, 13, 17, 19):
+        for _ in range(10):
+            cases.append(PartitionInstance(
+                p, tuple(rng.randrange(1, p) for _ in range(p // 2))))
+    for inst in cases:
+        assert solve_pair_partition(inst).pairs == \
+            plain_canonical_search(inst), (inst.n, inst.d)
+    assert calls == cases
+
+
 def test_clearing_the_dead_state_table_keeps_every_count(monkeypatch):
     monkeypatch.setattr(solvers, "DEAD_STATES", 8)
     test_branch_order_is_pinned()
