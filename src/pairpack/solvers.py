@@ -11,10 +11,13 @@ the fewest live partners and cuts a state where some element has no
 live partner or some difference fewer free placements than copies left;
 the CLI's partition keeps the canonical first solution, cutting the
 same states on an odd prime (where the paper's theorem promises a
-partition) and elsewhere skipping dead states it has seen.  A solver
-either returns a solution (deterministic, first in its branch order) or
-an Infeasible certificate counting the nodes of its whole search tree,
-subtrees read from a table included.
+partition) and elsewhere skipping dead states it has seen.  Both pair
+searches key a state by its covered set as bits, the int _search hands
+it; the table search adds fields above bit n that count the copies of
+each difference used.  A solver either returns a solution
+(deterministic, first in its branch order) or an Infeasible certificate
+counting the nodes of its whole search tree, subtrees read from a table
+included.
 """
 
 from __future__ import annotations
@@ -153,51 +156,45 @@ def solve_pair_partition(inst: PartitionInstance) -> PairPartition | Infeasible:
         if not isinstance(found, Infeasible):
             return found
     n = inst.n
-    counts, dvals = _difference_counts(inst)
-    used = bytearray(n)
-    used[0] = inst.universe == "nonzero"     # 0 is then never a partner
+    counts, diffs, universe = _differences(inst)
     chosen: list[tuple[int, int, int]] = []
-    # a state's key: the elements covered and, above bit n, the copies of
-    # each difference used, in a field as wide as its count; the root's is 0
-    unit, shift = {}, n
-    for dv in dvals:
-        unit[dv] = 1 << shift
+    # a move (d, s, n - s, unit) pairs e with e + s: s = d gives (e, e+d),
+    # s = n - d gives (e-d, e), once at d = n/2; unit is 1 in the key's
+    # field for d, as wide as d's count, above bit n
+    moves, shift = [], n
+    for dv, rv, half in diffs:
+        moves.append((dv, dv, rv, 1 << shift))
+        if not half:
+            moves.append((dv, rv, dv, 1 << shift))
         shift += counts[dv].bit_length()
     dead: dict[int, int] = {}       # key -> nodes in its subtree
 
     def node(key):
-        e = used.find(0)
-        if e < 0:
+        free = universe & ~key
+        if not free:
             yield -1
             return
-        used[e] = 1
-        covered = key + (1 << e)
+        bit = free & -free
+        e = bit.bit_length() - 1
+        covered = key | bit
         nodes = 1
-        for dv in dvals:
+        for dv, s, rs, unit in moves:
             if not counts[dv]:
                 continue
-            up = (e + dv) % n
-            down = (e - dv) % n
-            # up == down only for dv = n/2: one pair, so branch once.
-            branches = ((e, up),) if up == down else ((e, up), (down, e))
-            for x, y in branches:
-                partner = y if x == e else x
-                if used[partner]:
-                    continue
-                child = covered + (1 << partner) + unit[dv]
-                seen = dead.get(child)
-                if seen:
-                    nodes += seen
-                    continue
-                used[partner] = 1
-                counts[dv] -= 1
-                chosen.append((x, y, dv))
-                yield child
-                nodes += dead[child]
-                chosen.pop()
-                counts[dv] += 1
-                used[partner] = 0
-        used[e] = 0
+            y = e + s if e < rs else e - rs
+            if not free >> y & 1:
+                continue
+            child = covered + (1 << y) + unit
+            seen = dead.get(child)
+            if seen:
+                nodes += seen
+                continue
+            counts[dv] -= 1
+            chosen.append((e, y, dv) if s == dv else (y, e, dv))
+            yield child
+            nodes += dead[child]
+            chosen.pop()
+            counts[dv] += 1
         if len(dead) >= DEAD_STATES:
             dead.clear()                # costs only re-search
         dead[key] = nodes
@@ -237,21 +234,17 @@ def _cut_search(inst: PartitionInstance, pick) -> PairPartition | Infeasible:
     d = n/2, where both ends of each pair are such an x); the cuts drop
     only states with no partition below them.
     """
-    n = inst.n
-    counts, dvals = _difference_counts(inst)
-    # each value d with its shift n - d the other way and whether d = n/2
-    table = [(dv, n - dv, 2 * dv == n) for dv in dvals]
-    free = (1 << n) - 1 - (inst.universe == "nonzero")   # uncovered, as bits
+    counts, diffs, universe = _differences(inst)
     chosen: list[tuple[int, int, int]] = []
 
-    def node(_):
-        nonlocal free
+    def node(key):
+        free = universe & ~key
         if not free:
             yield -1
             return
         one = 0
         lives = []
-        for dv, rv, half in table:
+        for dv, rv, half in diffs:
             if counts[dv]:
                 up = free & (free >> dv | free << rv)
                 # the pairs (x, x + d) left need distinct x in up; at
@@ -266,38 +259,35 @@ def _cut_search(inst: PartitionInstance, pick) -> PairPartition | Infeasible:
         bits = pick(free, lives)
         bit = bits & -bits
         e = bit.bit_length() - 1
-        free ^= bit
-        # the masks still hold here: each child undoes its move
+        key |= bit
         for dv, rv, up, down in lives:
             if up >> e & 1:
                 y = e + dv if e < rv else e - rv
-                free ^= 1 << y
                 counts[dv] -= 1
                 chosen.append((e, y, dv))
-                yield 0
+                yield key | 1 << y
                 chosen.pop()
                 counts[dv] += 1
-                free ^= 1 << y
             if down >> e & 1:
                 x = e - dv if e >= dv else e + rv
-                free ^= 1 << x
                 counts[dv] -= 1
                 chosen.append((x, e, dv))
-                yield 0
+                yield key | 1 << x
                 chosen.pop()
                 counts[dv] += 1
-                free ^= 1 << x
-        free ^= bit
 
     return _search(node) or _deal(inst, chosen)
 
 
-def _difference_counts(inst: PartitionInstance):
-    """The multiset of differences as counts, and its values ascending."""
+def _differences(inst: PartitionInstance):
+    """The multiset of differences as counts; each value d ascending as
+    (d, n - d, whether d = n/2); and the universe as bits."""
+    n = inst.n
     counts: dict[int, int] = {}
     for x in inst.d:
         counts[x] = counts.get(x, 0) + 1
-    return counts, sorted(counts)
+    return (counts, tuple((dv, n - dv, 2 * dv == n) for dv in sorted(counts)),
+            (1 << n) - 1 - (inst.universe == "nonzero"))
 
 
 def _deal(inst: PartitionInstance, chosen) -> PairPartition:
@@ -532,10 +522,9 @@ def check_packing_hypotheses(inst: PackingInstance) -> PackingReport:
     trans_ok = all(len(ts) >= (m - 1) * d + 1 for ts in inst.T)
 
     squares: "bool | None" = None
-    if mod and is_prime(mod):
-        full = tuple(range(mod))
-        if all(ts == full for ts in inst.T):
-            squares = sum((len(xs) ** 2 + 1) // 2 for xs in inst.X) < mod
+    # distinct residues: T_i is the ring iff it has mod; is_prime is slow
+    if mod and all(len(ts) == mod for ts in inst.T) and is_prime(mod):
+        squares = sum((len(xs) ** 2 + 1) // 2 for xs in inst.X) < mod
 
     return PackingReport(m, d, factorial_ok, diff_ok, trans_ok, squares)
 

@@ -293,11 +293,11 @@ def verify_cd_bound(p: int, alpha: int, sample: "int | None" = None,
     MAX_SAMPLE_SIZE, each |A+B| from _sum_card and each bound read once
     per drawn (|A|, |B|); only the tight_cap smallest tight pairs are kept
     while counting.  A seed without a sample is an error, and so is a
-    group above its mode's limit, found before p^alpha is built.  The
-    sweep does not time itself; `jobs` is accepted for older callers and
-    ignored.
+    group above its mode's limit, found before p^alpha is built or p is
+    tested for primality.  The sweep does not time itself; `jobs` is
+    accepted for older callers and ignored.
     """
-    if not is_prime(p) or alpha < 1:
+    if p < 2 or alpha < 1:
         raise ValueError("need a prime p and alpha >= 1")
     if tight_cap < 0:
         raise ValueError("tight_cap must be nonnegative")
@@ -317,6 +317,8 @@ def verify_cd_bound(p: int, alpha: int, sample: "int | None" = None,
         group = f"Z/({p})" if alpha == 1 else f"Z/({p}^{alpha})"
         raise ValueError(f"{group} is too big for {kind} sweep "
                          f"(at most {limit}){tip}")
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     size = p ** alpha
 
     if sample is None:

@@ -86,6 +86,17 @@ def test_pack_infeasible_keeps_hypotheses(capsys):
     assert "hypotheses" in doc
 
 
+def test_pack_huge_modulus_without_full_translates(capsys):
+    """No T_i is the whole ring, so the squares bound is null at once,
+    without a trial division of the 18-digit prime modulus."""
+    code, out, _ = run(capsys, ["pack", "--n", "1000000000000000003",
+                                "--X", "0;0", "--T", "0,1;2,3", "--d", "1"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["t"] == [0, 2]
+    assert doc["hypotheses"]["squares_bound"] is None
+
+
 def test_pack_file(capsys, tmp_path):
     path = tmp_path / "pack.json"
     path.write_text(json.dumps({"n": "integers", "X": [[0, 2], [0, 1]],
@@ -233,6 +244,10 @@ def test_sumset_sweep_too_big_is_one_error_line(capsys):
             (["--p", "2", "--alpha", "40"], "use sample mode"),
             (["--p", "2", "--alpha", "20000"], "use sample mode"),
             (["--p", "2", "--alpha", "40", "--sample", "2", "--seed", "1"],
+             "sampled sweep"),
+            # an 18-digit prime: refused before a trial division of it
+            (["--p", "1000000000000000003"], "use sample mode"),
+            (["--p", "1000000000000000003", "--sample", "5", "--seed", "1"],
              "sampled sweep")]:
         code, out, err = run(capsys, ["sumset", *flags])
         assert (code, out) == (1, "")

@@ -14,9 +14,10 @@ from pairpack.dyson import packing_coefficient
 from pairpack.solvers import (Infeasible, InvalidInstance, PackingInstance,
                               PairPartition, PartitionInstance,
                               VectorPartitionInstance, check_packing_hypotheses,
-                              packing_to_partition, partition_as_packing,
-                              solve_pair_partition, solve_translate_packing,
-                              solve_vector_partition, verify_solution)
+                              find_pair_partition, packing_to_partition,
+                              partition_as_packing, solve_pair_partition,
+                              solve_translate_packing, solve_vector_partition,
+                              verify_solution)
 
 
 def exists_by_enumeration(inst):
@@ -559,3 +560,25 @@ def test_clearing_the_dead_state_table_keeps_every_count(monkeypatch):
     test_branch_order_is_pinned()
     inst = PartitionInstance(16, (3, 4, 6, 7, 9, 11, 12, 13), "full")
     assert solve_pair_partition(inst) == Infeasible(232123)
+
+
+def test_find_pair_partition_is_pinned():
+    """The scans' search: its partition or node count on 200 seeded
+    instances (75 of them infeasible), hashed.  A change of its pick, its
+    cuts or its branch order changes the digest."""
+    rng = random.Random(2022)
+    cases = []
+    for _ in range(140):
+        n = rng.choice((9, 10, 12, 14, 15, 16, 21, 23, 25, 29))
+        cases.append((n, [rng.randrange(1, n) for _ in range(n // 2)]))
+    for _ in range(60):     # a factor g of n dividing every d: mostly dead
+        n = rng.choice((9, 10, 12, 14, 15, 16))
+        g = rng.choice([f for f in range(2, n) if n % f == 0])
+        cases.append((n, [g * rng.randrange(1, n // g) for _ in range(n // 2)]))
+    results = [find_pair_partition(PartitionInstance(
+        n, d, "nonzero" if n % 2 else "full")).to_json() for n, d in cases]
+    assert sum(res["result"] == "infeasible" for res in results) == 75
+    digest = hashlib.sha256(
+        json.dumps(results, sort_keys=True).encode()).hexdigest()
+    assert digest == \
+        "23ef061d7dfd5ded1483d020d76bb4fc05d4f114f5b7098b839ccf8dbdb6b959"
