@@ -30,18 +30,30 @@ class OrderMismatch(ValueError):
 
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    """Trial-division primality test; moduli here are desk-scale."""
+    """Miller-Rabin on the 13 prime bases 2..41, which is exact for every
+    n below 3,317,044,064,679,887,385,961,981 (Sorenson and Webster,
+    2015); at or above that limit it raises ValueError."""
+    limit = 3317044064679887385961981
+    if n >= limit:
+        raise ValueError(f"{n} is too big for the primality test "
+                         f"(exact below {limit})")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for a in bases:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    for a in bases:
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -25,10 +25,10 @@ with pi ranging over bijections [m] -> {0..m-1}.  The first equals the
 second times prod_i (1 - w_i).  Substituting w_i -> 1 in the second gives
 m! (2m-1)!! whatever d is, which for odd prime n = 2m+1 is not divisible
 by n; a value not divisible by n certifies the sum is nonzero in Z[w].
-All three are permanents, taken by one Glynn routine: over the integers
-for the value at 1; for the sums, mod a product of primes q = 1 (mod n)
-at the n powers of an n-th root of unity there, then interpolated back
-to exact coefficients in Z[x]/(x^n - 1).
+All three are permanents, each taken by one Glynn pass over packed
+integers: x -> 2^b maps Z[x]/(x^n - 1) into Z/(2^(nb) - 1), and with b
+large enough for the coefficient bound the b-bit digits of the result
+are its exact coefficients; the value at 1 is the case n = 1.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ import json
 import math
 import os
 from collections import Counter
-from functools import lru_cache
 from itertools import chain, combinations_with_replacement, product
 from random import Random
 
@@ -305,88 +304,70 @@ def _validated_units(n, d) -> tuple[int, ...]:
     return out
 
 
-def _glynn(rows) -> int:
-    """2^(m-1) times the permanent of a nonempty square integer matrix, by
-    Glynn's formula
+def _glynn(rows, bits: int) -> int:
+    """2^(m-1) times the permanent of a nonempty square integer matrix,
+    mod 2^bits - 1 (a representative, not reduced), by Glynn's formula
 
         2^(m-1) * perm M = sum_s s_1 ... s_m * prod_j sum_i s_i * M[i][j]
 
     over the sign vectors s in {1, -1}^m with s_1 = 1, walked in Gray-code
-    order so one row changes sign per step."""
+    order so one row changes sign per step.  Each product is folded at
+    bit `bits` after every factor, as 2^bits = 1 mod 2^bits - 1, so it
+    stays near `bits` bits long whatever m is."""
     m = len(rows)
+    mask = (1 << bits) - 1
     twice = [[2 * a for a in row] for row in rows]
     sums = [sum(col) for col in zip(*rows)]
-    total = math.prod(sums)
-    for k in range(1, 1 << (m - 1)):
-        bit = k & -k
+    total = 0
+    for k in range(1 << (m - 1)):
         gray = k ^ (k >> 1)
-        row = twice[bit.bit_length()]
-        if gray & bit:
-            sums = [s - a for s, a in zip(sums, row)]
-        else:
-            sums = [s + a for s, a in zip(sums, row)]
+        if k:
+            bit = k & -k
+            row = twice[bit.bit_length()]
+            if gray & bit:
+                sums = [s - a for s, a in zip(sums, row)]
+            else:
+                sums = [s + a for s, a in zip(sums, row)]
+        acc = 1
+        for s in sums:
+            acc *= s
+            acc = (acc & mask) + (acc >> bits)
         if gray.bit_count() % 2:
-            total -= math.prod(sums)
+            total -= acc
         else:
-            total += math.prod(sums)
+            total += acc
     return total
-
-
-@lru_cache(maxsize=None)
-def _modulus(n: int, count: int) -> tuple[int, int, int]:
-    """(Q, z, q): q the count-th largest prime k*n + 1 below 2^31, Q the
-    product of the count largest, z a primitive n-th root of unity mod Q,
-    glued by CRT from one root mod each prime; count 0 gives (1, 0, 0)."""
-    if not count:
-        return 1, 0, 0
-    big, root, q = _modulus(n, count - 1)
-    q = q - n if q else (2 ** 31 - 2) // n * n + 1
-    while not is_prime(q):
-        q -= n
-    g = 2
-    while len({pow(g, (q - 1) // n * k, q) for k in range(n)}) < n:
-        g += 1
-    z = pow(g, (q - 1) // n, q)
-    return big * q, root + big * ((z - root) * pow(big, -1, q) % q), q
 
 
 def _permanent(matrix, zero):
     """Permanent of a square matrix of ints (zero is 0) or of CycloInts of
     one order n (zero is CycloInt(n)); an empty matrix gives zero + 1.
 
-    Over the ints: Glynn's sum over 2^(m-1).  Over Z[x]/(x^n - 1) no
-    CycloInt is multiplied.  Each coefficient is at most
-    B = m! * prod_i max_j |M[i][j]|_1 in size, so it is found mod Q > 2B,
-    a product of primes q = 1 (mod n), where the ring splits into n copies
-    of Z/Q, one per power z^k of an n-th root z.  Glynn runs once per z^k
-    on the evaluated entries, and the inverse DFT gives the coefficients
-    mod Q, lifted into the symmetric range: the exact sum over
-    permutations of products of one entry per row."""
+    No CycloInt is multiplied.  Each coefficient is at most
+    B = m! * prod_i max_j |M[i][j]|_1 in size; with b bits per digit,
+    2^(b-1) > 2B, the map x -> 2^b takes Z[x]/(x^n - 1) into Z/M with
+    M = 2^(nb) - 1, since 2^(nb) = 1 there (an int is the case n = 1).
+    Glynn runs once on the packed entries, and the n balanced b-bit digits
+    of the result mod M, over 2^(m-1), are the exact coefficients: the sum
+    over permutations of products of one entry per row."""
     m = len(matrix)
     if not m:
         return zero + 1
-    if not isinstance(zero, CycloInt):
-        return _glynn(matrix) // 2 ** (m - 1)
-    n = zero.n
+    cyclo = isinstance(zero, CycloInt)
+    n = zero.n if cyclo else 1
+    rows = [[e.coeffs if cyclo else (e,) for e in row] for row in matrix]
     bound = math.factorial(m) * math.prod(
-        max(sum(map(abs, e.coeffs)) for e in row) for row in matrix)
-    count = 0
-    while _modulus(n, count)[0] <= 2 * bound:
-        count += 1
-    big, root, _ = _modulus(n, count)
-    powers = [pow(root, t, big) for t in range(n)]
-    terms = [[[(t, c) for t, c in enumerate(e.coeffs) if c] for e in row]
-             for row in matrix]
-    values = [_glynn([[sum(c * powers[t * k % n] for t, c in entry) % big
-                       for entry in row] for row in terms]) % big
-              for k in range(n)]
-    scale = pow(n << (m - 1), -1, big)
-    coeffs = []
-    for t in range(n):
-        c = scale * sum(v * powers[-t * k % n]
-                        for k, v in enumerate(values)) % big
-        coeffs.append(c - big if 2 * c > big else c)
-    return CycloInt(n, coeffs)
+        max(sum(map(abs, coeffs)) for coeffs in row) for row in rows)
+    b = bound.bit_length() + 2
+    big = (1 << n * b) - 1
+    packed = [[sum(c << b * t for t, c in enumerate(coeffs))
+               for coeffs in row] for row in rows]
+    # 2^(b-1) added to every digit makes each one nonnegative and < 2^b
+    half = big // ((1 << b) - 1) << (b - 1)
+    value = (_glynn(packed, n * b) * pow(2, 1 - m, big) + half) % big
+    coeffs = [(value >> b * t & (1 << b) - 1) - (1 << b - 1)
+              for t in range(n)]
+    return CycloInt(n, coeffs) if cyclo else coeffs[0]
 
 
 def _bijection_sum(n: int, d, terms):

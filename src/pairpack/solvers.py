@@ -522,7 +522,7 @@ def check_packing_hypotheses(inst: PackingInstance) -> PackingReport:
     trans_ok = all(len(ts) >= (m - 1) * d + 1 for ts in inst.T)
 
     squares: "bool | None" = None
-    # distinct residues: T_i is the ring iff it has mod; is_prime is slow
+    # distinct residues: T_i is the ring iff it has mod elements
     if mod and all(len(ts) == mod for ts in inst.T) and is_prime(mod):
         squares = sum((len(xs) ** 2 + 1) // 2 for xs in inst.X) < mod
 

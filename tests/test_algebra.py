@@ -19,6 +19,29 @@ def test_is_prime_small():
     assert not is_prime(7917)
 
 
+def test_is_prime_is_miller_rabin_below_its_limit():
+    """Every n up to 10^5 against a sieve (uncached, so the memo does not
+    keep them all), strong pseudoprimes to the first few prime bases, two
+    large primes, and a ValueError past 3.3 * 10^24 instead of a hang."""
+    limit = 10 ** 5
+    sieve = bytearray([0, 0]) + bytearray([1]) * (limit - 1)
+    for k in range(2, math.isqrt(limit) + 1):
+        if sieve[k]:
+            sieve[k * k::k] = bytes(len(range(k * k, limit + 1, k)))
+    assert [is_prime.__wrapped__(k) for k in range(limit + 1)] == \
+        [bool(x) for x in sieve]
+    for composite in (561, 2047, 1373653, 25326001, 3215031751,
+                      2152302898747, 3474749660383, 341550071728321,
+                      3825123056546413051):
+        assert not is_prime(composite), composite
+    assert is_prime(2 ** 61 - 1) and is_prime(10 ** 18 + 3)
+    assert ModRing(10 ** 18 + 3).is_field
+    # the limit itself is a strong pseudoprime to all 13 bases
+    for n in (3317044064679887385961981, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match="too big"):
+            is_prime(n)
+
+
 def test_modring_basics():
     R = ModRing(7)
     assert R.n == 7

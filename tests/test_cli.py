@@ -88,7 +88,7 @@ def test_pack_infeasible_keeps_hypotheses(capsys):
 
 def test_pack_huge_modulus_without_full_translates(capsys):
     """No T_i is the whole ring, so the squares bound is null at once,
-    without a trial division of the 18-digit prime modulus."""
+    without a primality test of the 18-digit prime modulus."""
     code, out, _ = run(capsys, ["pack", "--n", "1000000000000000003",
                                 "--X", "0;0", "--T", "0,1;2,3", "--d", "1"])
     assert code == 0
@@ -207,6 +207,15 @@ def test_sumset_pair(capsys):
     assert doc["sum"] == [0, 1, 2]
 
 
+def test_sumset_pair_mod_18_digit_prime(capsys):
+    """An 18-digit prime modulus passes the primality test at once."""
+    code, out, _ = run(capsys, ["sumset", "--A", "1", "--B", "1",
+                                "--p", "1000000000000000003"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["holds"] and doc["sum"] == [2]
+
+
 def test_sumset_sweep(capsys):
     code, out, _ = run(capsys, ["sumset", "--p", "2"])
     assert code == 0
@@ -245,7 +254,7 @@ def test_sumset_sweep_too_big_is_one_error_line(capsys):
             (["--p", "2", "--alpha", "20000"], "use sample mode"),
             (["--p", "2", "--alpha", "40", "--sample", "2", "--seed", "1"],
              "sampled sweep"),
-            # an 18-digit prime: refused before a trial division of it
+            # an 18-digit prime: refused before a primality test of it
             (["--p", "1000000000000000003"], "use sample mode"),
             (["--p", "1000000000000000003", "--sample", "5", "--seed", "1"],
              "sampled sweep")]:

@@ -284,6 +284,15 @@ def test_permanent_matches_inclusion_exclusion():
     for m in range(6):
         mat = [[rng.randrange(-9, 10) for _ in range(m)] for _ in range(m)]
         assert _permanent(mat, 0) == by_definition(mat, 0)
+    # a lone coefficient is the whole bound B, at +B and at -B; an all-zero
+    # matrix has B = 0, the fewest bits per packed digit
+    for c in (1, 7, 8, -1, -8, 2 ** 40, -2 ** 40):
+        for t in (0, order - 1):
+            entry = CycloInt.from_int(order, c) * CycloInt.root_power(order, t)
+            assert _permanent([[entry]], CycloInt(order)).coeffs == entry.coeffs
+        assert _permanent([[c]], 0) == c
+    for m in (3, 4, 5):
+        assert _permanent([[0] * m for _ in range(m)], 0) == 0
 
 
 def test_permanent_exact_beyond_one_prime():
