@@ -38,6 +38,7 @@ import math
 import os
 from collections import Counter
 from itertools import chain, combinations_with_replacement, product
+from operator import add, sub
 from random import Random
 
 from .algebra import CycloInt, Value, is_prime, json_value, multinomial
@@ -311,28 +312,30 @@ def _glynn(rows, bits: int) -> int:
         2^(m-1) * perm M = sum_s s_1 ... s_m * prod_j sum_i s_i * M[i][j]
 
     over the sign vectors s in {1, -1}^m with s_1 = 1, walked in Gray-code
-    order so one row changes sign per step.  Each product is folded at
-    bit `bits` after every factor, as 2^bits = 1 mod 2^bits - 1, so it
-    stays near `bits` bits long whatever m is."""
+    order so one row changes sign per step, and the term's sign with it.
+    Each product is folded at bit `bits`, as 2^bits = 1 mod 2^bits - 1,
+    after every k factors, k = `bits` // (bit length of the widest column
+    sum), so it stays near `bits` bits long whatever m is."""
     m = len(rows)
     mask = (1 << bits) - 1
     twice = [[2 * a for a in row] for row in rows]
     sums = [sum(col) for col in zip(*rows)]
+    widest = max(sum(map(abs, col)) for col in zip(*rows)).bit_length()
+    every = max(1, bits // max(widest, 1))
     total = 0
     for k in range(1 << (m - 1)):
-        gray = k ^ (k >> 1)
         if k:
             bit = k & -k
-            row = twice[bit.bit_length()]
-            if gray & bit:
-                sums = [s - a for s, a in zip(sums, row)]
-            else:
-                sums = [s + a for s, a in zip(sums, row)]
-        acc = 1
+            sums = list(map(sub if (k ^ k >> 1) & bit else add, sums,
+                            twice[bit.bit_length()]))
+        acc, left = 1, every
         for s in sums:
             acc *= s
-            acc = (acc & mask) + (acc >> bits)
-        if gray.bit_count() % 2:
+            left -= 1
+            if not left:
+                acc = (acc & mask) + (acc >> bits)
+                left = every
+        if k & 1:
             total -= acc
         else:
             total += acc

@@ -17,10 +17,11 @@ is what the witness search exhumes.
 
 Every grid routine here reads f only through ``f.nonzero_points``, which
 lists the points of a product of sets where f is nonzero, in
-lexicographic order.  For an AffineProduct that is a walk that drops a
-whole subtree as soon as a prefix of coordinates makes a factor vanish;
-for the pairing polynomials nearly every point of F_p^m goes that way
-after two or three coordinates, since two pairs already collide.
+lexicographic order.  For an AffineProduct that is a walk by roots: each
+factor strikes its zeros from the next coordinate's set, and values are
+taken only at the points left, where a product of zero divisors that is
+0 is dropped.  For the pairing polynomials nearly every prefix in F_p^m
+has no next coordinate left after two or three, as two pairs collide.
 
 Also here: the helpers specific to pairing the nonzero residues of a prime
 field with prescribed differences, built as unexpanded affine products.

@@ -197,26 +197,44 @@ class AffineProduct:
     """A product of affine factors, kept unexpanded.
 
     Each factor is ``((var, coeff), ...), const`` and stands for
-    sum(coeff * x_var) + const.  ``nonzero_points`` walks a product of
-    sets and skips every point below a prefix where the product already
-    vanishes, so no expansion is needed; ``evaluate`` is its one-point case.
+    sum(coeff * x_var) + const, a variable named twice taken once with the
+    sum of its coefficients.  ``nonzero_points`` walks a product of sets by
+    the factors' roots, so no expansion is needed; ``evaluate`` is its
+    one-point case.
     """
 
-    __slots__ = ("ring", "arity", "factors")
+    __slots__ = ("ring", "arity", "factors", "_const", "_levels")
 
     def __init__(self, ring, arity: int, factors):
         self.ring = ring
         self.arity = int(arity)
         n = ring.n
-        canon = (lambda c: c % n) if n else int
-        clean = []
+        clean, groups = [], {}
         for linear, const in factors:
-            lin = tuple((int(i), canon(c)) for i, c in linear if canon(c))
-            for i, _ in lin:
-                if not 0 <= i < self.arity:
-                    raise ArityMismatch(f"variable {i} in arity-{self.arity} product")
-            clean.append((lin, canon(const)))
+            merged = {}
+            for i, c in linear:
+                i = int(i)
+                merged[i] = (merged.get(i, 0) + c) % n if n else merged.get(i, 0) + int(c)
+            lin = tuple(sorted([t for t in merged.items() if t[1]]))
+            const = const % n if n else int(const)
+            if lin and not 0 <= lin[0][0] <= lin[-1][0] < self.arity:
+                raise ArityMismatch(
+                    f"variables {[i for i, _ in lin]} in arity-{self.arity} product")
+            clean.append((lin, const))
+            groups.setdefault(lin, []).append(const)
         self.factors = tuple(clean)
+        const = math.prod(groups.pop((), ()))
+        self._const = const % n if n else const
+        # _levels[i]: (rest, c, consts, g, n / g, u) per linear part c * x_i
+        # + rest; c * x + r = 0 mod n when g = gcd(c, n) divides r and x =
+        # r / g * u mod n / g, u = -(c / g)^-1.  Over ZZ, g = c and u = -1.
+        self._levels = [[] for _ in range(self.arity)]
+        for lin, consts in groups.items():
+            top, c = lin[-1]
+            g = math.gcd(c, n) if n else c
+            step = n // g if n else 0
+            u = -pow(c // g, -1, step) % step if n else -1
+            self._levels[top].append((lin[:-1], c, consts, g, step, u))
 
     def total_degree(self) -> int:
         """Number of factors with a nonzero linear part (an upper bound that
@@ -235,50 +253,53 @@ class AffineProduct:
         the product is nonzero, in lexicographic order over the sets as
         given.
 
-        A factor is evaluated as soon as the largest variable it uses is
-        set, once per prefix, and the partial product is carried down an
-        explicit stack; a prefix where it is 0 (over Z/(n), possibly from
-        zero divisors) skips every point below it.
+        With x_0 .. x_(i-1) set, each factor c * x_i + r whose largest
+        variable is x_i strikes its roots from the set of x_i (compared
+        mod n), and a prefix with no x_i left skips every point below it.
+        The product is taken only at the points that avoid every root,
+        and dropped there if zero divisors make it 0.
         """
         if len(sets) != self.arity:
             raise ArityMismatch(f"{len(sets)} sets for arity {self.arity}")
-        n = self.ring.n
-        # Level 0 is a one-value axis that carries the constant factors;
-        # x_i is set at level i + 1.
-        axes = ((0,),) + tuple(tuple(s) for s in sets)
-        levels = [[] for _ in axes]
-        for lin, const in self.factors:
-            lin = tuple((i + 1, c) for i, c in lin)
-            levels[max((i for i, _ in lin), default=0)].append((lin, const))
-        last = len(axes) - 1
-        point = [0] * len(axes)
-        partial = [1] * len(axes)   # partial[k]: product of levels < k
-        pending = [iter(axes[0])] + [None] * last
-        k = 0
+        n, const, levels, last = self.ring.n, self._const, self._levels, self.arity - 1
+        sets, point = [tuple(s) for s in sets], [0] * self.arity
+        # vals[i]: (c, s, consts) per linear part c * x_i + rest, s = rest
+        vals, pending = [()] * self.arity, [None] * self.arity
+        k = 0 if const and sets else -1
         while k >= 0:
+            if pending[k] is None:
+                zeros, here = {}, []   # zeros[n / g]: roots mod n / g; ZZ: zeros[0]
+                for rest, c, consts, g, step, u in levels[k]:
+                    s = 0
+                    for i, a in rest:
+                        s += a * point[i]
+                    here.append((c, s, consts))
+                    z = zeros.setdefault(step, set())
+                    for r in consts:
+                        r += s
+                        if r % g == 0:
+                            z.add(r // g * u % step if step else r // g * u)
+                vals[k] = here
+                left = sets[k]
+                for step, z in zeros.items():
+                    left = [x for x in left if (x % step if step else x) not in z]
+                pending[k] = iter(left)
             for x in pending[k]:
                 point[k] = x
-                acc = partial[k]
-                for lin, const in levels[k]:
-                    v = const
-                    for i, c in lin:
-                        v += c * point[i]
-                    acc *= v
-                    if n:
-                        acc %= n
-                    if acc == 0:
-                        break
-                if acc == 0:
-                    continue
-                if k == last:
-                    yield tuple(point[1:]), acc
-                else:
+                if k < last:
                     k += 1
-                    partial[k] = acc
-                    pending[k] = iter(axes[k])
                     break
+                acc = math.prod((c * y + s + e for y, here in zip(point, vals)
+                                 for c, s, consts in here for e in consts), start=const)
+                if n:
+                    acc %= n
+                if acc:
+                    yield tuple(point), acc
             else:
+                pending[k] = None
                 k -= 1
+        if const and not sets:
+            yield (), const
 
     def expand(self, budget: int = DEFAULT_TERM_BUDGET) -> MultiPoly:
         """Multiply the factors out into a MultiPoly.

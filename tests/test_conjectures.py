@@ -257,9 +257,9 @@ def test_scan_rejects_unverified_partition(monkeypatch):
 
 
 def test_permanent_matches_inclusion_exclusion():
-    """Ryser's formula against the permanent's definition: a sum over all
-    permutations of products of one entry per row, over Z[w] and over the
-    integers."""
+    """Glynn's formula, in one packed pass, against the permanent's
+    definition: a sum over all permutations of products of one entry per
+    row, over Z[w] and over the integers."""
     rng = random.Random(29)
     order = 7
 
@@ -296,8 +296,9 @@ def test_permanent_matches_inclusion_exclusion():
 
 
 def test_permanent_exact_beyond_one_prime():
-    """Entries so large that the coefficient bound needs several primes,
-    and a zero row, whose bound 0 needs none."""
+    """Entries so large that the coefficient bound needs digits of about
+    160 bits, far past one machine word, and a zero row, whose bound 0
+    gives the narrowest digits (b = 2)."""
     rng = random.Random(37)
     order = 6
     big = 10 ** 15

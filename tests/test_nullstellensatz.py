@@ -315,6 +315,46 @@ def test_pruned_walk_matches_point_by_point(ring):
                     f, [range(ring.n)] * f.arity)) % ring.n
 
 
+def _raw_value(n, factors, point):
+    """The product of the factors as given, repeated variables and all."""
+    return math.prod(const + sum(c * point[i] for i, c in lin)
+                     for lin, const in factors) % n
+
+
+@pytest.mark.parametrize("n", [12, 36])
+def test_root_walk_with_non_unit_coefficients(n):
+    """Top coefficients from all of Z/(n): a non-unit one has no root or
+    a whole residue class mod n / gcd per prefix, and products of zero
+    divisors vanish at points where no factor does."""
+    ring = ModRing(n)
+    rng = random.Random(n)
+    fixed = [
+        [(((0, 1), (1, 6), (0, n - 1)), 3)],           # x0 cancels
+        [(((0, 4),), 0), (((1, 3),), 0)],               # 4x * 3y, 0 mod 12
+        [(((0, 2),), 1), ((), 0), (((1, 5),), 2)],      # a zero factor
+        [(((0, n // 2), (2, n // 3)), n // 6), (((1, 6), (2, 9)), 3),
+         (((0, 1), (1, 1)), 0)],
+    ]
+    randoms = []
+    for _ in range(60):
+        arity = rng.randrange(1, 4)
+        randoms.append(
+            [([(rng.randrange(arity), rng.randrange(n))
+               for _ in range(rng.randrange(4))], rng.randrange(-n, 2 * n))
+             for _ in range(rng.randrange(1, 6))])
+    for factors in fixed + randoms:
+        arity = 1 + max((i for lin, _ in factors for i, _ in lin), default=0)
+        f = AffineProduct(ring, arity, factors)
+        for _ in range(2):
+            grid = _random_grid(rng, f, n)      # elements past [0, n)
+            _agree(f, grid)
+            for point in itertools.islice(itertools.product(*grid.sets), 200):
+                assert f.evaluate(point) == _raw_value(n, factors, point)
+    # a top coefficient with gcd 2^39: one residue class mod 2, at once
+    big = AffineProduct(ModRing(2 ** 40), 1, [(((0, 2 ** 39),), 2 ** 39)])
+    assert [big.evaluate((x,)) for x in (1, 2, -3, 4)] == [0, 2 ** 39, 0, 2 ** 39]
+
+
 def test_pruned_walk_on_pairing_polynomials():
     rng = random.Random(11)
     for p in (5, 7, 11):

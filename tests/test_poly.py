@@ -5,6 +5,7 @@ import random
 import pytest
 
 from pairpack.algebra import ZZ, ModRing
+from pairpack.nullstellensatz import GridSpec, cn_coefficient
 from pairpack.poly import (AffineProduct, ArityMismatch, BudgetExceeded,
                            MultiPoly, RingMismatch, difference_product)
 
@@ -170,6 +171,24 @@ def test_affine_product_evaluate_and_expand():
         for _ in range(5):
             pt = tuple(rng.randrange(ring.n) for _ in range(arity))
             assert prod.evaluate(pt) == poly.evaluate(pt)
+
+
+def test_affine_product_merges_repeated_variables():
+    """A variable named twice in one factor is one term with the summed
+    coefficient, and is dropped when they cancel, so total_degree is the
+    degree of the expansion over an integral domain."""
+    cancelled = AffineProduct(ZZ, 1, [(((0, 1), (0, -1)), 3)])
+    assert cancelled.factors == (((), 3),)
+    assert cancelled.total_degree() == 0 == cancelled.expand().total_degree()
+    assert cancelled.evaluate((5,)) == 3
+    assert cn_coefficient(cancelled, GridSpec(((0,),))) == 3   # degree 0
+    summed = AffineProduct(ZZ, 2, [(((1, 2), (0, 1), (1, 3)), -4)])
+    assert summed.factors == ((((0, 1), (1, 5)), -4),)
+    assert summed.evaluate((2, 3)) == 2 + 15 - 4
+    mod7 = AffineProduct(ModRing(7), 2, [(((0, 3), (1, 2), (0, 4)), 1),
+                                          (((1, 1), (1, 6)), 5)])
+    assert mod7.factors == ((((1, 2),), 1), ((), 5))
+    assert mod7.total_degree() == 1 == mod7.expand().total_degree()
 
 
 def test_affine_evaluate_early_zero():
