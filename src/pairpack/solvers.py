@@ -10,14 +10,14 @@ scans use, find_pair_partition, which takes the uncovered element with
 the fewest live partners and cuts a state where some element has no
 live partner or some difference fewer free placements than copies left;
 the CLI's partition keeps the canonical first solution, cutting the
-same states on an odd prime (where the paper's theorem promises a
-partition) and elsewhere skipping dead states it has seen.  Both pair
-searches key a state by its covered set as bits, the int _search hands
-it; the table search adds fields above bit n that count the copies of
-each difference used.  A solver either returns a solution
-(deterministic, first in its branch order) or an Infeasible certificate
-counting the nodes of its whole search tree, subtrees read from a table
-included.
+same states on an odd modulus; on an even one, or to count the tree
+where the cuts find nothing, it skips dead states it has seen.  All
+three pair searches key a state by its covered set as bits, the int
+_search hands it; the table search adds fields above bit n that count
+the copies of each difference used.  A solver either returns a
+solution (deterministic, first in its branch order) or an Infeasible
+certificate counting the nodes of its whole search tree, subtrees read
+from a table included.
 """
 
 from __future__ import annotations
@@ -53,23 +53,23 @@ class Infeasible(Value):
 
 
 def _search(node) -> "Infeasible | None":
-    """Depth-first search over the states node(start) generates.
+    """Depth-first search over the states node(key) generates.
 
     A state yields -1 if it is complete; otherwise each yield applies one
-    move and gives the child's start, and resuming undoes the move.
+    move and gives the child's key, and resuming undoes the move.
     Returns None at the first complete state, its path's moves applied,
     or Infeasible counting every state expanded."""
     nodes = 1
     stack = [node(0)]
     while stack:
-        start = next(stack[-1], None)
-        if start is None:
+        key = next(stack[-1], None)
+        if key is None:
             stack.pop()
-        elif start < 0:
+        elif key < 0:
             return None
         else:
             nodes += 1
-            stack.append(node(start))
+            stack.append(node(key))
     return Infeasible(nodes)
 
 
@@ -145,13 +145,14 @@ def solve_pair_partition(inst: PartitionInstance) -> PairPartition | Infeasible:
     above (pair (e, e+d)) and then the partner below (pair (e-d, e)).
     Equal differences are collapsed into multiset counts; the returned
     pairs are re-dealt to indices in the order the instance listed them.
-    On an odd prime modulus this order runs first with the cuts of
+    On an odd modulus this order runs first with the cuts of
     find_pair_partition, which drop only states with no partition below
-    them, so the first partition stays the same.  Otherwise, or if that
-    finds none, dead states are kept with their subtrees' node counts and
-    not searched again; Infeasible.nodes counts the whole canonical tree.
+    them, so the first partition stays the same.  On an even modulus, or
+    if that finds none, dead states are kept with their subtrees' node
+    counts and not searched again; Infeasible.nodes counts the whole
+    canonical tree.
     """
-    if inst.universe == "nonzero" and is_prime(inst.n):
+    if inst.universe == "nonzero":
         found = _cut_search(inst, lambda free, lives: free)
         if not isinstance(found, Infeasible):
             return found
@@ -362,31 +363,27 @@ def solve_vector_partition(inst: VectorPartitionInstance):
     p, k, m = inst.p, inst.k, inst.m
     universe = list(product(range(p), repeat=k))
     index = {v: i for i, v in enumerate(universe)}
-    used = bytearray(len(universe))
-    used[0] = 1                              # the zero vector is never paired
+    nonzero = (1 << len(universe)) - 2      # bit 0, the zero vector, stays out
     chosen: list[tuple[tuple[int, ...], tuple[int, ...], int] | None] = [None] * m
 
-    def node(start):
-        ei = used.find(0, start)
-        if ei < 0:
+    def node(key):
+        free = nonzero & ~key
+        if not free:
             yield -1
             return
-        e = universe[ei]
-        used[ei] = 1
+        bit = free & -free
+        free ^= bit                         # e is no partner of its own
+        e = universe[bit.bit_length() - 1]
         for i in range(m):
             if chosen[i] is not None:
                 continue
             for j, v in enumerate(inst.bases[i]):
                 for x, y in ((e, vec_add(e, v, p)), (vec_sub(e, v, p), e)):
                     pi = index[y if x == e else x]
-                    if used[pi]:
-                        continue
-                    used[pi] = 1
-                    chosen[i] = (x, y, j)
-                    yield ei + 1
-                    chosen[i] = None
-                    used[pi] = 0
-        used[ei] = 0
+                    if free >> pi & 1:
+                        chosen[i] = (x, y, j)
+                        yield key | bit | 1 << pi
+                        chosen[i] = None
 
     return _search(node) or (tuple((x, y) for x, y, _ in chosen),
                              tuple(j for _, _, j in chosen))

@@ -12,7 +12,8 @@ group.  Each sumset comes from a smaller one with a single shift-OR,
 all of a pass at once in one packed integer; that integer caps the
 group at MAX_SWEEP_SIZE elements.  A listed or sampled pair is a
 shift-OR of B over the bits of A, folded once; the beta of a drawn pair
-caps sampled sweeps at MAX_SAMPLE_SIZE elements.
+caps sampled sweeps at MAX_SAMPLE_SIZE elements.  A single pair's group
+stays below 2^MAX_MODULUS_BITS elements, checked before it is built.
 
 The closing check mirrors the argument the bound rests on: writing the
 coefficients of prod_i (x - c_i) for p^alpha-th roots of unity c_i as
@@ -36,6 +37,8 @@ MAX_SWEEP_SIZE = 19        # exhaustive sweeps: Z/(19) takes seconds, Z/(23)
                            # 8,290+ passes of 0.15 s each (about 20 min)
 MAX_SAMPLE_SIZE = 1000     # sampled sweeps: a draw's beta took at most
                            # 0.32 s on Z/(512)..Z/(997), 3 s on Z/(1024)
+MAX_MODULUS_BITS = 1 << 20  # one pair: 3^(2^20 - 1), the biggest group
+                            # let in, builds in about 0.14 s
 
 
 @lru_cache(maxsize=None)
@@ -73,6 +76,10 @@ class SumsetInstance(Value):
             raise ValueError(f"{p} is not prime")
         if alpha < 1:
             raise ValueError("alpha must be at least 1")
+        # p^alpha >= 2^(alpha (bits of p - 1)), refused before it is built
+        if alpha * (p.bit_length() - 1) >= MAX_MODULUS_BITS:
+            raise ValueError(f"Z/({p}^{alpha}) is too big (it must have "
+                             f"fewer than 2^{MAX_MODULUS_BITS} elements)")
         mod = p ** alpha
         A = tuple(sorted({int(a) % mod for a in A}))
         B = tuple(sorted({int(b) % mod for b in B}))

@@ -216,6 +216,20 @@ def test_sumset_pair_mod_18_digit_prime(capsys):
     assert doc["holds"] and doc["sum"] == [2]
 
 
+def test_sumset_pair_in_a_huge_group_is_one_error_line(capsys):
+    """Z/(p^alpha) past MAX_MODULUS_BITS is refused before p^alpha is
+    built; 2^(2^20 - 1), just inside, is still answered."""
+    for p, alpha in (("5", "1000000000"), ("5", "10000000"), ("2", "1048576")):
+        code, out, err = run(capsys, ["sumset", "--p", p, "--alpha", alpha,
+                                      "--A", "1", "--B", "1"])
+        assert (code, out) == (1, "")
+        assert err == f"error: Z/({p}^{alpha}) is too big (it must have " \
+            "fewer than 2^1048576 elements)\n"
+    code, out, _ = run(capsys, ["sumset", "--p", "2", "--alpha", "1048575",
+                                "--A", "1", "--B", "1"])
+    assert code == 0 and json.loads(out)["sum"] == [2]
+
+
 def test_sumset_sweep(capsys):
     code, out, _ = run(capsys, ["sumset", "--p", "2"])
     assert code == 0

@@ -218,6 +218,23 @@ def test_vector_solver_infeasible_when_forced_to_one_direction():
     assert res.nodes == 977
 
 
+def test_vector_solver_never_pairs_a_vector_with_itself():
+    """A zero basis vector names e as its own partner; the search passes
+    it over, as it passes over the zero vector."""
+    one = VectorPartitionInstance(3, 1, (((0,),),), check=False)
+    assert solve_vector_partition(one) == Infeasible(1)
+    line = VectorPartitionInstance(3, 2, (((0, 0), (1, 0)),) * 4, check=False)
+    assert solve_vector_partition(line) == Infeasible(153)
+    mixed = VectorPartitionInstance(3, 2, (((0, 0), (0, 1)), ((1, 0), (0, 0)),
+                                           ((1, 1), (0, 0)), ((1, 2), (0, 0))),
+                                    check=False)
+    pairs, g = solve_vector_partition(mixed)
+    assert pairs == (((0, 1), (0, 2)), ((1, 0), (2, 0)),
+                     ((1, 1), (2, 2)), ((1, 2), (2, 1)))
+    assert g == (1, 0, 0, 0)
+    assert verify_solution(mixed, (pairs, g))
+
+
 def test_packing_instance_validation():
     with pytest.raises(InvalidInstance):
         PackingInstance(1, ((0,),), ((0,),), 1)
@@ -553,6 +570,58 @@ def test_prime_falls_back_to_the_whole_tree(monkeypatch):
         assert solve_pair_partition(inst).pairs == \
             plain_canonical_search(inst), (inst.n, inst.d)
     assert calls == cases
+
+
+def test_every_odd_modulus_runs_the_cut_search_first(monkeypatch):
+    """Odd n, prime or not, runs the cut search once with the canonical
+    pick, and the table search (a second _differences) only when that
+    finds nothing; even n runs the table search alone.  Either way the
+    answer is the plain recursion's, pairs or whole-tree node count."""
+    log = []
+    cut_search, differences = solvers._cut_search, solvers._differences
+
+    def spy(inst, pick):
+        assert pick(0b10110, ()) == 0b10110     # all of free: lowest e first
+        log.append("cut")
+        res = cut_search(inst, pick)
+        log.append(type(res).__name__)
+        return res
+
+    monkeypatch.setattr(solvers, "_cut_search", spy)
+    monkeypatch.setattr(solvers, "_differences", lambda inst:
+                        log.append("differences") or differences(inst))
+    rng = random.Random(2501)
+    cases = []
+    for n in (9, 15, 21, 25, 27):
+        for _ in range(24):
+            cases.append((n, [rng.randrange(1, n) for _ in range(n // 2)]))
+    # a factor g of n dividing every d: all dead, the table counts the tree
+    # (g = 3 at n = 21, 27 or g = 5 at n = 25 grows 10^5..10^6 states,
+    # seconds of the plain recursion each)
+    for _ in range(30):
+        n, g = rng.choice(((9, 3), (15, 3), (15, 5), (21, 7)))
+        cases.append((n, [g * rng.randrange(1, n // g) for _ in range(n // 2)]))
+    for n in range(4, 15, 2):
+        for _ in range(10):
+            cases.append((n, [rng.randrange(1, n) for _ in range(n // 2)]))
+    infeasible = Counter()
+    for n, d in cases:
+        inst = PartitionInstance(n, d, "nonzero" if n % 2 else "full")
+        log.clear()
+        res, want = solve_pair_partition(inst), plain_canonical_search(inst)
+        if n % 2 == 0:
+            assert log == ["differences"], (n, d)
+        elif isinstance(res, PairPartition):
+            assert log == ["cut", "differences", "PairPartition"], (n, d)
+        else:
+            assert log == ["cut", "differences", "Infeasible",
+                           "differences"], (n, d)
+        if isinstance(want, int):
+            infeasible[n % 2] += 1
+            assert res == Infeasible(want), (n, d)
+        else:
+            assert res.pairs == want, (n, d)
+    assert infeasible == {1: 30, 0: 28}
 
 
 def test_clearing_the_dead_state_table_keeps_every_count(monkeypatch):
