@@ -175,8 +175,8 @@ def cmd_conjecture_scan(args) -> int:
 
 
 def cmd_sumset(args) -> int:
-    from .sumsets import (DEFAULT_TIGHT_CAP, SumsetInstance, check_bound,
-                          sumset, verify_cd_bound)
+    from .sumsets import (DEFAULT_TIGHT_CAP, SumsetInstance, beta, sumset,
+                          verify_cd_bound)
     if args.A is not None or args.B is not None:
         if args.A is None or args.B is None:
             raise CliError("--A and --B go together")
@@ -190,13 +190,19 @@ def cmd_sumset(args) -> int:
                            + ", ".join(sweep_only))
         inst = SumsetInstance(args.p, args.alpha, _ints(args.A),
                               _ints(args.B))
-        card, bound, holds, tight = check_bound(inst)
-        _emit({"p": inst.p, "alpha": inst.alpha, "A": list(inst.A),
-               "B": list(inst.B),
-               "sum": list(sumset(inst.A, inst.B, inst.modulus)),
-               "cardinality": card, "beta": bound, "holds": holds,
-               "tight": tight})
-        return 0 if holds else 2
+        sums = sumset(inst.A, inst.B, inst.modulus)
+        card, bound = len(sums), beta(inst.p, len(inst.A), len(inst.B))
+        try:
+            _emit({"p": inst.p, "alpha": inst.alpha, "A": list(inst.A),
+                   "B": list(inst.B), "sum": list(sums), "cardinality": card,
+                   "beta": bound, "holds": card >= bound,
+                   "tight": card == bound})
+        except ValueError:      # json.dumps: an int too long to print
+            raise CliError(
+                f"Z/({inst.p}^{inst.alpha}): an element of A, B or A+B is "
+                f"past the {sys.get_int_max_str_digits():,}-digit output "
+                "limit (PYTHONINTMAXSTRDIGITS)") from None
+        return 0 if card >= bound else 2
     doc = _timed_report(args.timing, lambda: verify_cd_bound(
         args.p, args.alpha, sample=args.sample, seed=args.seed,
         tight_cap=DEFAULT_TIGHT_CAP if args.tight_cap is None

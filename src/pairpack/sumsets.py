@@ -1,19 +1,20 @@
 """Sumset cardinality bounds in Z/(p^alpha).
 
 beta(p, r, s) is the smallest n such that p divides C(n, k) for every
-integer k strictly between n-r and s; |A+B| >= beta(p, |A|, |B|) for
-nonempty A, B inside Z/(p^alpha).  verify_cd_bound brute-forces that
-inequality over all (or sampled) pairs of nonempty subsets, with subsets
-as bitmasks so a sumset is a union of cyclic shifts.  The exhaustive
-sweep runs the B that contain 0 against one A per orbit of the affine
-maps x -> u*x + t (u a unit) with 2|A| <= p^alpha, and gets the rest
-from translating B, swapping A and B, and the pairs with A+B the whole
-group.  Each sumset comes from a smaller one with a single shift-OR,
-all of a pass at once in one packed integer; that integer caps the
-group at MAX_SWEEP_SIZE elements.  A listed or sampled pair is a
-shift-OR of B over the bits of A, folded once; the beta of a drawn pair
-caps sampled sweeps at MAX_SAMPLE_SIZE elements.  A single pair's group
-stays below 2^MAX_MODULUS_BITS elements, checked before it is built.
+integer k strictly between n-r and s, read off base-p digits by Lucas'
+theorem; |A+B| >= beta(p, |A|, |B|) for nonempty A, B inside
+Z/(p^alpha).  verify_cd_bound brute-forces that inequality over all (or
+sampled) pairs of nonempty subsets, with subsets as bitmasks so a sumset
+is a union of cyclic shifts.  The exhaustive sweep runs the B that
+contain 0 against one A per orbit of the affine maps x -> u*x + t (u a
+unit) with 2|A| <= p^alpha, and gets the rest from translating B,
+swapping A and B, and the pairs with A+B the whole group.  Each sumset
+comes from a smaller one with a single shift-OR, all of a pass at once
+in one packed integer; that integer caps the group at MAX_SWEEP_SIZE
+elements.  A listed or sampled pair is a shift-OR of the denser mask
+over the bits of the sparser, folded once; its cost caps sampled sweeps
+at MAX_SAMPLE_SIZE elements.  A single pair's group stays below
+2^MAX_MODULUS_BITS elements, checked before it is built.
 
 The closing check mirrors the argument the bound rests on: writing the
 coefficients of prod_i (x - c_i) for p^alpha-th roots of unity c_i as
@@ -35,8 +36,8 @@ from .algebra import CycloInt, Value, is_prime
 DEFAULT_TIGHT_CAP = 32     # tight pairs a sweep report lists
 MAX_SWEEP_SIZE = 19        # exhaustive sweeps: Z/(19) takes seconds, Z/(23)
                            # 8,290+ passes of 0.15 s each (about 20 min)
-MAX_SAMPLE_SIZE = 1000     # sampled sweeps: a draw's beta took at most
-                           # 0.32 s on Z/(512)..Z/(997), 3 s on Z/(1024)
+MAX_SAMPLE_SIZE = 1 << 14  # sampled sweeps: a Z/(2^14) draw takes about
+                           # 0.3 s, nearly all of it in _sum_card
 MAX_MODULUS_BITS = 1 << 20  # one pair: 3^(2^20 - 1), the biggest group
                             # let in, builds in about 0.14 s
 
@@ -45,17 +46,28 @@ MAX_MODULUS_BITS = 1 << 20  # one pair: 3^(2^20 - 1), the biggest group
 def beta(p: int, r: int, s: int) -> int:
     """Smallest n with p | C(n, k) for every k with n-r < k < s.
 
-    Exact binomials reduced mod p; the scan starts at n = 1 and is done
-    by n = r+s-1 at the latest, where the k-range is empty.  Memoised:
-    every sweep reads a whole table of it.
+    By Lucas' theorem p does not divide C(n, k) exactly when each base-p
+    digit of k is at most n's, so n passes when the least such k above
+    n-r is at least s; one walk up the digits of n and of n-r+1 finds
+    it.  No n below max(r, s) passes (k = 0 or k = n is a term), and n =
+    r+s-1 does, where the k-range is empty.  Memoised: every sweep reads
+    a whole table of it.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if r < 1 or s < 1:
         raise ValueError("set sizes must be positive")
-    for n in range(1, r + s):
-        lo = max(0, n - r + 1)
-        if all(math.comb(n, k) % p == 0 for k in range(lo, s)):
+    for n in range(max(r, s), r + s):
+        # k: the least k >= lo with no digit above n's, units first; void
+        # while carry is set, when only a higher digit can lift it to lo
+        m, lo, k, unit, carry = n, n - r + 1, 0, 1, False
+        while m or lo:
+            m, top = divmod(m, p)
+            lo, low = divmod(lo, p)
+            k = (low + carry) * unit + (0 if carry else k)
+            carry = low + carry > top
+            unit *= p
+        if carry or k >= s:
             return n
     raise AssertionError("unreachable: the range at n = r+s-1 is empty")
 
@@ -186,7 +198,10 @@ class _Subsets:
 
 
 def _sum_card(A: int, B: int, size: int, full: int) -> int:
-    """|A+B| in Z/(size): B shifted by each bit of A, ORed, folded once."""
+    """|A+B| in Z/(size): the denser mask shifted by each bit of the
+    sparser one, ORed, folded once."""
+    if A.bit_count() > B.bit_count():
+        A, B = B, A
     acc = 0
     while A:
         low = A & -A
@@ -296,13 +311,14 @@ def verify_cd_bound(p: int, alpha: int, sample: "int | None" = None,
     Exhaustive by default: every one of (2^(p^alpha) - 1)^2 ordered pairs,
     counted from one pass over the B that contain 0 per affine orbit of a
     small A (see _sweep), for p^alpha <= MAX_SWEEP_SIZE.  With sample,
-    that many (at least 1) seeded-uniform pairs instead, for p^alpha <=
-    MAX_SAMPLE_SIZE, each |A+B| from _sum_card and each bound read once
-    per drawn (|A|, |B|); only the tight_cap smallest tight pairs are kept
-    while counting.  A seed without a sample is an error, and so is a
-    group above its mode's limit, found before p^alpha is built or p is
-    tested for primality.  The sweep does not time itself; `jobs` is
-    accepted for older callers and ignored.
+    that many (at least 1) pairs instead, for p^alpha <= MAX_SAMPLE_SIZE,
+    drawn as Random(seed).randrange(1, 2^size) draws them, each |A+B|
+    from _sum_card and each bound read once per drawn (|A|, |B|); only
+    the tight_cap smallest tight pairs are kept while counting.  A seed
+    without a sample is an error, and so is a group above its mode's
+    limit, found before p^alpha is built or p is tested for primality.
+    The sweep does not time itself; `jobs` is accepted for older callers
+    and ignored.
     """
     if p < 2 or alpha < 1:
         raise ValueError("need a prime p and alpha >= 1")
@@ -332,16 +348,21 @@ def verify_cd_bound(p: int, alpha: int, sample: "int | None" = None,
         pairs, violations, tight_count, tight = _sweep(p, alpha, tight_cap)
     else:
         full = (1 << size) - 1
-        draw = Random(seed).randrange
-        table = [[0] * (size + 1) for _ in range(size + 1)]   # 0: not yet read
+        bits = Random(seed).getrandbits
+        table = {}                         # (|A|, |B|) -> beta, as drawn
         pairs = int(sample)
         violations, tight, tight_count = [], [], 0
         for _ in range(pairs):
-            A = draw(1, full + 1)
-            B = draw(1, full + 1)
+            # as randrange(1, full + 1): redrawn while all size bits are set
+            A = bits(size) + 1
+            while A > full:
+                A = bits(size) + 1
+            B = bits(size) + 1
+            while B > full:
+                B = bits(size) + 1
             card = _sum_card(A, B, size, full)
-            r, s = A.bit_count(), B.bit_count()
-            bound = table[r][s] = table[r][s] or beta(p, r, s)
+            key = A.bit_count(), B.bit_count()
+            bound = table.get(key) or table.setdefault(key, beta(p, *key))
             if card < bound:
                 violations.append((A, B))
             elif card == bound:

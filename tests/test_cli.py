@@ -230,6 +230,17 @@ def test_sumset_pair_in_a_huge_group_is_one_error_line(capsys):
     assert code == 0 and json.loads(out)["sum"] == [2]
 
 
+def test_sumset_pair_too_long_to_print_is_one_error_line(capsys):
+    """-1 in Z/(3^1048575) has some 500,000 digits, past what Python
+    prints: the error names the group and the limit."""
+    code, out, err = run(capsys, ["sumset", "--p", "3", "--alpha", "1048575",
+                                  "--A", "-1", "--B", "1"])
+    assert (code, out) == (1, "")
+    assert err == "error: Z/(3^1048575): an element of A, B or A+B is past " \
+        f"the {sys.get_int_max_str_digits():,}-digit output limit " \
+        "(PYTHONINTMAXSTRDIGITS)\n"
+
+
 def test_sumset_sweep(capsys):
     code, out, _ = run(capsys, ["sumset", "--p", "2"])
     assert code == 0

@@ -48,6 +48,21 @@ def test_beta_matches_closed_form_and_is_symmetric():
                 assert beta(p, r, s) == beta(p, s, r), (p, r, s)
 
 
+def binomial_beta(p, r, s):
+    """beta by its definition: the first n with p | C(n, k) for every k
+    with n-r < k < s, from exact binomials."""
+    for n in range(1, r + s):
+        if all(math.comb(n, k) % p == 0 for k in range(max(0, n - r + 1), s)):
+            return n
+
+
+def test_beta_matches_binomial_definition():
+    for p in (2, 3, 5, 7, 11, 13, 17, 19):
+        for r in range(1, 41):
+            for s in range(1, 41):
+                assert beta(p, r, s) == binomial_beta(p, r, s), (p, r, s)
+
+
 def test_sumset_basic():
     assert sumset((0, 1), (0, 1), 5) == (0, 1, 2)
     assert sumset((0, 2), (0, 2), 4) == (0, 2)
@@ -305,6 +320,17 @@ def test_sample_mode_matches_reference():
         for seed in (1, 2, 7, 2024):
             want = reference_sample(p, alpha, 300, seed, 8)
             assert verify_cd_bound(p, alpha, sample=300, seed=seed,
+                                   tight_cap=8) == want, (p, alpha, seed)
+
+
+def test_sample_mode_matches_reference_on_wide_masks():
+    """Masks of 32 bits, of two words (37 and 64 bits) and of 1024 bits
+    are drawn as randrange draws them."""
+    for p, alpha, sample in ((2, 5, 300), (37, 1, 300), (2, 6, 300),
+                             (2, 10, 10)):
+        for seed in (1, 2, 7):
+            want = reference_sample(p, alpha, sample, seed, 8)
+            assert verify_cd_bound(p, alpha, sample=sample, seed=seed,
                                    tight_cap=8) == want, (p, alpha, seed)
 
 
