@@ -175,8 +175,7 @@ def cmd_conjecture_scan(args) -> int:
 
 
 def cmd_sumset(args) -> int:
-    from .sumsets import (DEFAULT_TIGHT_CAP, SumsetInstance, beta, sumset,
-                          verify_cd_bound)
+    from .sumsets import DEFAULT_TIGHT_CAP, check_pair, verify_cd_bound
     if args.A is not None or args.B is not None:
         if args.A is None or args.B is None:
             raise CliError("--A and --B go together")
@@ -188,21 +187,15 @@ def cmd_sumset(args) -> int:
         if sweep_only:
             raise CliError("sweep-only flags with --A/--B: "
                            + ", ".join(sweep_only))
-        inst = SumsetInstance(args.p, args.alpha, _ints(args.A),
-                              _ints(args.B))
-        sums = sumset(inst.A, inst.B, inst.modulus)
-        card, bound = len(sums), beta(inst.p, len(inst.A), len(inst.B))
+        doc = check_pair(args.p, args.alpha, _ints(args.A), _ints(args.B))
         try:
-            _emit({"p": inst.p, "alpha": inst.alpha, "A": list(inst.A),
-                   "B": list(inst.B), "sum": list(sums), "cardinality": card,
-                   "beta": bound, "holds": card >= bound,
-                   "tight": card == bound})
+            _emit(doc)
         except ValueError:      # json.dumps: an int too long to print
             raise CliError(
-                f"Z/({inst.p}^{inst.alpha}): an element of A, B or A+B is "
-                f"past the {sys.get_int_max_str_digits():,}-digit output "
+                f"Z/({doc['p']}^{doc['alpha']}): an element of A, B or A+B "
+                f"is past the {sys.get_int_max_str_digits():,}-digit output "
                 "limit (PYTHONINTMAXSTRDIGITS)") from None
-        return 0 if card >= bound else 2
+        return 0 if doc["holds"] else 2
     doc = _timed_report(args.timing, lambda: verify_cd_bound(
         args.p, args.alpha, sample=args.sample, seed=args.seed,
         tight_cap=DEFAULT_TIGHT_CAP if args.tight_cap is None

@@ -25,10 +25,12 @@ with pi ranging over bijections [m] -> {0..m-1}.  The first equals the
 second times prod_i (1 - w_i).  Substituting w_i -> 1 in the second gives
 m! (2m-1)!! whatever d is, which for odd prime n = 2m+1 is not divisible
 by n; a value not divisible by n certifies the sum is nonzero in Z[w].
-All three are permanents, each taken by one Glynn pass over packed
-integers: x -> 2^b maps Z[x]/(x^n - 1) into Z/(2^(nb) - 1), and with b
-large enough for the coefficient bound the b-bit digits of the result
-are its exact coefficients; the value at 1 is the case n = 1.
+All three are permanents of matrices whose entries are coefficient
+lists, each taken by one Glynn pass over packed integers: x -> 2^b maps
+Z[x]/(x^n - 1) into Z/(2^(nb) - 1), and with b large enough for the
+coefficient bound the b-bit digits of the result are its exact
+coefficients; the value at 1 is the case n = 1.  Only a bijection sum's
+result is made a CycloInt.
 """
 
 from __future__ import annotations
@@ -342,23 +344,21 @@ def _glynn(rows, bits: int) -> int:
     return total
 
 
-def _permanent(matrix, zero):
-    """Permanent of a square matrix of ints (zero is 0) or of CycloInts of
-    one order n (zero is CycloInt(n)); an empty matrix gives zero + 1.
+def _permanent(rows, n: int) -> list[int]:
+    """The n coefficients of the permanent of a square matrix over
+    Z[x]/(x^n - 1), given as m rows of m entries, each the sequence of
+    its n coefficients (n = 1: an integer matrix); an empty matrix gives
+    the coefficients of 1.
 
-    No CycloInt is multiplied.  Each coefficient is at most
-    B = m! * prod_i max_j |M[i][j]|_1 in size; with b bits per digit,
-    2^(b-1) > 2B, the map x -> 2^b takes Z[x]/(x^n - 1) into Z/M with
-    M = 2^(nb) - 1, since 2^(nb) = 1 there (an int is the case n = 1).
+    Each coefficient is at most B = m! * prod_i max_j |M[i][j]|_1 in
+    size; with b bits per digit, 2^(b-1) > 2B, the map x -> 2^b takes
+    Z[x]/(x^n - 1) into Z/M with M = 2^(nb) - 1, since 2^(nb) = 1 there.
     Glynn runs once on the packed entries, and the n balanced b-bit digits
     of the result mod M, over 2^(m-1), are the exact coefficients: the sum
     over permutations of products of one entry per row."""
-    m = len(matrix)
+    m = len(rows)
     if not m:
-        return zero + 1
-    cyclo = isinstance(zero, CycloInt)
-    n = zero.n if cyclo else 1
-    rows = [[e.coeffs if cyclo else (e,) for e in row] for row in matrix]
+        return [1] + [0] * (n - 1)
     bound = math.factorial(m) * math.prod(
         max(sum(map(abs, coeffs)) for coeffs in row) for row in rows)
     b = bound.bit_length() + 2
@@ -368,9 +368,8 @@ def _permanent(matrix, zero):
     # 2^(b-1) added to every digit makes each one nonnegative and < 2^b
     half = big // ((1 << b) - 1) << (b - 1)
     value = (_glynn(packed, n * b) * pow(2, 1 - m, big) + half) % big
-    coeffs = [(value >> b * t & (1 << b) - 1) - (1 << b - 1)
-              for t in range(n)]
-    return CycloInt(n, coeffs) if cyclo else coeffs[0]
+    return [(value >> b * t & (1 << b) - 1) - (1 << b - 1)
+            for t in range(n)]
 
 
 def _bijection_sum(n: int, d, terms):
@@ -385,9 +384,9 @@ def _bijection_sum(n: int, d, terms):
             coeffs = [0] * n
             for e, sign in terms(m, c):
                 coeffs[di * e % n] += sign
-            row.append(CycloInt(n, coeffs))
+            row.append(coeffs)
         matrix.append(row)
-    return _permanent(matrix, CycloInt(n))
+    return CycloInt(n, _permanent(matrix, n))
 
 
 def permanent2_coefficient(n: int, d) -> CycloInt:
@@ -427,8 +426,8 @@ def prime_nonzero_certificate(p: int, d) -> tuple[int, bool]:
     d = _validated_units(p, d)
     if len(d) != m:
         raise InvalidInstance(f"need {m} differences, got {len(d)}")
-    row = [2 * m - 1 - 2 * c for c in range(m)]
-    value = _permanent([row] * m, 0)
+    row = [(2 * m - 1 - 2 * c,) for c in range(m)]
+    [value] = _permanent([row] * m, 1)
     expected = math.factorial(m) * double_factorial_odd(2 * m - 1)
     if value != expected:
         raise ArithmeticError(

@@ -121,8 +121,9 @@ class PartitionInstance(Value):
     @json_errors("instance", InvalidInstance)
     def from_json(cls, doc: dict) -> "PartitionInstance":
         n = json_value(doc["n"], "n")
-        universe = doc.get("universe") or ("nonzero" if n % 2 else "full")
-        return cls(n, tuple(json_value(x, "d") for x in doc["d"]), universe)
+        universe = doc.get("universe", "nonzero" if n % 2 else "full")
+        return cls(n, tuple(json_value(x, "d") for x in doc["d"]),
+                   json_value(universe, "universe", str))
 
 
 class PairPartition(Value):

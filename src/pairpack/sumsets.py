@@ -13,13 +13,16 @@ comes from a smaller one with a single shift-OR, all of a pass at once
 in one packed integer; that integer caps the group at MAX_SWEEP_SIZE
 elements.  A listed or sampled pair is a shift-OR of the denser mask
 over the bits of the sparser, folded once; its cost caps sampled sweeps
-at MAX_SAMPLE_SIZE elements.  A single pair's group stays below
-2^MAX_MODULUS_BITS elements, checked before it is built.
+at MAX_SAMPLE_SIZE elements.  check_pair takes a single pair to the
+report the CLI prints; its group stays below 2^MAX_MODULUS_BITS
+elements, checked before p^alpha is built, once.
 
 The closing check mirrors the argument the bound rests on: writing the
 coefficients of prod_i (x - c_i) for p^alpha-th roots of unity c_i as
 signed elementary symmetric sums, a coefficient that vanishes in Z[w]
-has its value at 1 divisible by p.
+has its value at 1 divisible by p.  Both sides are summed as lists of
+coefficients at the powers of w, a factor w^e rotating a list by e, and
+made CycloInts only when returned.
 """
 
 from __future__ import annotations
@@ -77,38 +80,29 @@ def sumset(A, B, modulus: int) -> tuple[int, ...]:
     return tuple(sorted({(a + b) % modulus for a in A for b in B}))
 
 
-class SumsetInstance(Value):
-    """A pair of nonempty subsets of Z/(p^alpha)."""
-
-    __slots__ = ("p", "alpha", "A", "B")
-
-    def __init__(self, p: int, alpha: int, A, B):
-        p, alpha = int(p), int(alpha)
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        if alpha < 1:
-            raise ValueError("alpha must be at least 1")
-        # p^alpha >= 2^(alpha (bits of p - 1)), refused before it is built
-        if alpha * (p.bit_length() - 1) >= MAX_MODULUS_BITS:
-            raise ValueError(f"Z/({p}^{alpha}) is too big (it must have "
-                             f"fewer than 2^{MAX_MODULUS_BITS} elements)")
-        mod = p ** alpha
-        A = tuple(sorted({int(a) % mod for a in A}))
-        B = tuple(sorted({int(b) % mod for b in B}))
-        if not A or not B:
-            raise ValueError("subsets must be nonempty")
-        self._fill(p, alpha, A, B)
-
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.alpha
-
-
-def check_bound(inst: SumsetInstance) -> tuple[int, int, bool, bool]:
-    """(|A+B|, beta value, bound holds, bound tight) for one pair."""
-    card = len(sumset(inst.A, inst.B, inst.modulus))
-    bound = beta(inst.p, len(inst.A), len(inst.B))
-    return card, bound, card >= bound, card == bound
+def check_pair(p: int, alpha: int, A, B) -> dict:
+    """|A+B| against beta(p, |A|, |B|) for one pair in Z/(p^alpha), as
+    the report the CLI prints: A, B and A+B reduced and sorted, the
+    cardinality, the bound, and whether it holds and is tight."""
+    p, alpha = int(p), int(alpha)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if alpha < 1:
+        raise ValueError("alpha must be at least 1")
+    # p^alpha >= 2^(alpha (bits of p - 1)), refused before it is built
+    if alpha * (p.bit_length() - 1) >= MAX_MODULUS_BITS:
+        raise ValueError(f"Z/({p}^{alpha}) is too big (it must have "
+                         f"fewer than 2^{MAX_MODULUS_BITS} elements)")
+    mod = p ** alpha
+    A = sorted({int(a) % mod for a in A})
+    B = sorted({int(b) % mod for b in B})
+    if not A or not B:
+        raise ValueError("subsets must be nonempty")
+    sums = list(sumset(A, B, mod))
+    card, bound = len(sums), beta(p, len(A), len(B))
+    return {"p": p, "alpha": alpha, "A": A, "B": B, "sum": sums,
+            "cardinality": card, "beta": bound, "holds": card >= bound,
+            "tight": card == bound}
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +216,10 @@ def _affine_orbit(A: int, size: int, units) -> set:
     return orbit
 
 
-def _sweep(p: int, alpha: int, tight_cap: int):
-    """Every (A, B) mask pair, with violations and tight pairs in (A, B)
-    order, from one pass over the B that contain 0 per affine orbit of A
-    with 2|A| <= size.
+def _sweep(p: int, size: int, tight_cap: int):
+    """Every (A, B) mask pair in Z/(size), size a power of p, with
+    violations and tight pairs in (A, B) order, from one pass over the B
+    that contain 0 per affine orbit of A with 2|A| <= size.
 
     |(uA + t) + B| = |A + u^-1 (B - t)|, and B -> u^-1 (B - t) permutes
     the nonempty B keeping |B|, so every A in an orbit has as many tight
@@ -249,7 +243,6 @@ def _sweep(p: int, alpha: int, tight_cap: int):
     tight_cap tight pairs (A = {0} alone makes every B tight), unless a
     violation was seen, when it runs to the end to list every one.
     """
-    size = p ** alpha
     full = (1 << size) - 1
     table = _beta_table(p, size)
     if any(table[r][s] != table[s][r] for r in range(size + 1)
@@ -336,16 +329,15 @@ def verify_cd_bound(p: int, alpha: int, sample: "int | None" = None,
         limit, kind, tip = MAX_SAMPLE_SIZE, "a sampled", ""
     # p^alpha >= 2^alpha, so a large alpha is refused before the power is
     # built (or printed: Python will not print an int of 4300+ digits)
-    if alpha >= limit.bit_length() or p ** alpha > limit:
+    if alpha >= limit.bit_length() or (size := p ** alpha) > limit:
         group = f"Z/({p})" if alpha == 1 else f"Z/({p}^{alpha})"
         raise ValueError(f"{group} is too big for {kind} sweep "
                          f"(at most {limit}){tip}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    size = p ** alpha
 
     if sample is None:
-        pairs, violations, tight_count, tight = _sweep(p, alpha, tight_cap)
+        pairs, violations, tight_count, tight = _sweep(p, size, tight_cap)
     else:
         full = (1 << size) - 1
         bits = Random(seed).getrandbits
@@ -383,24 +375,27 @@ def verify_cd_bound(p: int, alpha: int, sample: "int | None" = None,
 
 
 def root_product_coefficients(order: int, exponents) -> list[CycloInt]:
-    """Ascending x-coefficients of prod_i (x - w^(e_i)) over Z[w]."""
-    coeffs = [CycloInt.from_int(order, 1)]
+    """Ascending x-coefficients of prod_i (x - w^(e_i)) over Z[w], each
+    a list of its coefficients at w^0 .. w^(order-1) until the end: a
+    factor moves every x-coefficient up a degree and subtracts it times
+    w^(e_i), which rotates its list by e_i."""
+    coeffs = [[1] + [0] * (order - 1)]
     for e in exponents:
-        root = CycloInt.root_power(order, e)
-        nxt = [CycloInt(order)] * (len(coeffs) + 1)
+        e %= order
+        nxt = [[0] * order] + coeffs
         for i, c in enumerate(coeffs):
-            nxt[i + 1] = nxt[i + 1] + c
-            nxt[i] = nxt[i] - c * root
+            nxt[i] = [a - b for a, b in zip(nxt[i], c[-e:] + c[:-e])]
         coeffs = nxt
-    return coeffs
+    return [CycloInt(order, c) for c in coeffs]
 
 
 def elementary_symmetric_roots(order: int, exponents, j: int) -> CycloInt:
-    """sigma_j of the roots w^(e_i): a sum over j-element subsets."""
-    total = CycloInt(order)
+    """sigma_j of the roots w^(e_i): each j-element subset adds 1 at the
+    sum of its exponents mod the order."""
+    coeffs = [0] * order
     for combo in combinations(tuple(exponents), j):
-        total = total + CycloInt.root_power(order, sum(combo))
-    return total
+        coeffs[sum(combo) % order] += 1
+    return CycloInt(order, coeffs)
 
 
 def coefficient_divisibility_check(p: int, alpha: int, exponents) -> bool:

@@ -531,6 +531,8 @@ def _doc_argv(command, doc, tmp_path):
     ("verify", ({"p": 3, "k": 1, "bases": [[[1]]]},
                 {"result": "feasible", "pairs": [[[1], [2]]], "g": [0.0]}),
      "g"),
+    ("partition", {"n": 9, "d": [1, 2, 3, 4], "universe": 0}, "universe"),
+    ("verify", {"n": 5, "d": [1, 2], "universe": False}, "universe"),
 ])
 def test_non_integer_json_field_is_one_error_line(capsys, tmp_path, command,
                                                   doc, field):

@@ -107,6 +107,19 @@ def test_from_json_takes_only_json_integers(cls, doc, field):
         cls.from_json(doc)
 
 
+@pytest.mark.parametrize("universe", [0, False, [], None, 5, ["nonzero"]])
+def test_from_json_takes_a_present_universe_only_as_a_string(universe):
+    # a falsy universe used to be read as absent, and solved as "nonzero"
+    doc = {"n": 9, "d": [1, 2, 3, 4], "universe": universe}
+    with pytest.raises(InvalidInstance, match=r"\buniverse must be a JSON"):
+        PartitionInstance.from_json(doc)
+    # a string is the universe, and a wrong one is refused by name
+    with pytest.raises(InvalidInstance, match="unknown universe ''"):
+        PartitionInstance.from_json({**doc, "universe": ""})
+    assert PartitionInstance.from_json({**doc, "universe": "nonzero"}) == \
+        PartitionInstance(9, (1, 2, 3, 4))
+
+
 def test_from_json_keeps_integers_ambient_and_check_flag():
     inst = PackingInstance.from_json({"n": "integers", "X": [[0, 2]],
                                       "T": [[0]], "d": 1})

@@ -8,7 +8,7 @@ import pytest
 
 from pairpack import sumsets
 from pairpack.algebra import CycloInt
-from pairpack.sumsets import (CDReport, SumsetInstance, beta, check_bound,
+from pairpack.sumsets import (CDReport, beta, check_pair,
                               coefficient_divisibility_check,
                               elementary_symmetric_roots,
                               root_product_coefficients, sumset,
@@ -69,24 +69,57 @@ def test_sumset_basic():
     assert sumset((3,), (4,), 5) == (2,)
 
 
-def test_instance_and_check_bound():
-    inst = SumsetInstance(5, 1, (6, 1, 1), (0, 1))
-    assert inst.A == (1,) and inst.B == (0, 1)
-    assert inst.modulus == 5
-    with pytest.raises(ValueError):
-        SumsetInstance(6, 1, (0,), (0,))
-    with pytest.raises(ValueError):
-        SumsetInstance(5, 0, (0,), (0,))
-    with pytest.raises(ValueError):
-        SumsetInstance(5, 1, (), (0,))
+def literal_pair(p, alpha, A, B):
+    """One pair's report recomputed from a set of sums mod p^alpha."""
+    mod = p ** alpha
+    A, B = {a % mod for a in A}, {b % mod for b in B}
+    sums = {(a + b) % mod for a in A for b in B}
+    bound = beta(p, len(A), len(B))
+    return {"p": p, "alpha": alpha, "A": sorted(A), "B": sorted(B),
+            "sum": sorted(sums), "cardinality": len(sums), "beta": bound,
+            "holds": len(sums) >= bound, "tight": len(sums) == bound}
 
-    card, bound, holds, tight = check_bound(SumsetInstance(5, 1, (0, 1), (0, 1)))
-    assert (card, bound, holds, tight) == (3, 3, True, True)
-    card, bound, holds, tight = check_bound(SumsetInstance(2, 2, (0, 2), (0, 2)))
-    assert (card, bound, holds, tight) == (2, 2, True, True)
-    card, bound, holds, tight = check_bound(SumsetInstance(5, 1, (0, 1, 2),
-                                                           (0, 1, 3)))
-    assert bound == 5 and holds
+
+def test_check_pair_matches_literal_recomputation():
+    doc = check_pair(5, 1, (6, 1, 1), (0, 1))
+    assert (doc["A"], doc["B"], doc["sum"]) == ([1], [0, 1], [1, 2])
+    assert [check_pair(p, alpha, A, B)[key] for p, alpha, A, B, key in (
+        (5, 1, (0, 1), (0, 1), "cardinality"), (5, 1, (0, 1), (0, 1), "beta"),
+        (2, 2, (0, 2), (0, 2), "cardinality"), (2, 2, (0, 2), (0, 2), "tight"),
+        (5, 1, (0, 1, 2), (0, 1, 3), "beta"),
+        (5, 1, (0, 1, 2), (0, 1, 3), "holds"))] == [3, 3, 2, True, 5, True]
+    rng = random.Random(43)
+    for p, alpha in ((2, 2), (5, 1), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2)):
+        mod = p ** alpha
+        for _ in range(40):
+            # negatives, elements of at least p^alpha and a repeat in each
+            A = [rng.randrange(-2 * mod, 3 * mod)
+                 for _ in range(rng.randrange(1, 7))]
+            B = [rng.randrange(-2 * mod, 3 * mod)
+                 for _ in range(rng.randrange(1, 7))]
+            A.append(A[0] + mod)
+            doc = check_pair(p, alpha, A, B)
+            assert doc == literal_pair(p, alpha, A, B), (p, alpha, A, B)
+            assert list(doc) == ["p", "alpha", "A", "B", "sum", "cardinality",
+                                 "beta", "holds", "tight"]
+
+
+@pytest.mark.parametrize("p, alpha, A, B, message", [
+    (6, 0, (), (), "6 is not prime"),
+    (5, 0, (), (), "alpha must be at least 1"),
+    (3, 1 << 20, (), (), "Z/(3^1048576) is too big (it must have fewer "
+                         "than 2^1048576 elements)"),
+    (2, 1 << 21, (1,), (1,), "Z/(2^2097152) is too big (it must have fewer "
+                             "than 2^1048576 elements)"),
+    (5, 1, (), (0,), "subsets must be nonempty"),
+    (5, 2, (0, 1), (), "subsets must be nonempty"),
+], ids=["not-prime", "alpha-0", "bits-p3", "bits-p2", "empty-A", "empty-B"])
+def test_check_pair_refusals_in_order(p, alpha, A, B, message):
+    """Primality, then alpha, then the size of p^alpha before it is
+    built, then the subsets."""
+    with pytest.raises(ValueError) as exc:
+        check_pair(p, alpha, A, B)
+    assert str(exc.value) == message
 
 
 def _mask(subset):
@@ -241,9 +274,9 @@ def test_exhaustive_z13():
 def test_exhaustive_sweep_refuses_a_group_above_the_limit(p, alpha):
     """Z/(23) would take some 8,290 passes, Z/(25) would pack 2^24 fields
     into one integer and Z/(31) 2^30; the sweep names sample mode
-    instead, and sample mode still runs up to Z/(1000).  Above that
-    (a Z/(1024) draw can take 3 s) sample mode is refused too, and neither
-    mode builds anything first (Z/(2^40) used to die in a MemoryError)."""
+    instead, and sample mode still runs up to MAX_SAMPLE_SIZE = 2^14.
+    Above that sample mode is refused too, and neither mode builds
+    anything first (Z/(2^40) used to die in a MemoryError)."""
     size = p ** alpha
     assert size > sumsets.MAX_SWEEP_SIZE
     with pytest.raises(ValueError, match="sample mode"):
@@ -405,6 +438,43 @@ def test_elementary_symmetric_sums():
     sigma1 = elementary_symmetric_roots(5, (1, 2, 3, 4), 1)
     assert sigma1 == CycloInt.from_int(5, -1)
     assert elementary_symmetric_roots(5, (1, 2), 0) == CycloInt.from_int(5, 1)
+
+
+def product_by_cyclo_arithmetic(order, exponents):
+    """prod_i (x - w^(e_i)) by CycloInt products, one factor at a time."""
+    coeffs = [CycloInt.from_int(order, 1)]
+    for e in exponents:
+        root = CycloInt.root_power(order, e)
+        nxt = [CycloInt(order)] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            nxt[i + 1] = nxt[i + 1] + c
+            nxt[i] = nxt[i] - c * root
+        coeffs = nxt
+    return coeffs
+
+
+def sigma_by_cyclo_arithmetic(order, exponents, j):
+    """sigma_j of the w^(e_i) as a CycloInt sum of root powers."""
+    total = CycloInt(order)
+    for combo in itertools.combinations(tuple(exponents), j):
+        total = total + CycloInt.root_power(order, sum(combo))
+    return total
+
+
+def test_root_sums_match_cyclo_arithmetic():
+    """The rotated and counted coefficient lists give the very
+    representatives that CycloInt products and sums give."""
+    rng = random.Random(47)
+    for order in (5, 8, 9, 16, 27):
+        for _ in range(8):
+            exps = [rng.randrange(-order, 2 * order)
+                    for _ in range(rng.randrange(0, 8))]
+            got = root_product_coefficients(order, exps)
+            want = product_by_cyclo_arithmetic(order, exps)
+            assert [c.coeffs for c in got] == [c.coeffs for c in want]
+            for j in range(len(exps) + 2):
+                assert (elementary_symmetric_roots(order, exps, j).coeffs
+                        == sigma_by_cyclo_arithmetic(order, exps, j).coeffs)
 
 
 def test_coefficient_divisibility_check():

@@ -14,7 +14,7 @@ from pairpack.nullstellensatz import GridSpec
 from pairpack.solvers import (Infeasible, PackingInstance, PackingReport,
                               PairPartition, PartitionInstance,
                               VectorPartitionInstance)
-from pairpack.sumsets import CDReport, SumsetInstance
+from pairpack.sumsets import CDReport
 
 # (class, keyword arguments, the same value's repr); the arguments are
 # given in field order, so they also make the positional construction
@@ -40,8 +40,11 @@ VALUES = [
                   "instances_feasible": 213, "failures": ((2, 2, 3),)},
      "ScanReport(n=7, universe='nonzero', instances_total=216,"
      " instances_feasible=213, failures=((2, 2, 3),))"),
-    (SumsetInstance, {"p": 5, "alpha": 1, "A": (1, 3), "B": (0, 1)},
-     "SumsetInstance(p=5, alpha=1, A=(1, 3), B=(0, 1))"),
+    (CDReport, {"p": 3, "alpha": 1, "pairs": 5,
+                "violations": (((0,), (1, 2)),), "tight_count": 0,
+                "tight": ()},
+     "CDReport(p=3, alpha=1, pairs=5, violations=(((0,), (1, 2)),),"
+     " tight_count=0, tight=())"),
     (CDReport, {"p": 2, "alpha": 2, "pairs": 225, "violations": (),
                 "tight_count": 5, "tight": (((0,), (1, 2)),)},
      "CDReport(p=2, alpha=2, pairs=225, violations=(), tight_count=5,"
@@ -97,7 +100,6 @@ def test_defaults_and_normalisation():
         n=5, d=[1, 2], universe="nonzero")
     assert PartitionInstance(5, (1, 2)).universe == "nonzero"
     assert PackingInstance(ambient=5, X=[[5, 1]], T=[[7]], d=1).X == ((0, 1),)
-    assert SumsetInstance(5, 1, (6, 1, 1), (0, 1)).A == (1,)
     assert DysonInstance([2, 1]).a == (2, 1)
     assert GridSpec([[0, 1]]).sets == ((0, 1),)
     # check defaults to True: a slot without a basis is refused
