@@ -83,11 +83,11 @@ def literal_pair(p, alpha, A, B):
 def test_check_pair_matches_literal_recomputation():
     doc = check_pair(5, 1, (6, 1, 1), (0, 1))
     assert (doc["A"], doc["B"], doc["sum"]) == ([1], [0, 1], [1, 2])
-    assert [check_pair(p, alpha, A, B)[key] for p, alpha, A, B, key in (
-        (5, 1, (0, 1), (0, 1), "cardinality"), (5, 1, (0, 1), (0, 1), "beta"),
-        (2, 2, (0, 2), (0, 2), "cardinality"), (2, 2, (0, 2), (0, 2), "tight"),
-        (5, 1, (0, 1, 2), (0, 1, 3), "beta"),
-        (5, 1, (0, 1, 2), (0, 1, 3), "holds"))] == [3, 3, 2, True, 5, True]
+    verdict = lambda doc: (doc["cardinality"], doc["beta"], doc["holds"],
+                           doc["tight"])
+    assert verdict(check_pair(5, 1, (0, 1), (0, 1))) == (3, 3, True, True)
+    assert verdict(check_pair(2, 2, (0, 2), (0, 2))) == (2, 2, True, True)
+    assert verdict(check_pair(5, 1, (0, 1, 2), (0, 1, 3)))[1:3] == (5, True)
     rng = random.Random(43)
     for p, alpha in ((2, 2), (5, 1), (2, 3), (3, 2), (5, 2), (3, 3), (7, 2)):
         mod = p ** alpha
