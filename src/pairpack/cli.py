@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
 import time
 
@@ -29,7 +31,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit(doc) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=True))
+    print(json.dumps(doc, indent=2, sort_keys=True), flush=True)
 
 
 def _ints(text: str) -> tuple[int, ...]:
@@ -168,7 +170,7 @@ def cmd_conjecture_scan(args) -> int:
         doc["failures"] = ";".join(",".join(map(str, f))
                                    for f in doc["failures"]) or "-"
         print("\t".join(doc))
-        print("\t".join(str(v) for v in doc.values()))
+        print("\t".join(str(v) for v in doc.values()), flush=True)
     else:
         _emit(doc)
     return code
@@ -315,9 +317,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # argparse reads -3,5 (unlike -3) as a flag: pass --A -3,5 as --A=-3,5
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(1, len(argv))):
+        if re.fullmatch(r"--[^=]+", argv[i - 1]) and re.match(r"-\d", argv[i]):
+            argv[i - 1:i + 1] = [argv[i - 1] + "=" + argv[i]]
     try:
         args = parser.parse_args(argv)
         return args.func(args)
+    except BrokenPipeError:
+        # the reader has gone (see "Note on SIGPIPE" in the signal docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

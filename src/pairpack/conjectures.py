@@ -88,36 +88,32 @@ def _orbit_verdicts(n: int, universe: str):
     representative, the least sorted vector of min(u*h, -u*h) mod n over
     h in F.  find_pair_partition runs once per representative; its
     partition, scaled by u^-1 and each pair oriented to F's own entry,
-    must pass the verifier against F's own instance, once per F.
+    must pass the verifier against F's own instance each time F is asked
+    for, which scans do once per F.
     """
     folds = [(pow(u, -1, n), [min(u * k % n, -u * k % n) for k in range(n)])
              for u in units_mod(n) if 2 * u < n]
     solved: dict = {}
-    verdicts: dict = {}
 
     def feasible(folded) -> bool:
-        if folded in verdicts:
-            return verdicts[folded]
-        rep, inv, fold = min((sorted(map(f.__getitem__, folded)), inv, f)
-                             for inv, f in folds)
-        rep = tuple(rep)
+        rep, inv, fold = min((tuple(sorted(map(f.__getitem__, folded))),
+                              inv, f) for inv, f in folds)
         if rep not in solved:
             solved[rep] = find_pair_partition(
                 PartitionInstance(n, rep, universe))
         res = solved[rep]
-        verdicts[folded] = not isinstance(res, Infeasible)
-        if verdicts[folded]:
-            dealt = []
-            for h, (x, y) in zip(sorted(folded, key=fold.__getitem__),
-                                 res.pairs):
-                x, y = x * inv % n, y * inv % n
-                dealt.append((h, (x, y) if (y - x) % n == h else (y, x)))
-            dealt.sort()
-            if not verify_solution(PartitionInstance(n, folded, universe),
-                                   [pair for _, pair in dealt]):
-                raise ArithmeticError(
-                    f"unverified partition for {list(folded)} mod {n}")
-        return verdicts[folded]
+        if isinstance(res, Infeasible):
+            return False
+        dealt = []
+        for h, (x, y) in zip(sorted(folded, key=fold.__getitem__), res.pairs):
+            x, y = x * inv % n, y * inv % n
+            dealt.append((h, (x, y) if (y - x) % n == h else (y, x)))
+        dealt.sort()
+        if not verify_solution(PartitionInstance(n, folded, universe),
+                               [pair for _, pair in dealt]):
+            raise ArithmeticError(
+                f"unverified partition for {list(folded)} mod {n}")
+        return True
 
     return feasible
 
@@ -252,8 +248,10 @@ def scan_conjecture(n: int, sample: "int | None" = None,
         rng = Random(seed)
         draws = Counter(tuple(sorted(rng.choice(units) for _ in range(m)))
                         for _ in range(sample))
-        failures = sorted(key for key in draws if not verdict(
-            tuple(sorted(min(k, n - k) for k in key))))
+        fold = lambda key: tuple(sorted(min(k, n - k) for k in key))
+        bad = {folded for folded in set(map(fold, draws))
+               if not verdict(folded)}
+        failures = sorted(key for key in draws if fold(key) in bad)
         feasible = sample - sum(draws[key] for key in failures)
         return ScanReport(n, universe, sample, feasible, tuple(failures))
 

@@ -1,21 +1,22 @@
 """Sumset cardinality bounds in Z/(p^alpha).
 
 beta(p, r, s) is the smallest n such that p divides C(n, k) for every
-integer k strictly between n-r and s, read off base-p digits by Lucas'
-theorem; |A+B| >= beta(p, |A|, |B|) for nonempty A, B inside
-Z/(p^alpha).  verify_cd_bound brute-forces that inequality over all (or
-sampled) pairs of nonempty subsets, with subsets as bitmasks so a sumset
-is a union of cyclic shifts.  The exhaustive sweep runs the B that
-contain 0 against one A per orbit of the affine maps x -> u*x + t (u a
-unit) with 2|A| <= p^alpha, and gets the rest from translating B,
-swapping A and B, and the pairs with A+B the whole group.  Each sumset
-comes from a smaller one with a single shift-OR, all of a pass at once
-in one packed integer; that integer caps the group at MAX_SWEEP_SIZE
-elements.  A listed or sampled pair is a shift-OR of the denser mask
-over the bits of the sparser, folded once; its cost caps sampled sweeps
-at MAX_SAMPLE_SIZE elements.  check_pair takes a single pair to the
-report the CLI prints; its group stays below 2^MAX_MODULUS_BITS
-elements, checked before p^alpha is built, once.
+integer k strictly between n-r and s; by Eliahou and Kervaire it is the
+least (ceil(r/q) + ceil(s/q) - 1) q over the powers q of p, and |A+B| >=
+beta(p, |A|, |B|) for nonempty A, B inside Z/(p^alpha).  verify_cd_bound
+brute-forces that inequality over all (or sampled) pairs of nonempty
+subsets, with subsets as bitmasks so a sumset is a union of cyclic
+shifts.  The exhaustive sweep runs the B that contain 0 against one A
+per orbit of the affine maps x -> u*x + t (u a unit) with 2|A| <=
+p^alpha, and gets the rest from translating B, swapping A and B, and the
+pairs with A+B the whole group.  Each sumset comes from a smaller one
+with a single shift-OR, all of a pass at once in one packed integer;
+that integer caps the group at MAX_SWEEP_SIZE elements.  A listed or
+sampled pair is a shift-OR of the denser mask over the bits of the
+sparser, folded once; its cost caps sampled sweeps at MAX_SAMPLE_SIZE
+elements.  check_pair takes a single pair to the report the CLI prints;
+its group stays below 2^MAX_MODULUS_BITS elements, checked before
+p^alpha is built, once.
 
 The closing check mirrors the argument the bound rests on: writing the
 coefficients of prod_i (x - c_i) for p^alpha-th roots of unity c_i as
@@ -47,32 +48,20 @@ MAX_MODULUS_BITS = 1 << 20  # one pair: 3^(2^20 - 1), the biggest group
 
 @lru_cache(maxsize=None)
 def beta(p: int, r: int, s: int) -> int:
-    """Smallest n with p | C(n, k) for every k with n-r < k < s.
-
-    By Lucas' theorem p does not divide C(n, k) exactly when each base-p
-    digit of k is at most n's, so n passes when the least such k above
-    n-r is at least s; one walk up the digits of n and of n-r+1 finds
-    it.  No n below max(r, s) passes (k = 0 or k = n is a term), and n =
-    r+s-1 does, where the k-range is empty.  Memoised: every sweep reads
-    a whole table of it.
-    """
+    """Smallest n with p | C(n, k) for every k with n-r < k < s: by
+    Eliahou and Kervaire (J. Number Theory 71, 1998), the least
+    (ceil(r/q) + ceil(s/q) - 1) q over q = 1, p, p^2, ..., where no q at
+    or above the least value so far gives less.  Memoised: every sweep
+    reads a whole table of it."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if r < 1 or s < 1:
         raise ValueError("set sizes must be positive")
-    for n in range(max(r, s), r + s):
-        # k: the least k >= lo with no digit above n's, units first; void
-        # while carry is set, when only a higher digit can lift it to lo
-        m, lo, k, unit, carry = n, n - r + 1, 0, 1, False
-        while m or lo:
-            m, top = divmod(m, p)
-            lo, low = divmod(lo, p)
-            k = (low + carry) * unit + (0 if carry else k)
-            carry = low + carry > top
-            unit *= p
-        if carry or k >= s:
-            return n
-    raise AssertionError("unreachable: the range at n = r+s-1 is empty")
+    least, q = r + s - 1, p
+    while q < least:
+        least = min(least, (-(-r // q) - (-s // q) - 1) * q)
+        q *= p
+    return least
 
 
 def sumset(A, B, modulus: int) -> tuple[int, ...]:

@@ -591,3 +591,48 @@ def test_console_script_runs():
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"result": "feasible",
                                        "pairs": [[1, 2]]}
+
+
+@pytest.mark.parametrize("argv, flag, value", [
+    (["partition", "--n", "5"], "--d", "-1,2"),
+    (["sumset", "--p", "5", "--B", "1"], "--A", "-3,5"),
+    (["sumset", "--p", "5", "--A", "1"], "--B", "-3,5"),
+    (["pack", "--n", "5", "--T", "0;1", "--d", "1"], "--X", "-1;0,1"),
+    (["pack", "--n", "5", "--X", "0;0,1", "--d", "1"], "--T", "-1;2"),
+    (["dyson"], "--a", "-1,2"),
+    (["cn-coeff", "--file", "{poly}"], "--grid", "-1,0;0,1"),
+])
+def test_list_value_starting_with_a_dash(capsys, tmp_path, argv, flag, value):
+    """`--flag -3,5` reads as `--flag=-3,5`, not as two flags."""
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps(MultiPoly(ZZ, 2, [((1, 1), 4)]).to_json()))
+    argv = [a.format(poly=poly) for a in argv]
+    spaced = run(capsys, [*argv, flag, value])
+    assert spaced == run(capsys, [*argv, f"{flag}={value}"])
+    if flag == "--a":
+        assert spaced == (1, "", "error: exponents must be positive\n")
+    else:
+        assert spaced[0] in (0, 2) and json.loads(spaced[1])
+
+
+def test_closed_output_pipe_is_a_silent_exit_1(tmp_path):
+    """A reader that stops after a few bytes of a 1.2 MB report gets no
+    error line and no traceback, and the exit code is 1; any other
+    OSError is still one error line."""
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    with subprocess.Popen(
+            [sys.executable, "-m", "pairpack.cli", "sumset", "--p", "7",
+             "--tight-cap", "100000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert len(proc.stdout.read(100)) == 100
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == b""
+    proc = subprocess.run(
+        [sys.executable, "-m", "pairpack.cli", "partition", "--file",
+         str(tmp_path / "absent.json")], capture_output=True, text=True,
+        env=env)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -223,6 +223,42 @@ def test_orbit_sample_matches_direct_scan(seed):
         direct_scan(24, sample=2000, seed=seed)
 
 
+def _verified_multisets(monkeypatch):
+    """Record the difference multiset of every verify_solution call a
+    scan makes."""
+    verified = Counter()
+    verify = conjectures.verify_solution
+
+    def spy(inst, solution):
+        verified[inst.d] += 1
+        return verify(inst, solution)
+
+    monkeypatch.setattr(conjectures, "verify_solution", spy)
+    return verified
+
+
+def test_sample_verifies_each_folded_multiset_once(monkeypatch):
+    """2,000 draws mod 24 repeat folded multisets (every one of them is
+    feasible); each distinct one is verified exactly once."""
+    verified = _verified_multisets(monkeypatch)
+    n, m = 24, 12
+    rng, units = random.Random(3), units_mod(n)
+    keys = {tuple(sorted(rng.choice(units) for _ in range(m)))
+            for _ in range(2000)}
+    folded = {tuple(sorted(min(k, n - k) for k in key)) for key in keys}
+    assert len(folded) < len(keys)
+    assert scan_conjecture(n, sample=2000, seed=3).failures == ()
+    assert verified == Counter(dict.fromkeys(folded, 1))
+
+
+def test_exhaustive_scan_verifies_each_folded_multiset_once(monkeypatch):
+    verified = _verified_multisets(monkeypatch)
+    n = 13
+    assert scan_conjecture(n).failures == ()
+    assert verified == Counter(dict.fromkeys(
+        itertools.combinations_with_replacement(range(1, 7), 6), 1))
+
+
 def test_infeasible_orbit_fails_every_member(monkeypatch):
     """One infeasible representative fails its whole orbit: every
     multiset reached by scaling with a unit and flipping signs."""
@@ -246,6 +282,25 @@ def test_infeasible_orbit_fails_every_member(monkeypatch):
     assert rep.instances_total == 10 ** 5
     assert rep.instances_feasible == \
         10 ** 5 - sum(_orderings(key) for key in orbit)
+
+
+def test_sampled_infeasible_orbit_fails_its_drawn_keys(monkeypatch):
+    """Sample mode: every drawn key whose folded multiset lies in an
+    infeasible orbit fails, with all its draws, and no other does."""
+    n, m, d = 11, 5, (1, 2, 2, 3, 7)
+    orbit = {tuple(sorted(s * u * x % n for s, x in zip(signs, d)))
+             for u in units_mod(n)
+             for signs in itertools.product((1, -1), repeat=len(d))}
+    solve = conjectures.find_pair_partition
+    monkeypatch.setattr(conjectures, "find_pair_partition", lambda inst:
+                        Infeasible(0) if inst.d in orbit else solve(inst))
+    rng = random.Random(5)
+    draws = Counter(tuple(sorted(rng.choice(units_mod(n)) for _ in range(m)))
+                    for _ in range(3000))
+    failing = sorted(key for key in draws if key in orbit)
+    rep = scan_conjecture(n, sample=3000, seed=5)
+    assert len(failing) > 1 and rep.failures == tuple(failing)
+    assert rep.instances_feasible == 3000 - sum(draws[k] for k in failing)
 
 
 def test_scan_rejects_unverified_partition(monkeypatch):

@@ -63,6 +63,41 @@ def test_beta_matches_binomial_definition():
                 assert beta(p, r, s) == binomial_beta(p, r, s), (p, r, s)
 
 
+def digit_walk_beta(p, r, s):
+    """beta by its definition read off base-p digits, for sizes where
+    binomial_beta is too slow.  By Lucas' theorem p does not divide
+    C(n, k) exactly when each base-p digit of k is at most n's, so n
+    passes when the least such k above n-r is at least s.  No n below
+    max(r, s) passes (k = 0 or k = n is a term), and n = r+s-1 does."""
+    for n in range(max(r, s), r + s):
+        # k: the least k >= lo with no digit above n's, units first; void
+        # while carry is set, when only a higher digit can lift it to lo
+        m, lo, k, unit, carry = n, n - r + 1, 0, 1, False
+        while m or lo:
+            m, top = divmod(m, p)
+            lo, low = divmod(lo, p)
+            k = (low + carry) * unit + (0 if carry else k)
+            carry = low + carry > top
+            unit *= p
+        if carry or k >= s:
+            return n
+
+
+def test_beta_matches_digit_walk():
+    for p in (2, 3, 5, 7):
+        for r in range(1, 65):
+            for s in range(1, 65):
+                assert beta(p, r, s) == digit_walk_beta(p, r, s), (p, r, s)
+    rng = random.Random(14)
+    draws = [(rng.choice((2, 3, 5, 7, 11, 13)), rng.randrange(1, 1 << 10),
+              rng.randrange(1, 1 << 10)) for _ in range(300)]
+    top = 1 << 14
+    draws += [(p, top - rng.randrange(300), top - rng.randrange(300))
+              for p in (2, 3, 5)]
+    for p, r, s in draws:
+        assert beta(p, r, s) == digit_walk_beta(p, r, s), (p, r, s)
+
+
 def test_sumset_basic():
     assert sumset((0, 1), (0, 1), 5) == (0, 1, 2)
     assert sumset((0, 2), (0, 2), 4) == (0, 2)
