@@ -239,8 +239,8 @@ def scan_conjecture(n: int, sample: "int | None" = None,
     verdict = _orbit_verdicts(n, universe)
 
     if sample is not None:
-        if sample < 1:
-            raise InvalidInstance(f"sample size {sample} is not positive")
+        if type(sample) is not int or sample < 1:
+            raise InvalidInstance(f"sample size {sample!r} is not an int >= 1")
         if seed is None:
             raise InvalidInstance("sample mode needs a seed")
         if checkpoint:

@@ -237,6 +237,7 @@ def _cut_search(inst: PartitionInstance, pick) -> PairPartition | Infeasible:
     only states with no partition below them.
     """
     counts, diffs, universe = _differences(inst)
+    n = inst.n
     chosen: list[tuple[int, int, int]] = []
 
     def node(key):
@@ -246,14 +247,15 @@ def _cut_search(inst: PartitionInstance, pick) -> PairPartition | Infeasible:
             return
         one = 0
         lives = []
+        twice = free | free << n        # twice >> s: free rotated down s
         for dv, rv, half in diffs:
-            if counts[dv]:
-                up = free & (free >> dv | free << rv)
+            if left := counts[dv]:
+                up = free & twice >> dv
                 # the pairs (x, x + d) left need distinct x in up; at
                 # d = n/2 up holds both ends of each
-                if up.bit_count() < counts[dv] << half:
+                if up.bit_count() < left << half:
                     return
-                down = 0 if half else free & (free << dv | free >> rv)
+                down = 0 if half else free & twice >> rv
                 lives.append((dv, rv, up, down))
                 one |= up | down
         if free & ~one:

@@ -11,12 +11,12 @@ per orbit of the affine maps x -> u*x + t (u a unit) with 2|A| <=
 p^alpha, and gets the rest from translating B, swapping A and B, and the
 pairs with A+B the whole group.  Each sumset comes from a smaller one
 with a single shift-OR, all of a pass at once in one packed integer;
-that integer caps the group at MAX_SWEEP_SIZE elements.  A listed or
-sampled pair is a shift-OR of the denser mask over the bits of the
-sparser, folded once; its cost caps sampled sweeps at MAX_SAMPLE_SIZE
-elements.  check_pair takes a single pair to the report the CLI prints;
-its group stays below 2^MAX_MODULUS_BITS elements, checked before
-p^alpha is built, once.
+that integer caps the group at MAX_SWEEP_SIZE elements.  Listed and
+sampled pairs go PAIR_CHUNK at a time into one packed integer too, with
+one shift-OR per bit position for all of them; its cost, quadratic in
+the mask, caps sampled sweeps at MAX_SAMPLE_SIZE elements.  check_pair
+takes a single pair to the report the CLI prints; its group stays below
+2^MAX_MODULUS_BITS elements, checked before p^alpha is built, once.
 
 The closing check mirrors the argument the bound rests on: writing the
 coefficients of prod_i (x - c_i) for p^alpha-th roots of unity c_i as
@@ -29,9 +29,10 @@ made CycloInts only when returned.
 from __future__ import annotations
 
 import math
-from bisect import insort
-from functools import lru_cache
-from itertools import combinations
+from functools import lru_cache, partial
+from heapq import nsmallest
+from itertools import chain, combinations, compress, islice
+from operator import not_, sub
 from random import Random
 
 from .algebra import CycloInt, Value, is_prime
@@ -40,10 +41,13 @@ from .algebra import CycloInt, Value, is_prime
 DEFAULT_TIGHT_CAP = 32     # tight pairs a sweep report lists
 MAX_SWEEP_SIZE = 19        # exhaustive sweeps: Z/(19) takes seconds, Z/(23)
                            # 8,290+ passes of 0.15 s each (about 20 min)
-MAX_SAMPLE_SIZE = 1 << 14  # sampled sweeps: a Z/(2^14) draw takes about
-                           # 0.3 s, nearly all of it in _sum_card
+MAX_SAMPLE_SIZE = 1 << 14  # sampled sweeps: a Z/(2^14) pair takes about
+                           # 0.1 s, nearly all of it in _check's shift-OR
 MAX_MODULUS_BITS = 1 << 20  # one pair: 3^(2^20 - 1), the biggest group
                             # let in, builds in about 0.14 s
+PAIR_CHUNK = 2048          # sampled or listed pairs per pass of _check
+
+_POP = bytes(map(int.bit_count, range(256)))    # bits set, by byte value
 
 
 @lru_cache(maxsize=None)
@@ -133,7 +137,7 @@ class _Subsets:
     sums are packed into one integer, a field of ceil(size/8) bytes per
     B, so adding j to the first 2^(j-1) sets is one OR and one shift.
     Cardinalities come out one byte per B, below 128 as size is.  Only
-    the sweep's counts come from here; listed pairs use _sum_card.
+    the sweep's counts come from here; listed pairs use _check.
     """
 
     def __init__(self, size: int):
@@ -151,7 +155,6 @@ class _Subsets:
         self.sizes = sizes
         self.packed_sizes = int.from_bytes(sizes, "little")
         self.high = int.from_bytes(b"\x80" * len(sizes), "little")
-        self.pop = bytes(map(int.bit_count, range(256)))
         self.tight_only = bytes(255 * (e == 128) for e in range(256))
         self.not_below = bytes(range(128, 256))
 
@@ -169,7 +172,7 @@ class _Subsets:
         for j, ones, shift in self.steps:
             rot = ((A << j) | (A >> (size - j))) & full
             packed |= (packed | rot * ones) << shift
-        pops = packed.to_bytes(nb * n, "little").translate(self.pop)
+        pops = packed.to_bytes(nb * n, "little").translate(_POP)
         cards = sum(int.from_bytes(pops[i::nb], "little") for i in range(nb))
         return ((cards | self.high) - bounds).to_bytes(n, "little")
 
@@ -180,17 +183,83 @@ class _Subsets:
         return tight.to_bytes(len(self.sizes), "little").translate(None, b"\0")
 
 
-def _sum_card(A: int, B: int, size: int, full: int) -> int:
-    """|A+B| in Z/(size): the denser mask shifted by each bit of the
-    sparser one, ORed, folded once."""
-    if A.bit_count() > B.bit_count():
-        A, B = B, A
-    acc = 0
-    while A:
-        low = A & -A
-        acc |= B * low
-        A ^= low
-    return ((acc | acc >> size) & full).bit_count()
+def _draws(seed, pairs: int, size: int):
+    """pairs (A, B) as randrange(1, 2^size) draws them from Random(seed),
+    A then B, PAIR_CHUNK pairs per bytes object.  A draw takes k =
+    ceil(size/32) 32-bit words, least significant first, keeps the top
+    size - 32(k-1) bits of the last, adds 1, and is redrawn while all
+    size bits are set; getrandbits(32 k c) gives c draws' words in order."""
+    bits, k = Random(seed).getrandbits, -(-size // 32)
+    width, split = 4 * k, 32 * k - size
+    full = ((1 << size) - 1).to_bytes(width, "little")
+    for done in range(0, pairs, PAIR_CHUNK):
+        count = left = 2 * min(PAIR_CHUNK, pairs - done)
+        kept = []
+        while left:
+            words = bits(32 * k * left)
+            low = int.from_bytes((b"\xff" * (width - 4) + bytes(4)) * left,
+                                 "little")
+            high = int.from_bytes(full * left, "little") ^ low
+            values = (words & low | words >> split & high).to_bytes(
+                width * left, "little")
+            start, at, left = 0, values.find(full), 0
+            while at >= 0:
+                if not at % width:                 # a redraw: cut it out
+                    kept.append(values[start:at])
+                    start, left = at + width, left + 1
+                at = values.find(full, at + 1)
+            kept.append(values[start:])
+        ones = int.from_bytes((b"\1" + bytes(width - 1)) * count, "little")
+        yield (int.from_bytes(b"".join(kept), "little") + ones).to_bytes(
+            width * count, "little")
+
+
+def _check(packs, p: int, size: int, tight_cap: int, stop: bool):
+    """The tight count, every violating (A, B) and the tight_cap smallest
+    tight ones, sorted, for the pairs of Z/(size) in packs: bytes of
+    fields of two ceil(size/32)-word halves, A low and B high.  B << j
+    goes into every field whose A has bit j, all fields in one shift-OR,
+    and one fold takes the sums mod size.  beta is asked once per
+    (|A|, |B|); with stop, packs are read until tight_cap tight pairs."""
+    half = 32 * -(-size // 32)
+    fb, nb = half // 4, (size + 7) // 8            # bytes per field, mask
+
+    def bits_set(raw, at):
+        """Bits set in bytes at .. at + nb of each field of raw."""
+        if size > 255:
+            return [int.from_bytes(raw[i:i + nb], "little").bit_count()
+                    for i in range(at, len(raw), fb)]
+        pops = raw.translate(_POP)
+        return sum(int.from_bytes(pops[i::fb], "little") for i in
+                   range(at, at + nb)).to_bytes(len(raw) // fb, "little")
+
+    bound = lru_cache(maxsize=None)(partial(beta, p))   # by (|A|, |B|)
+    count, violations, tight = 0, [], []
+    for raw in packs:
+        n, packed = len(raw) // fb, int.from_bytes(raw, "little")
+        ones = int.from_bytes((b"\1" + bytes(fb - 1)) * n, "little")
+        low = ones * ((1 << half) - 1)
+        B, acc = packed >> half & low, 0
+        for j in range(size):
+            t = packed >> j & ones
+            acc |= B << j & (t << 2 * half) - t
+        sums = (acc | acc >> size) & ones * ((1 << size) - 1)
+        bounds = map(bound, bits_set(raw, 0), bits_set(raw, half // 8))
+        excess = list(map(sub, bits_set(sums.to_bytes(len(raw), "little"), 0),
+                          bounds))
+        count += excess.count(0)
+        # fields as A << half | B, big-endian: their bytes sort as (A, B)
+        order = ((packed & low) << half | B).to_bytes(len(raw), "big")
+        key = lambda at: order[at:at + fb]
+        starts = range(len(raw) - fb, -1, -fb)     # field 0 comes last
+        tight = nsmallest(tight_cap, chain(tight, map(
+            key, compress(starts, map(not_, excess)))))
+        violations += map(key, compress(starts, map((0).__gt__, excess)))
+        if stop and len(tight) == tight_cap:
+            break
+    split = lambda keys: [divmod(int.from_bytes(k, "big"), 1 << half)
+                          for k in sorted(keys)]
+    return count, split(violations), split(tight)
 
 
 def _affine_orbit(A: int, size: int, units) -> set:
@@ -228,7 +297,7 @@ def _sweep(p: int, size: int, tight_cap: int):
 
     Every violation has a translate with B containing 0, or a swap that
     has, so none goes unseen.  The listed pairs come from one walk over
-    (A, B) in ascending order, each sumset by _sum_card: it stops at
+    (A, B) in ascending order, chunk by chunk through _check: it stops at
     tight_cap tight pairs (A = {0} alone makes every B tight), unless a
     violation was seen, when it runs to the end to list every one.
     """
@@ -269,19 +338,12 @@ def _sweep(p: int, size: int, tight_cap: int):
             else:
                 tight_count += counts[r][s] * size // s
 
-    violations, tight = [], []
-    A = 0
-    while A < full and (bad or len(tight) < tight_cap):
-        A += 1
-        row = table[A.bit_count()]
-        for B in range(1, full + 1):
-            card, bound = _sum_card(A, B, size, full), row[B.bit_count()]
-            if card < bound:
-                violations.append((A, B))
-            elif card == bound and len(tight) < tight_cap:
-                tight.append((A, B))
-                if len(tight) == tight_cap and not bad:
-                    break
+    # size < 32: a field is B's word above A's
+    fields = ((B << 32 | A).to_bytes(8, "little") for A in range(1, full + 1)
+              for B in range(1, full + 1))
+    step = PAIR_CHUNK if bad else min(PAIR_CHUNK, tight_cap)
+    _, violations, tight = _check(iter(lambda: b"".join(islice(fields, step)),
+                                       b""), p, size, tight_cap, not bad)
     return full * full, violations, tight_count, tight
 
 
@@ -294,9 +356,9 @@ def verify_cd_bound(p: int, alpha: int, sample: "int | None" = None,
     counted from one pass over the B that contain 0 per affine orbit of a
     small A (see _sweep), for p^alpha <= MAX_SWEEP_SIZE.  With sample,
     that many (at least 1) pairs instead, for p^alpha <= MAX_SAMPLE_SIZE,
-    drawn as Random(seed).randrange(1, 2^size) draws them, each |A+B|
-    from _sum_card and each bound read once per drawn (|A|, |B|); only
-    the tight_cap smallest tight pairs are kept while counting.  A seed
+    drawn as Random(seed).randrange(1, 2^size) draws them and checked
+    PAIR_CHUNK at a time (see _check), each bound read once per drawn
+    (|A|, |B|); only the tight_cap smallest tight pairs are kept.  A seed
     without a sample is an error, and so is a group above its mode's
     limit, found before p^alpha is built or p is tested for primality.
     The sweep does not time itself; `jobs` is accepted for older callers
@@ -304,15 +366,15 @@ def verify_cd_bound(p: int, alpha: int, sample: "int | None" = None,
     """
     if p < 2 or alpha < 1:
         raise ValueError("need a prime p and alpha >= 1")
-    if tight_cap < 0:
-        raise ValueError("tight_cap must be nonnegative")
+    if type(tight_cap) is not int or tight_cap < 0:
+        raise ValueError(f"tight_cap {tight_cap!r} is not an int >= 0")
     if sample is None:
         if seed is not None:
             raise ValueError("a seed needs sample mode")
         limit, kind, tip = MAX_SWEEP_SIZE, "an exhaustive", "; use sample mode"
     else:
-        if sample < 1:
-            raise ValueError(f"sample size {sample} is not positive")
+        if type(sample) is not int or sample < 1:
+            raise ValueError(f"sample size {sample!r} is not an int >= 1")
         if seed is None:
             raise ValueError("sample mode needs a seed")
         limit, kind, tip = MAX_SAMPLE_SIZE, "a sampled", ""
@@ -328,30 +390,8 @@ def verify_cd_bound(p: int, alpha: int, sample: "int | None" = None,
     if sample is None:
         pairs, violations, tight_count, tight = _sweep(p, size, tight_cap)
     else:
-        full = (1 << size) - 1
-        bits = Random(seed).getrandbits
-        table = {}                         # (|A|, |B|) -> beta, as drawn
-        pairs = int(sample)
-        violations, tight, tight_count = [], [], 0
-        for _ in range(pairs):
-            # as randrange(1, full + 1): redrawn while all size bits are set
-            A = bits(size) + 1
-            while A > full:
-                A = bits(size) + 1
-            B = bits(size) + 1
-            while B > full:
-                B = bits(size) + 1
-            card = _sum_card(A, B, size, full)
-            key = A.bit_count(), B.bit_count()
-            bound = table.get(key) or table.setdefault(key, beta(p, *key))
-            if card < bound:
-                violations.append((A, B))
-            elif card == bound:
-                tight_count += 1
-                if len(tight) < tight_cap or tight and (A, B) < tight[-1]:
-                    insort(tight, (A, B))
-                    del tight[tight_cap:]
-        violations.sort()
+        pairs, (tight_count, violations, tight) = sample, _check(
+            _draws(seed, sample, size), p, size, tight_cap, False)
 
     unpack = lambda prs: tuple((_mask_to_set(a, size), _mask_to_set(b, size))
                                for a, b in prs)

@@ -72,6 +72,13 @@ def test_scan_sample_mode():
             scan_conjecture(9, sample=size, seed=1)
 
 
+@pytest.mark.parametrize("sample", [2.5, True, "3"])
+def test_scan_refuses_a_sample_that_is_not_an_int(sample):
+    """2.5 used to raise a bare TypeError from range()."""
+    with pytest.raises(InvalidInstance, match="is not an int"):
+        scan_conjecture(7, sample=sample, seed=1)
+
+
 def test_scan_seed_needs_sample():
     with pytest.raises(InvalidInstance):
         scan_conjecture(7, seed=5)

@@ -438,6 +438,107 @@ def test_sample_mode_cap_keeps_exact_count():
         assert capped.tight == uncapped.tight[:cap]
 
 
+@pytest.mark.parametrize("p, alpha, sample", [
+    (2, 1, 400),      # 2 bits: a quarter of the draws are redrawn
+    (31, 1, 300),     # 31 bits, one word
+    (2, 5, 300),      # 32 bits: the whole word, no shift
+    (37, 1, 300),     # two words, the top one shifted
+    (2, 6, 300),      # two whole words
+    (67, 1, 300),     # three words
+    (2, 7, 100),      # four words
+])
+def test_sample_draw_layout_matches_reference(p, alpha, sample):
+    """Masks are cut from one getrandbits call per chunk, a word count
+    per mask, as one randrange call per mask would draw them."""
+    for seed in (1, 11):
+        assert verify_cd_bound(p, alpha, sample=sample, seed=seed,
+                               tight_cap=8) == \
+            reference_sample(p, alpha, sample, seed, 8), seed
+
+
+def _seam_seeds(size, redrawn_at_seam):
+    """Seeds whose draw stream, one randrange(1, 2^size) per mask, has a
+    redraw right after the first chunk's last mask (redrawn_at_seam) or
+    right before it (otherwise)."""
+    seam = 2 * sumsets.PAIR_CHUNK          # masks in the first chunk
+    found = []
+    for seed in range(1, 400):
+        bits = random.Random(seed).getrandbits
+        kept, redrawn = 0, []
+        while kept <= seam:
+            if bits(size) == (1 << size) - 1:
+                redrawn.append(kept)       # redrawn before mask `kept`
+            else:
+                kept += 1
+        if (seam if redrawn_at_seam else seam - 1) in redrawn:
+            found.append(seed)
+        if len(found) == 2:
+            return found
+    raise AssertionError("no seed puts a redraw at the seam")
+
+
+@pytest.mark.parametrize("p, alpha", [(2, 1), (3, 1)])
+@pytest.mark.parametrize("redrawn_at_seam", [True, False])
+def test_sample_chunk_seams_match_reference(p, alpha, redrawn_at_seam):
+    """Over two chunks, with a redraw at the first chunk's end, the
+    draws, counts and listed pairs are those of one draw at a time."""
+    sample = 2 * sumsets.PAIR_CHUNK + 300
+    for seed in _seam_seeds(p ** alpha, redrawn_at_seam):
+        assert verify_cd_bound(p, alpha, sample=sample, seed=seed,
+                               tight_cap=40) == \
+            reference_sample(p, alpha, sample, seed, 40), seed
+
+
+def test_sample_tight_cap_across_chunks():
+    """tight_cap 0, 1 and more than the tight count, over three chunks."""
+    sample = 2 * sumsets.PAIR_CHUNK + 500
+    for p, alpha in ((13, 1), (2, 4)):
+        want = reference_sample(p, alpha, sample, 9, 10 ** 6)
+        assert 1 < want.tight_count < 10 ** 6
+        for cap in (0, 1, 10 ** 6):
+            rep = verify_cd_bound(p, alpha, sample=sample, seed=9,
+                                  tight_cap=cap)
+            assert rep == CDReport(want.p, want.alpha, want.pairs,
+                                   want.violations, want.tight_count,
+                                   want.tight[:cap]), (p, alpha, cap)
+
+
+def test_sample_violations_across_chunks(monkeypatch):
+    """With every bound raised by one, each tight pair of every chunk
+    is listed as a violation, in (A, B) order over the whole sample."""
+    sample = 2 * sumsets.PAIR_CHUNK + 500
+    tight = {shape: reference_sample(*shape, sample, 4, 10 ** 6).tight
+             for shape in ((13, 1), (2, 4), (2, 1))}
+    monkeypatch.setattr(sumsets, "beta", lambda p, r, s: beta(p, r, s) + 1)
+    for (p, alpha), want in tight.items():
+        rep = verify_cd_bound(p, alpha, sample=sample, seed=4, tight_cap=3)
+        assert rep.violations == want
+        assert rep == reference_sample(p, alpha, sample, 4, 3)
+
+
+def test_listed_tight_pairs_past_one_chunk():
+    """An exhaustive listing longer than a chunk runs its chunks across
+    several A and still lists the pairs in (A, B) order."""
+    cap = sumsets.PAIR_CHUNK + 700
+    want = literal_sweep(2, 3, cap)
+    assert len(want.tight) == cap
+    assert verify_cd_bound(2, 3, tight_cap=cap) == want
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"sample": 2.5, "seed": 1}, "sample size"),
+    ({"sample": True, "seed": 1}, "sample size"),
+    ({"sample": "3", "seed": 1}, "sample size"),
+    ({"tight_cap": 2.5}, "tight_cap"),
+    ({"tight_cap": True}, "tight_cap"),
+    ({"tight_cap": "3"}, "tight_cap"),
+])
+def test_sweep_refuses_a_sample_or_cap_that_is_not_an_int(kwargs, name):
+    """2.5 used to make 2 draws and report "pairs": 2, and True 1."""
+    with pytest.raises(ValueError, match=f"^{name} .* is not an int"):
+        verify_cd_bound(2, 2, **kwargs)
+
+
 def test_seed_needs_sample():
     with pytest.raises(ValueError):
         verify_cd_bound(3, 1, seed=5)
