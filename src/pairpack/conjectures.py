@@ -240,7 +240,8 @@ def scan_conjecture(n: int, sample: "int | None" = None,
 
     if sample is not None:
         if type(sample) is not int or sample < 1:
-            raise InvalidInstance(f"sample size {sample!r} is not an int >= 1")
+            raise InvalidInstance(
+                f"sample size {sample!r} is not an int >= 1")
         if seed is None:
             raise InvalidInstance("sample mode needs a seed")
         if checkpoint:
