@@ -168,13 +168,13 @@ ZZ = IntegerRing()
 def vec_add(u, v, p):
     if len(u) != len(v):
         raise DimensionMismatch(f"length {len(u)} vs {len(v)}")
-    return tuple((a + b) % p for a, b in zip(u, v))
+    return tuple([(a + b) % p for a, b in zip(u, v)])
 
 
 def vec_sub(u, v, p):
     if len(u) != len(v):
         raise DimensionMismatch(f"length {len(u)} vs {len(v)}")
-    return tuple((a - b) % p for a, b in zip(u, v))
+    return tuple([(a - b) % p for a, b in zip(u, v)])
 
 
 def rank_mod_p(vectors, p: int) -> int:

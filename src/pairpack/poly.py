@@ -203,7 +203,7 @@ class AffineProduct:
     one-point case.
     """
 
-    __slots__ = ("ring", "arity", "factors", "_const", "_levels")
+    __slots__ = ("ring", "arity", "factors", "_const", "_levels", "_divisors")
 
     def __init__(self, ring, arity: int, factors):
         self.ring = ring
@@ -235,6 +235,12 @@ class AffineProduct:
             step = n // g if n else 0
             u = -pow(c // g, -1, step) % step if n else -1
             self._levels[top].append((lin[:-1], c, consts, g, step, u))
+        try:
+            field = ring.is_field
+        except ValueError:          # a modulus past the exact primality test
+            field = False
+        # only over a composite n can nonzero factors multiply to 0
+        self._divisors = bool(n) and not field
 
     def total_degree(self) -> int:
         """Number of factors with a nonzero linear part (an upper bound that
@@ -257,14 +263,18 @@ class AffineProduct:
         variable is x_i strikes its roots from the set of x_i (compared
         mod n), and a prefix with no x_i left skips every point below it.
         The product is taken only at the points that avoid every root,
-        and dropped there if zero divisors make it 0.
+        and dropped there if zero divisors make it 0.  Over a composite n,
+        the walk also carries the product of the factors up to x_i and
+        skips every point below a prefix where it is 0.
         """
         if len(sets) != self.arity:
             raise ArityMismatch(f"{len(sets)} sets for arity {self.arity}")
         n, const, levels, last = self.ring.n, self._const, self._levels, self.arity - 1
+        divisors = self._divisors
         sets, point = [tuple(s) for s in sets], [0] * self.arity
-        # vals[i]: (c, s, consts) per linear part c * x_i + rest, s = rest
-        vals, pending = [()] * self.arity, [None] * self.arity
+        # vals[i]: (c, s, consts) per linear part c * x_i + rest, s = rest;
+        # prefix[i]: over a composite n, const times the factors up to x_(i-1)
+        vals, pending, prefix = [()] * self.arity, [None] * self.arity, [const] * self.arity
         k = 0 if const and sets else -1
         while k >= 0:
             if pending[k] is None:
@@ -287,6 +297,12 @@ class AffineProduct:
             for x in pending[k]:
                 point[k] = x
                 if k < last:
+                    if divisors:
+                        acc = math.prod((c * x + s + e for c, s, consts in vals[k]
+                                         for e in consts), start=prefix[k]) % n
+                        if not acc:
+                            continue
+                        prefix[k + 1] = acc
                     k += 1
                     break
                 acc = math.prod((c * y + s + e for y, here in zip(point, vals)

@@ -29,7 +29,7 @@ from itertools import product
 from .algebra import (Value, is_basis, is_prime, json_errors, json_value,
                       multinomial, vec_add, vec_sub)
 
-DEAD_STATES = 1 << 18   # solve_pair_partition clears its table at this size
+DEAD_STATES = 1 << 18   # the canonical and vector searches clear a table this big
 
 
 class InvalidInstance(ValueError):
@@ -361,13 +361,19 @@ def solve_vector_partition(inst: VectorPartitionInstance):
     Returns (pairs, g) on success: pairs[i] = (x, y) and g[i] = j with
     y - x = v_{i,j}.  Branching: smallest (lexicographic) uncovered
     vector, unused slots in ascending order, coordinates j ascending,
-    partner e + v before partner e - v.
+    partner e + v before partner e - v.  Each element's candidate pairs
+    for v_{i,j} are computed once per search, at the first visit that
+    reaches them, and read from a table at every later one; the table
+    is cleared at DEAD_STATES entries.
     """
     p, k, m = inst.p, inst.k, inst.m
     universe = list(product(range(p), repeat=k))
-    index = {v: i for i, v in enumerate(universe)}
+    bits = {v: 1 << i for i, v in enumerate(universe)}     # its bit in a key
     nonzero = (1 << len(universe)) - 2      # bit 0, the zero vector, stays out
     chosen: list[tuple[tuple[int, ...], tuple[int, ...], int] | None] = [None] * m
+    # (e * m + i) * k + j -> the moves (e, e + v, j) and (e - v, e, j) for
+    # v = v_{i,j}, each with its partner's bit
+    moves: dict[int, tuple] = {}
 
     def node(key):
         free = nonzero & ~key
@@ -376,16 +382,24 @@ def solve_vector_partition(inst: VectorPartitionInstance):
             return
         bit = free & -free
         free ^= bit                         # e is no partner of its own
-        e = universe[bit.bit_length() - 1]
+        ei = bit.bit_length() - 1
         for i in range(m):
             if chosen[i] is not None:
                 continue
-            for j, v in enumerate(inst.bases[i]):
-                for x, y in ((e, vec_add(e, v, p)), (vec_sub(e, v, p), e)):
-                    pi = index[y if x == e else x]
-                    if free >> pi & 1:
-                        chosen[i] = (x, y, j)
-                        yield key | bit | 1 << pi
+            at = (ei * m + i) * k
+            for j in range(k):
+                pair = moves.get(at + j)
+                if pair is None:
+                    e, v = universe[ei], inst.bases[i][j]
+                    y, x = vec_add(e, v, p), vec_sub(e, v, p)
+                    if len(moves) >= DEAD_STATES:
+                        moves.clear()       # costs only recomputing
+                    pair = moves[at + j] = (((e, y, j), bits[y]),
+                                            ((x, e, j), bits[x]))
+                for move, partner in pair:
+                    if free & partner:
+                        chosen[i] = move
+                        yield key | bit | partner
                         chosen[i] = None
 
     return _search(node) or (tuple((x, y) for x, y, _ in chosen),

@@ -355,6 +355,49 @@ def test_root_walk_with_non_unit_coefficients(n):
     assert [big.evaluate((x,)) for x in (1, 2, -3, 4)] == [0, 2 ** 39, 0, 2 ** 39]
 
 
+@pytest.mark.parametrize("n", [12, 36])
+def test_walk_past_prefixes_that_zero_divisors_make_0(n):
+    """Coefficients and constants that share a divisor with n, so that a
+    prefix's factors often multiply to 0 mod n though none of them is 0:
+    the walk yields what point-by-point evaluate and a factor-by-factor
+    product give."""
+    ring = ModRing(n)
+    rng = random.Random(3 * n)
+    divisors = [g for g in range(2, n) if n % g == 0]
+    for _ in range(40):
+        arity = rng.randrange(1, 4)
+        factors = []
+        for _ in range(rng.randrange(1, 6)):
+            g = rng.choice(divisors)
+            factors.append((tuple((i, g * rng.randrange(1, n))
+                                  for i in range(arity) if rng.random() < 0.6),
+                            g * rng.randrange(n)))
+        f = AffineProduct(ring, arity, factors)
+        sets = [rng.sample(range(-n, 2 * n), rng.randrange(1, 9))
+                for _ in range(arity)]
+        want = [(point, f.evaluate(point))
+                for point in itertools.product(*sets) if f.evaluate(point)]
+        assert list(f.nonzero_points(*sets)) == want
+        assert want == list(_reference_points(f, sets))
+
+
+def test_walk_visits_no_point_below_a_prefix_that_is_0():
+    """Over Z/(36), (6 x0 + 6)(6 x1 + 6) is 0 at every x0 and x1, though
+    neither factor is 0 once its roots are struck: no x2 is reached."""
+    class Counted(int):
+        products = 0
+
+        def __rmul__(self, other):
+            Counted.products += 1
+            return int(other) * int(self)
+
+    f = AffineProduct(ModRing(36), 3, [(((0, 6),), 6), (((1, 6),), 6),
+                                       (((2, 1),), 1)])
+    last = [Counted(x) for x in range(36)]
+    assert list(f.nonzero_points(range(36), range(36), last)) == []
+    assert Counted.products == 0
+
+
 def test_pruned_walk_on_pairing_polynomials():
     rng = random.Random(11)
     for p in (5, 7, 11):

@@ -10,6 +10,7 @@ from collections import Counter
 import pytest
 
 from pairpack import solvers
+from pairpack.algebra import is_basis
 from pairpack.dyson import packing_coefficient
 from pairpack.solvers import (Infeasible, InvalidInstance, PackingInstance,
                               PairPartition, PartitionInstance,
@@ -664,3 +665,65 @@ def test_find_pair_partition_is_pinned():
         json.dumps(results, sort_keys=True).encode()).hexdigest()
     assert digest == \
         "23ef061d7dfd5ded1483d020d76bb4fc05d4f114f5b7098b839ccf8dbdb6b959"
+
+
+def _vector_cases():
+    rng = random.Random(1997)
+
+    def vec(p, k):
+        return tuple(rng.randrange(p) for _ in range(k))
+
+    def line_system(stray):
+        u = rng.choice(((0, 1), (1, 0), (1, 1), (1, 2)))
+
+        def draw():
+            if stray and rng.randrange(stray) == 0:
+                return vec(3, 2)
+            c = rng.randrange(3)
+            return (c * u[0] % 3, c * u[1] % 3)
+
+        return VectorPartitionInstance(
+            3, 2, tuple((draw(), draw()) for _ in range(4)), check=False)
+
+    cases = []
+    for p in (3, 5):
+        for _ in range(50):
+            bases = []
+            while len(bases) < (p * p - 1) // 2:
+                basis = (vec(p, 2), vec(p, 2))
+                if is_basis(basis, p, 2):
+                    bases.append(basis)
+            cases.append(VectorPartitionInstance(p, 2, tuple(bases)))
+    # unchecked p = 3 systems whose vectors, zero included, lie on one line
+    # through 0 (infeasible: the line's cosets hold 2 or 3 nonzero
+    # vectors), and on one line but for a random vector in about 1 of 4
+    cases += [line_system(0) for _ in range(40)]
+    cases += [line_system(4) for _ in range(30)]
+    for _ in range(30):
+        p = rng.choice((3, 5, 7))
+        cases.append(VectorPartitionInstance(
+            p, 1, tuple((vec(p, 1),) for _ in range((p - 1) // 2)),
+            check=False))
+    return cases
+
+
+def test_vector_partition_is_pinned():
+    """solve_vector_partition's first solution or node count on 200 seeded
+    instances (65 of them infeasible), hashed: checked bases at p = 3 and
+    p = 5, unchecked systems with zero and collinear vectors at p = 3, and
+    unchecked k = 1 systems.  A change of branch order or of node counting
+    changes the digest."""
+    results = []
+    for inst in _vector_cases():
+        res = solve_vector_partition(inst)
+        results.append(res.to_json() if isinstance(res, Infeasible) else res)
+    assert sum(isinstance(res, dict) for res in results) == 65
+    digest = hashlib.sha256(
+        json.dumps(results, sort_keys=True).encode()).hexdigest()
+    assert digest == \
+        "5ac7e016f6bdc60e959ea97d4e0d875ea2d44d05fe9ad2f725b42785d6deefb3"
+
+
+def test_clearing_the_vector_move_table_keeps_every_answer(monkeypatch):
+    monkeypatch.setattr(solvers, "DEAD_STATES", 4)
+    test_vector_partition_is_pinned()
