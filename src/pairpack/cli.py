@@ -131,12 +131,12 @@ def cmd_dyson(args) -> int:
     from .dyson import (DEFAULT_DEGREE_BUDGET, BudgetExceeded, DysonInstance,
                         dyson_bruteforce, dyson_formula, dyson_via_evaluation)
     inst = DysonInstance(_ints(args.a))
-    formula = dyson_formula(inst)
-    try:
+    try:        # first: the degree budget refuses before any multinomial
         brute = dyson_bruteforce(
             inst, getattr(args, "max_degree", DEFAULT_DEGREE_BUDGET))
     except BudgetExceeded as exc:
         raise CliError(str(exc)) from None
+    formula = dyson_formula(inst)
     evaluated = dyson_via_evaluation(inst)
     _emit({"a": list(inst.a), "formula": formula, "bruteforce": brute,
            "evaluation": evaluated})

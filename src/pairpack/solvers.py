@@ -322,9 +322,14 @@ class VectorPartitionInstance(Value):
         p, k = int(p), int(k)
         if p < 2 or k < 1:
             raise InvalidInstance("need p >= 2 and k >= 1")
-        m = (p ** k - 1) // 2
         bases = tuple(tuple(tuple(int(c) % p for c in v) for v in basis)
                       for basis in bases)
+        # p^k >= 2^(k (bits of p - 1)): from 2^20 bits on, more than any
+        # list of bases holds, refused before p^k is built
+        if k * (p.bit_length() - 1) >= 1 << 20:
+            raise InvalidInstance(
+                f"need ({p}^{k} - 1)/2 bases, got {len(bases)}")
+        m = (p ** k - 1) // 2
         if len(bases) != m:
             raise InvalidInstance(f"need {m} bases, got {len(bases)}")
         for basis in bases:

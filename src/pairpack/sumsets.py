@@ -29,11 +29,11 @@ made CycloInts only when returned.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, partial
-from heapq import nsmallest
-from itertools import chain, combinations, compress, islice
-from operator import not_, sub
+from functools import lru_cache
+from itertools import combinations, compress, islice
+from operator import itemgetter
 from random import Random
+from struct import pack, unpack
 
 from .algebra import CycloInt, Value, is_prime
 
@@ -48,6 +48,10 @@ MAX_MODULUS_BITS = 1 << 20  # one pair: 3^(2^20 - 1), the biggest group
 PAIR_CHUNK = 2048          # sampled or listed pairs per pass of _check
 
 _POP = bytes(map(int.bit_count, range(256)))    # bits set, by byte value
+_ZERO = b"\1" + bytes(255)                       # 1 for a zero byte
+_NONZERO = b"\0" + b"\xff" * 255                # 255 for the rest
+_BELOW = b"\1" * 128 + bytes(128)                # 1 below 128
+_DIGIT = bytes.maketrans(b"01", b"\0\1")         # binary digit to its bit
 
 
 @lru_cache(maxsize=None)
@@ -121,7 +125,8 @@ class CDReport(Value):
 
 
 def _mask_to_set(mask: int, size: int) -> tuple[int, ...]:
-    return tuple(a for a in range(size) if mask >> a & 1)
+    return tuple(compress(range(size), bin(mask)[:1:-1].encode().translate(
+        _DIGIT)))
 
 
 def _beta_table(p: int, size: int):
@@ -185,11 +190,12 @@ class _Subsets:
 
 def _draws(seed, pairs: int, size: int):
     """pairs (A, B) as randrange(1, 2^size) draws them from Random(seed),
-    A then B, PAIR_CHUNK pairs per bytes object.  A draw takes k =
-    ceil(size/32) 32-bit words, least significant first, keeps the top
-    size - 32(k-1) bits of the last, adds 1, and is redrawn while all
-    size bits are set; getrandbits(32 k c) gives c draws' words in order."""
-    bits, k = Random(seed).getrandbits, -(-size // 32)
+    A then B, PAIR_CHUNK pairs per bytes object, ceil(size/8) bytes per
+    mask.  A draw takes k = ceil(size/32) 32-bit words, least significant
+    first, keeps the top size - 32(k-1) bits of the last, adds 1, and is
+    redrawn while all size bits are set; getrandbits(32 k c) gives c
+    draws' words in order."""
+    bits, k, nb = Random(seed).getrandbits, -(-size // 32), (size + 7) // 8
     width, split = 4 * k, 32 * k - size
     full = ((1 << size) - 1).to_bytes(width, "little")
     for done in range(0, pairs, PAIR_CHUNK):
@@ -210,56 +216,89 @@ def _draws(seed, pairs: int, size: int):
                 at = values.find(full, at + 1)
             kept.append(values[start:])
         ones = int.from_bytes((b"\1" + bytes(width - 1)) * count, "little")
-        yield (int.from_bytes(b"".join(kept), "little") + ones).to_bytes(
+        drawn = (int.from_bytes(b"".join(kept), "little") + ones).to_bytes(
             width * count, "little")
+        masks = bytearray(nb * count)
+        for i in range(nb):
+            masks[i::nb] = drawn[i::width]
+        yield bytes(masks)
 
 
 def _check(packs, p: int, size: int, tight_cap: int, stop: bool):
     """The tight count, every violating (A, B) and the tight_cap smallest
     tight ones, sorted, for the pairs of Z/(size) in packs: bytes of
-    fields of two ceil(size/32)-word halves, A low and B high.  B << j
-    goes into every field whose A has bit j, all fields in one shift-OR,
-    and one fold takes the sums mod size.  beta is asked once per
-    (|A|, |B|); with stop, packs are read until tight_cap tight pairs."""
-    half = 32 * -(-size // 32)
-    fb, nb = half // 4, (size + 7) // 8            # bytes per field, mask
+    fields of two ceil(size/8)-byte masks, A low and B high.  B << j goes
+    into every field whose A has bit j, all fields in one shift-OR, and
+    one fold takes the sums mod size.  |A+B| and |A| (size+1) + |B| fill
+    32-bit lanes, beta is asked once per index drawn, and a lane of 2^31
+    + |A+B| - bound has its low half 0 if the pair is tight and its top
+    bit clear if it violates.  A key is cut only for a tight pair whose
+    A's top byte is at most the least that keeps tight_cap of them and
+    that of the tight_cap-th key kept (keys order by A first); kept keys
+    are cut back to tight_cap at twice that.  With stop, packs are read
+    until tight_cap tight pairs."""
+    nb = (size + 7) // 8                           # bytes per mask
+    w, h, full = 2 * nb, 8 * nb, (1 << size) - 1   # bytes, bits per field
 
-    def bits_set(raw, at):
-        """Bits set in bytes at .. at + nb of each field of raw."""
-        if size > 255:
-            return [int.from_bytes(raw[i:i + nb], "little").bit_count()
-                    for i in range(at, len(raw), fb)]
-        pops = raw.translate(_POP)
-        return sum(int.from_bytes(pops[i::fb], "little") for i in
-                   range(at, at + nb)).to_bytes(len(raw) // fb, "little")
+    def bits_set(data, at):
+        """Bits set in bytes at .. at + nb of each field of data, a 32-bit
+        lane each."""
+        pops, total = data.translate(_POP), 0
+        lanes = bytearray(len(data) // w * 4)
+        for i in range(at, at + nb):
+            lanes[::4] = pops[i::w]
+            total += int.from_bytes(lanes, "little")
+        return total
 
-    bound = lru_cache(maxsize=None)(partial(beta, p))   # by (|A|, |B|)
-    count, violations, tight = 0, [], []
+    bounds = {}                                    # by |A| (size+1) + |B|
+    count, violations, kept, cut = 0, [], [], 255
     for raw in packs:
-        n, packed = len(raw) // fb, int.from_bytes(raw, "little")
-        ones = int.from_bytes((b"\1" + bytes(fb - 1)) * n, "little")
-        low = ones * ((1 << half) - 1)
-        B, acc = packed >> half & low, 0
+        n, packed = len(raw) // w, int.from_bytes(raw, "little")
+        ones = int.from_bytes((b"\1" + bytes(w - 1)) * n, "little")
+        low = ones * ((1 << h) - 1)
+        B, acc = packed >> h & low, 0
         for j in range(size):
             t = packed >> j & ones
-            acc |= B << j & (t << 2 * half) - t
-        sums = (acc | acc >> size) & ones * ((1 << size) - 1)
-        bounds = map(bound, bits_set(raw, 0), bits_set(raw, half // 8))
-        excess = list(map(sub, bits_set(sums.to_bytes(len(raw), "little"), 0),
-                          bounds))
-        count += excess.count(0)
-        # fields as A << half | B, big-endian: their bytes sort as (A, B)
-        order = ((packed & low) << half | B).to_bytes(len(raw), "big")
-        key = lambda at: order[at:at + fb]
-        starts = range(len(raw) - fb, -1, -fb)     # field 0 comes last
-        tight = nsmallest(tight_cap, chain(tight, map(
-            key, compress(starts, map(not_, excess)))))
-        violations += map(key, compress(starts, map((0).__gt__, excess)))
-        if stop and len(tight) == tight_cap:
+            acc |= B << j & (t << 2 * h) - t
+        sums = (acc | acc >> size) & ones * full
+        index = bits_set(raw, 0) * (size + 1) + bits_set(raw, nb)
+        index = unpack(f"<{n}I", index.to_bytes(4 * n, "little"))
+        for i in set(index).difference(bounds):
+            bounds[i] = beta(p, *divmod(i, size + 1))
+        drawn = itemgetter(*index)(bounds)         # an int when n is 1
+        drawn = pack(f"<{n}I", *drawn) if n > 1 else pack("<I", drawn)
+        guard = int.from_bytes(b"\0\0\0\x80" * n, "little")
+        excess = (bits_set(sums.to_bytes(len(raw), "little"), 0) | guard) - \
+            int.from_bytes(drawn, "little")
+        loose = (excess | excess >> 8).to_bytes(4 * n, "little")[::4]
+        tight = loose.count(0)                     # 0 marks a tight pair
+        count += tight
+        # fields as A << h | B, big-endian: their bytes sort as (A, B)
+        order = ((packed & low) << h | B).to_bytes(len(raw), "big")
+        starts = range(len(raw) - w, -1, -w)       # field 0 comes last
+        if excess & guard != guard:
+            below = excess.to_bytes(4 * n, "little")[3::4].translate(_BELOW)
+            violations += [order[i:i + w] for i in compress(starts, below)]
+        if tight and tight_cap:
+            # A's top byte in each tight field, 255 in the rest
+            top = int.from_bytes(raw[nb - 1::w], "little") | int.from_bytes(
+                loose.translate(_NONZERO), "little")
+            top = top.to_bytes(n, "little")
+            t0, seen = 0, top.count(0)
+            while seen < min(tight, tight_cap) and t0 < cut:
+                t0 += 1
+                seen += top.count(t0)
+            pick = loose.translate(_ZERO) if t0 == 255 else top.translate(
+                b"\1" * (t0 + 1) + bytes(255 - t0))
+            kept += [order[i:i + w] for i in compress(starts, pick)]
+            if len(kept) >= 2 * tight_cap:
+                kept = sorted(kept)[:tight_cap]
+                cut = kept[-1][0]
+        if stop and len(kept) >= tight_cap:
             break
-    split = lambda keys: [divmod(int.from_bytes(k, "big"), 1 << half)
-                          for k in sorted(keys)]
-    return count, split(violations), split(tight)
+    split = lambda keys: [divmod(int.from_bytes(k, "big"), 1 << h)
+                          for k in keys]
+    return count, split(sorted(violations)), split(sorted(kept)[:tight_cap])
 
 
 def _affine_orbit(A: int, size: int, units) -> set:
@@ -338,9 +377,9 @@ def _sweep(p: int, size: int, tight_cap: int):
             else:
                 tight_count += counts[r][s] * size // s
 
-    # size < 32: a field is B's word above A's
-    fields = ((B << 32 | A).to_bytes(8, "little") for A in range(1, full + 1)
-              for B in range(1, full + 1))
+    nb = (size + 7) // 8                           # bytes per mask
+    fields = ((B << 8 * nb | A).to_bytes(2 * nb, "little")
+              for A in range(1, full + 1) for B in range(1, full + 1))
     step = PAIR_CHUNK if bad else min(PAIR_CHUNK, tight_cap)
     _, violations, tight = _check(iter(lambda: b"".join(islice(fields, step)),
                                        b""), p, size, tight_cap, not bad)

@@ -123,6 +123,23 @@ def test_dyson_budget_error(capsys):
     assert json.loads(out)["formula"] == 756756
 
 
+def test_dyson_refuses_a_huge_degree_before_the_multinomial(capsys):
+    """a = (10^8, 1) used to compute (10^8 + 1)!/10^8! before the
+    expansion's degree budget refused it."""
+    assert run(capsys, ["dyson", "--a", "100000000,1"]) == (
+        1, "", "error: expansion degree 100000001 exceeds budget "
+               f"{DEFAULT_DEGREE_BUDGET}\n")
+
+
+def test_vector_partition_with_a_huge_k_is_one_error_line(capsys, tmp_path):
+    """k = 2^63 used to build 3^k before counting the bases."""
+    path = tmp_path / "inst.json"
+    path.write_text('{"p": 3, "k": 9223372036854775808, '
+                    '"bases": [[[1, 0], [0, 1]]]}')
+    assert run(capsys, ["partition", "--file", str(path)]) == (
+        1, "", "error: need (3^9223372036854775808 - 1)/2 bases, got 1\n")
+
+
 def test_budget_exceeded_is_one_error_line(capsys):
     # the handler maps BudgetExceeded, a RuntimeError, to the error line;
     # main itself catches no RuntimeError

@@ -199,6 +199,21 @@ def test_vector_instance_validation():
         VectorPartitionInstance(3, 2, (((1, 0, 0), (0, 1, 0)),) * 4)
 
 
+def test_vector_instance_refuses_a_huge_k_before_building_p_to_the_k():
+    """p^k has at least k (bits of p - 1) bits; from 2^20 on the count
+    is refused unbuilt, and below it the message names (p^k - 1)/2."""
+    with pytest.raises(InvalidInstance,
+                       match=r"^need \(3\^9223372036854775808 - 1\)/2 bases, "
+                             r"got 1$"):
+        VectorPartitionInstance(3, 2 ** 63, (((1, 0), (0, 1)),))
+    with pytest.raises(InvalidInstance,
+                       match=r"^need \(5\^1048576 - 1\)/2 bases, got 4$"):
+        VectorPartitionInstance(5, 2 ** 20, (((1, 0), (0, 1)),) * 4)
+    with pytest.raises(InvalidInstance,
+                       match=f"^need {(3 ** 100 - 1) // 2} bases, got 4$"):
+        VectorPartitionInstance(3, 100, (((1, 0), (0, 1)),) * 4)
+
+
 def test_vector_solver_standard_bases():
     inst = VectorPartitionInstance(3, 2, (((1, 0), (0, 1)),) * 4)
     pairs, g = solve_vector_partition(inst)

@@ -516,6 +516,27 @@ def test_sample_violations_across_chunks(monkeypatch):
         assert rep == reference_sample(p, alpha, sample, 4, 3)
 
 
+@pytest.mark.parametrize("p, alpha", [(13, 1), (2, 4), (37, 1), (257, 1)])
+def test_sample_matches_reference_over_three_chunks(p, alpha, monkeypatch):
+    """5,000 pairs in three chunks, against the literal replay: the cut
+    on A's top byte and the keys kept from chunk to chunk give the same
+    tight pairs for every cap, and with every bound raised by one each
+    tight pair of every chunk is listed as a violation.  Z/(37) masks
+    take two words, and counts in Z/(257) go above 255."""
+    sample = 5000
+    want = reference_sample(p, alpha, sample, 3, 10 ** 6)
+    assert 32 < want.tight_count < sample
+    for cap in (0, 1, 5, 32, 10 ** 6):
+        rep = verify_cd_bound(p, alpha, sample=sample, seed=3, tight_cap=cap)
+        assert rep == CDReport(want.p, want.alpha, want.pairs, (),
+                               want.tight_count, want.tight[:cap]), cap
+    monkeypatch.setattr(sumsets, "beta", lambda p, r, s: beta(p, r, s) + 1)
+    rep = verify_cd_bound(p, alpha, sample=sample, seed=3, tight_cap=5)
+    assert rep.violations == want.tight
+    if p ** alpha < 256:       # the replay of Z/(257) takes seconds
+        assert rep == reference_sample(p, alpha, sample, 3, 5)
+
+
 def test_listed_tight_pairs_past_one_chunk():
     """An exhaustive listing longer than a chunk runs its chunks across
     several A and still lists the pairs in (A, B) order."""
