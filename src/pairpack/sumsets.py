@@ -48,10 +48,10 @@ MAX_MODULUS_BITS = 1 << 20  # one pair: 3^(2^20 - 1), the biggest group
 PAIR_CHUNK = 2048          # sampled or listed pairs per pass of _check
 
 _POP = bytes(map(int.bit_count, range(256)))    # bits set, by byte value
-_ZERO = b"\1" + bytes(255)                       # 1 for a zero byte
-_NONZERO = b"\0" + b"\xff" * 255                # 255 for the rest
-_BELOW = b"\1" * 128 + bytes(128)                # 1 below 128
-_DIGIT = bytes.maketrans(b"01", b"\0\1")         # binary digit to its bit
+_ZERO = b"\1" + bytes(255)                      # 1 for a zero byte
+_NONZERO = b"\0" + b"\xff" * 255                # 255 for a nonzero byte
+_BELOW = b"\1" * 128 + bytes(128)               # 1 below 128
+_DIGIT = bytes.maketrans(b"01", b"\0\1")        # binary digit to its bit
 
 
 @lru_cache(maxsize=None)
