@@ -47,6 +47,9 @@ from .algebra import CycloInt, Value, is_prime, json_value, multinomial
 from .solvers import (Infeasible, InvalidInstance, PartitionInstance,
                       find_pair_partition, verify_solution)
 
+MAX_SCAN_MODULUS = 2048       # n = 2039's unit-fold table takes 0.8 s
+MAX_SCAN_MULTISETS = 10 ** 6  # exhaustive: n = 23's 352,716 take about 30 s
+
 
 def units_mod(n: int) -> tuple[int, ...]:
     """Residues in 1..n-1 coprime to n, ascending."""
@@ -227,15 +230,24 @@ def scan_conjecture(n: int, sample: "int | None" = None,
     checkpoint) and is deterministic for a fixed seed; each drawn sorted
     key takes the verdict of the multiset it folds to.  A seed without a
     sample is an error.  The scan runs serially and does not time itself;
-    `jobs` is accepted for older callers and ignored.
+    `jobs` is accepted for older callers and ignored.  n > MAX_SCAN_MODULUS,
+    or more than MAX_SCAN_MULTISETS folded multisets to walk, is refused.
     """
     if n < 3:
         raise InvalidInstance("modulus too small to scan")
+    if n > MAX_SCAN_MODULUS:
+        raise InvalidInstance(
+            f"modulus {n} is too big to scan (at most {MAX_SCAN_MODULUS})")
     if sample is None and seed is not None:
         raise InvalidInstance("a seed needs sample mode")
     universe = "nonzero" if n % 2 else "full"
     m = n // 2
     units = units_mod(n)
+    if sample is None and math.comb(len(units) // 2 + m - 1, m) \
+            > MAX_SCAN_MULTISETS:
+        raise InvalidInstance(
+            f"an exhaustive scan mod {n} has more than {MAX_SCAN_MULTISETS:,} "
+            "folded multisets; use sample mode (--sample)")
     verdict = _orbit_verdicts(n, universe)
 
     if sample is not None:

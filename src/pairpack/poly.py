@@ -38,13 +38,6 @@ class BudgetExceeded(RuntimeError):
 DEFAULT_TERM_BUDGET = 10_000_000
 
 
-def _check_pair(a, b):
-    if a.ring.n != b.ring.n:
-        raise RingMismatch(f"{a.ring!r} vs {b.ring!r}")
-    if a.arity != b.arity:
-        raise ArityMismatch(f"arity {a.arity} vs {b.arity}")
-
-
 class MultiPoly:
     """Sparse polynomial: exponent tuples mapped to nonzero int coefficients."""
 
@@ -73,39 +66,14 @@ class MultiPoly:
         self.terms = clean
 
     @classmethod
-    def constant(cls, ring, arity: int, value) -> MultiPoly:
-        return cls(ring, arity, {(0,) * arity: value})
-
-    @classmethod
     def one(cls, ring, arity: int) -> MultiPoly:
-        return cls.constant(ring, arity, 1)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = MultiPoly.constant(self.ring, self.arity, other)
-        _check_pair(self, other)
-        return MultiPoly(self.ring, self.arity,
-                         [*self.terms.items(), *other.terms.items()])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self * -1
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
+        return cls(ring, arity, {(0,) * arity: 1})
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return MultiPoly(self.ring, self.arity,
-                             [(e, c * other) for e, c in self.terms.items()])
-        _check_pair(self, other)
+        if self.ring.n != other.ring.n:
+            raise RingMismatch(f"{self.ring!r} vs {other.ring!r}")
+        if self.arity != other.arity:
+            raise ArityMismatch(f"arity {self.arity} vs {other.arity}")
         n = self.ring.n
         out: dict = {}
         for ea, ca in self.terms.items():
@@ -121,8 +89,6 @@ class MultiPoly:
         res = MultiPoly(self.ring, self.arity)
         res.terms = out
         return res
-
-    __rmul__ = __mul__
 
     def __eq__(self, other):
         if not isinstance(other, MultiPoly):
@@ -317,25 +283,23 @@ class AffineProduct:
         if const and not sets:
             yield (), const
 
-    def expand(self, budget: int = DEFAULT_TERM_BUDGET) -> MultiPoly:
+    def expand(self) -> MultiPoly:
         """Multiply the factors out into a MultiPoly.
 
         Raises BudgetExceeded if the predicted or actual term count passes
-        the budget.
+        DEFAULT_TERM_BUDGET.
         """
+        budget = DEFAULT_TERM_BUDGET
         predicted = _predict_terms(self, budget)
         if predicted > budget:
             raise BudgetExceeded(
                 f"predicted {predicted} terms exceeds budget {budget}")
-        ring = self.ring
-        result = MultiPoly.one(ring, self.arity)
+        arity = self.arity
+        result = MultiPoly.one(self.ring, arity)
         for lin, const in self.factors:
-            terms = [((0,) * self.arity, const)] if const else []
-            for i, c in lin:
-                e = [0] * self.arity
-                e[i] = 1
-                terms.append((tuple(e), c))
-            result = result * MultiPoly(ring, self.arity, terms)
+            terms = [((0,) * arity, const)] + [
+                (tuple(int(j == i) for j in range(arity)), c) for i, c in lin]
+            result = result * MultiPoly(self.ring, arity, terms)
             if len(result.terms) > budget:
                 raise BudgetExceeded(
                     f"intermediate expansion passed {budget} terms")
@@ -367,12 +331,12 @@ def _difference_power(ring, arity: int, i: int, j: int, e: int) -> MultiPoly:
     return MultiPoly(ring, arity, terms)
 
 
-def difference_product(ring, arity: int, exponents,
-                       budget: int = DEFAULT_TERM_BUDGET) -> MultiPoly:
+def difference_product(ring, arity: int, exponents) -> MultiPoly:
     """Exact expansion of prod_{i<j} (x_i - x_j)^{e_ij}.
 
     ``exponents`` is either a mapping from (i, j) pairs with i < j to
     non-negative exponents, or a single int applied to every pair.
+    Raises BudgetExceeded past DEFAULT_TERM_BUDGET terms.
     """
     if isinstance(exponents, int):
         exponents = {(i, j): exponents
@@ -386,6 +350,6 @@ def difference_product(ring, arity: int, exponents,
         if e == 0:
             continue
         result = result * _difference_power(ring, arity, i, j, e)
-        if len(result.terms) > budget:
-            raise BudgetExceeded(f"expansion passed {budget} terms")
+        if len(result.terms) > DEFAULT_TERM_BUDGET:
+            raise BudgetExceeded(f"expansion passed {DEFAULT_TERM_BUDGET} terms")
     return result

@@ -27,9 +27,10 @@ from collections import deque
 from itertools import product
 
 from .algebra import (Value, is_basis, is_prime, json_errors, json_value,
-                      multinomial, vec_add, vec_sub)
+                      vec_add, vec_sub)
 
 DEAD_STATES = 1 << 18   # the canonical and vector searches clear a table this big
+MAX_TRIAL_DIVISOR = 1 << 22   # the packing report factors n up to here
 
 
 class InvalidInstance(ValueError):
@@ -324,9 +325,9 @@ class VectorPartitionInstance(Value):
             raise InvalidInstance("need p >= 2 and k >= 1")
         bases = tuple(tuple(tuple(int(c) % p for c in v) for v in basis)
                       for basis in bases)
-        # p^k >= 2^(k (bits of p - 1)): from 2^20 bits on, more than any
-        # list of bases holds, refused before p^k is built
-        if k * (p.bit_length() - 1) >= 1 << 20:
+        # p^k >= 2^(k (bits of p - 1)): from 2^13 bits on, refused before
+        # p^k is built; below, m has at most 3,909 digits (p = 3), printable
+        if k * (p.bit_length() - 1) >= 1 << 13:
             raise InvalidInstance(
                 f"need ({p}^{k} - 1)/2 bases, got {len(bases)}")
         m = (p ** k - 1) // 2
@@ -346,10 +347,6 @@ class VectorPartitionInstance(Value):
     @property
     def m(self) -> int:
         return len(self.bases)
-
-    def to_json(self) -> dict:
-        return {"p": self.p, "k": self.k,
-                "bases": [[list(v) for v in basis] for basis in self.bases]}
 
     @classmethod
     @json_errors("instance", InvalidInstance)
@@ -530,11 +527,36 @@ class PackingReport(Value):
                 "guarantees": list(self.guarantees)}
 
 
+def _divides_packing_coefficient(n: int, m: int, d: int) -> bool:
+    """Whether n divides (md)!/(d!)^m, prime by prime, each prime's power
+    by Legendre's formula.  The primes of n come from trial division up
+    to min(md, sqrt n); one above md does not divide (md)!."""
+    def times(q):       # sum over i >= 1 of floor(md/q^i) - m floor(d/q^i)
+        v, x, y = 0, m * d, d
+        while x:
+            x, y = x // q, y // q
+            v += x - m * y
+        return v
+
+    left, q = n, 2
+    while q * q <= left and q <= m * d:
+        if q > MAX_TRIAL_DIVISOR:
+            raise InvalidInstance(f"modulus {n}: the packing report tries "
+                                  f"trial divisors up to {MAX_TRIAL_DIVISOR}")
+        e = 0
+        while left % q == 0:
+            left, e = left // q, e + 1
+        if e and times(q) < e:
+            return False
+        q += 1
+    return left == 1 or left <= m * d and times(left) > 0
+
+
 def check_packing_hypotheses(inst: PackingInstance) -> PackingReport:
     m, d = inst.m, inst.d
     mod = inst.modulus
     # (md)!/(d!)^m, the packing coefficient up to a sign
-    factorial_ok = mod is None or multinomial((d,) * m) % mod != 0
+    factorial_ok = mod is None or not _divides_packing_coefficient(mod, m, d)
     diff_ok = all(len({(a - b) % mod if mod else a - b
                        for a in inst.X[i] for b in inst.X[j]}) <= 2 * d
                   for i in range(m) for j in range(i + 1, m))

@@ -140,6 +140,48 @@ def test_vector_partition_with_a_huge_k_is_one_error_line(capsys, tmp_path):
         1, "", "error: need (3^9223372036854775808 - 1)/2 bases, got 1\n")
 
 
+@pytest.mark.parametrize("k", [8192, 100000, 1048575])
+def test_vector_count_past_the_print_limit_is_named(capsys, tmp_path, k):
+    """From k = 8192 at p = 3 the count is named, not printed: a count of
+    4,300 digits or more used to fail the int-to-text conversion."""
+    path = tmp_path / "inst.json"
+    path.write_text(f'{{"p": 3, "k": {k}, "bases": [[[1, 0], [0, 1]]]}}')
+    assert run(capsys, ["partition", "--file", str(path)]) == (
+        1, "", f"error: need (3^{k} - 1)/2 bases, got 1\n")
+
+
+def test_largest_vector_count_still_built_is_printed(capsys, tmp_path):
+    path = tmp_path / "inst.json"
+    path.write_text('{"p": 3, "k": 8191, "bases": [[[1, 0], [0, 1]]]}')
+    assert run(capsys, ["partition", "--file", str(path)]) == (
+        1, "", f"error: need {(3 ** 8191 - 1) // 2} bases, got 1\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--n", "1000000"], "modulus 1000000 is too big to scan (at most 2048)"),
+    (["--n", "100003", "--sample", "1", "--seed", "1"],
+     "modulus 100003 is too big to scan (at most 2048)"),
+    (["--n", "29"], "an exhaustive scan mod 29 has more than 1,000,000 "
+                    "folded multisets; use sample mode (--sample)"),
+])
+def test_conjecture_scan_past_its_limits_is_one_error_line(capsys, argv,
+                                                           message):
+    assert run(capsys, ["conjecture-scan", *argv]) == (
+        1, "", f"error: {message}\n")
+
+
+def test_pack_with_a_huge_d_answers(capsys, tmp_path):
+    """d = 10^12 used to build the exact multinomial (2d)!/(d!)^2."""
+    path = tmp_path / "inst.json"
+    path.write_text('{"n": 7, "X": [[0, 1], [0, 2]], "T": [[0, 1], [2, 3]], '
+                    '"d": 1000000000000}')
+    code, out, err = run(capsys, ["pack", "--file", str(path)])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["t"] == [0, 2]
+    assert doc["hypotheses"]["d"] == 10 ** 12
+
+
 def test_budget_exceeded_is_one_error_line(capsys):
     # the handler maps BudgetExceeded, a RuntimeError, to the error line;
     # main itself catches no RuntimeError

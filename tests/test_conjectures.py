@@ -691,3 +691,34 @@ def test_consistent_checkpoint_failure_is_trusted(tmp_path):
     want = ScanReport(7, "nonzero", 216, 213, ((2, 2, 3),))
     assert scan_conjecture(7, checkpoint=str(path)) == want
     assert path.read_text() == "".join(lines)
+
+
+def test_scan_refuses_a_modulus_above_the_limit():
+    """n = 10^6 and a sampled n = 100003 used to build n gcds and a fold
+    table of phi(n)/2 rows of n entries before the first solve."""
+    limit = conjectures.MAX_SCAN_MODULUS
+    for n, kwargs in ((10 ** 6, {}), (100003, {"sample": 1, "seed": 1}),
+                      (limit + 1, {"sample": 1, "seed": 1})):
+        with pytest.raises(InvalidInstance,
+                           match=rf"^modulus {n} is too big to scan "
+                                 rf"\(at most {limit}\)$"):
+            scan_conjecture(n, **kwargs)
+
+
+def test_exhaustive_scan_refuses_too_many_folded_multisets():
+    """Every exhaustive n <= 28 walks at most MAX_SCAN_MULTISETS folded
+    multisets (m-multisets of the phi(n)/2 units below n/2, counted here
+    by enumeration); n = 29, 31 and 33, with 20M, 78M and 2M, are refused
+    before any work, and sample mode still runs."""
+    limit = conjectures.MAX_SCAN_MULTISETS
+    counts = {n: sum(1 for _ in itertools.combinations_with_replacement(
+        range(len(units_mod(n)) // 2), n // 2)) for n in range(3, 29)}
+    assert counts[23] == 352716 and counts[27] == 203490
+    assert max(counts.values()) <= limit
+    for n in (29, 31, 33):
+        with pytest.raises(InvalidInstance,
+                           match=rf"^an exhaustive scan mod {n} has more "
+                                 rf"than {limit:,} folded multisets; use "
+                                 r"sample mode \(--sample\)$"):
+            scan_conjecture(n)
+    assert scan_conjecture(29, sample=1, seed=1).instances_total == 1

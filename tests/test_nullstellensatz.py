@@ -100,7 +100,7 @@ def test_grid_collapse_detected():
 def test_witness():
     ring = ModRing(5)
     x = MultiPoly(ring, 1, {(1,): 1})
-    vanishing = x * (x - 1)
+    vanishing = x * MultiPoly(ring, 1, {(1,): 1, (0,): -1})      # x (x - 1)
     assert cn_witness(vanishing, GridSpec(((0, 1),))) is None
     assert cn_witness(vanishing, GridSpec(((0, 1, 2),))) == (2,)
     # lexicographically first over the sets as given

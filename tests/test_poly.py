@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from pairpack import poly
 from pairpack.algebra import ZZ, ModRing
 from pairpack.nullstellensatz import GridSpec, cn_coefficient
 from pairpack.poly import (AffineProduct, ArityMismatch, BudgetExceeded,
@@ -24,9 +25,9 @@ def test_constructors_and_zero_pruning():
     # 3 + 2 = 5 = 0 mod 5, so the x-term drops out
     assert p.coefficient((1, 0)) == 0
     assert p.coefficient((0, 1)) == 2
-    assert MultiPoly(R, 3).is_zero()
+    assert not MultiPoly(R, 3).terms
     assert MultiPoly.one(R, 3).coefficient((0, 0, 0)) == 1
-    assert MultiPoly.constant(R, 1, 12).coefficient((0,)) == 2
+    assert MultiPoly(R, 1, {(0,): 12}).coefficient((0,)) == 2
     v = MultiPoly(R, 3, {(0, 1, 0): 1})
     assert v.coefficient((0, 1, 0)) == 1
     assert MultiPoly(R, 2, {(2, 1): 4}).total_degree() == 3
@@ -40,18 +41,17 @@ def test_bad_shapes():
         MultiPoly(R, 2, [((1, -1), 1)])
     a = MultiPoly.one(R, 2)
     with pytest.raises(ArityMismatch):
-        a + MultiPoly.one(R, 3)
+        a * MultiPoly.one(R, 3)
     with pytest.raises(RingMismatch, match=r"^ModRing\(5\) vs ModRing\(7\)$"):
-        a + MultiPoly.one(ModRing(7), 2)
+        a * MultiPoly.one(ModRing(7), 2)
     with pytest.raises(RingMismatch, match=r"^ZZ vs ModRing\(5\)$"):
         MultiPoly.one(ZZ, 2) * a
     # a ring is its modulus: equal moduli are one ring, ZZ is none of them
     assert a == MultiPoly.one(ModRing(5), 2) != MultiPoly.one(ZZ, 2)
-    assert a + MultiPoly.one(ModRing(5), 2) == MultiPoly.constant(R, 2, 2)
 
 
 def test_arithmetic_matches_evaluation():
-    """Ring operations and evaluation must commute."""
+    """Multiplication and evaluation must commute."""
     rng = random.Random(5)
     for _ in range(60):
         ring = ModRing(rng.choice((5, 7, 9, 13)))
@@ -61,13 +61,8 @@ def test_arithmetic_matches_evaluation():
         pt = tuple(rng.randrange(ring.n) for _ in range(arity))
         n = ring.n
         av, bv = a.evaluate(pt), b.evaluate(pt)
-        assert (a + b).evaluate(pt) == (av + bv) % n
-        assert (a - b).evaluate(pt) == (av - bv) % n
         assert (a * b).evaluate(pt) == av * bv % n
         assert (a * a * a).evaluate(pt) == av * av * av % n
-        assert (-a).evaluate(pt) == -av % n
-        assert (a + 2).evaluate(pt) == (av + 2) % n
-        assert (3 * a).evaluate(pt) == 3 * av % n
 
 
 def test_arithmetic_over_integers():
@@ -76,29 +71,33 @@ def test_arithmetic_over_integers():
         a = rand_poly(rng, ZZ, 2)
         b = rand_poly(rng, ZZ, 2)
         pt = (rng.randrange(-5, 6), rng.randrange(-5, 6))
-        assert (a * b - b * a).is_zero()
+        assert a * b == b * a
         assert (a * b).evaluate(pt) == a.evaluate(pt) * b.evaluate(pt)
 
 
 def test_sum_with_cancelling_terms_is_termwise():
-    """a + b drops every exponent whose coefficients cancel, over Z and
-    over Z/(35), and keeps the rest reduced."""
+    """A term list that names an exponent twice sums its coefficients and
+    drops every exponent where they cancel, over Z and over Z/(35), and
+    keeps the rest reduced."""
     rng = random.Random(8)
     for ring in (ZZ, ModRing(35)):
         for _ in range(30):
             a = rand_poly(rng, ring, 2)
-            b = rand_poly(rng, ring, 2) - a + rand_poly(rng, ring, 2)
+            b = MultiPoly(ring, 2, [*rand_poly(rng, ring, 2).terms.items(),
+                                    *((e, -c) for e, c in a.terms.items()),
+                                    *rand_poly(rng, ring, 2).terms.items()])
             want = {}
             for e in {*a.terms, *b.terms}:
                 c = a.coefficient(e) + b.coefficient(e)
                 c = c % ring.n if ring.n else c
                 if c:
                     want[e] = c
-            assert (a + b).terms == want
-        x = MultiPoly(ring, 1, {(1,): 34, (0,): 2})
-        y = MultiPoly(ring, 1, {(1,): -34, (2,): 1})
-        assert (x + y).terms == {(0,): 2, (2,): 1}
-        assert (x + (-x)).is_zero() and (x - x).is_zero()
+            assert MultiPoly(ring, 2, [*a.terms.items(),
+                                       *b.terms.items()]).terms == want
+        x = [((1,), 34), ((0,), 2)]
+        y = [((1,), -34), ((2,), 1)]
+        assert MultiPoly(ring, 1, x + y).terms == {(0,): 2, (2,): 1}
+        assert not MultiPoly(ring, 1, x + [(e, -c) for e, c in x]).terms
 
 
 def test_total_degree():
@@ -111,9 +110,8 @@ def test_total_degree():
 
 def test_binomial_identity():
     R = ModRing(13)
-    x = MultiPoly(R, 2, {(1, 0): 1})
-    y = MultiPoly(R, 2, {(0, 1): 1})
-    p = (x + y) * (x + y) * (x + y) * (x + y)
+    s = MultiPoly(R, 2, {(1, 0): 1, (0, 1): 1})    # x + y
+    p = s * s * s * s
     import math
     for k in range(5):
         assert p.coefficient((4 - k, k)) == math.comb(4, k) % 13
@@ -208,15 +206,17 @@ def test_nonzero_points_order_and_arity():
         with pytest.raises(ArityMismatch):
             list(f.nonzero_points((3, 1)))
 
-def test_expansion_budget():
+def test_expansion_budget(monkeypatch):
+    monkeypatch.setattr(poly, "DEFAULT_TERM_BUDGET", 50)
     with pytest.raises(BudgetExceeded):
-        difference_product(ZZ, 6, 4, budget=50)
+        difference_product(ZZ, 6, 4)
     # (x0+1)(x1+1)...(x9+1) has 2^10 terms
     factors = [(((i, 1),), 1) for i in range(10)]
+    monkeypatch.setattr(poly, "DEFAULT_TERM_BUDGET", 100)
     with pytest.raises(BudgetExceeded):
-        AffineProduct(ZZ, 10, factors).expand(budget=100)
-    assert len(AffineProduct(ZZ, 10, factors).expand(budget=2000).terms) \
-        == 1024
+        AffineProduct(ZZ, 10, factors).expand()
+    monkeypatch.setattr(poly, "DEFAULT_TERM_BUDGET", 2000)
+    assert len(AffineProduct(ZZ, 10, factors).expand().terms) == 1024
 
 
 def test_difference_product_small():

@@ -742,3 +742,35 @@ def test_vector_partition_is_pinned():
 def test_clearing_the_vector_move_table_keeps_every_answer(monkeypatch):
     monkeypatch.setattr(solvers, "DEAD_STATES", 4)
     test_vector_partition_is_pinned()
+
+
+def test_packing_coefficient_divisibility_matches_the_exact_multinomial():
+    """Legendre's formula per prime of n decides what the exact
+    multinomial (md)!/(d!)^m mod n decides, on all 5,070 cases with
+    n < 80, m <= 5 and d <= 13."""
+    for n in range(2, 80):
+        for m in range(1, 6):
+            for d in range(1, 14):
+                exact = math.factorial(m * d) // math.factorial(d) ** m
+                assert solvers._divides_packing_coefficient(n, m, d) == \
+                    (exact % n == 0), (n, m, d)
+
+
+def test_packing_hypotheses_with_a_huge_d():
+    """m * d = 2 * 10^12 used to build the exact multinomial.  By Kummer,
+    7 divides (2d)!/(d!)^2 exactly when adding d + d in base 7 carries;
+    a prime modulus past the trial-divisor bound with m * d above it is
+    refused."""
+    d = 10 ** 12
+    carries = carry = 0
+    x = d
+    while x:
+        x, digit = divmod(x, 7)
+        carry = 2 * digit + carry >= 7
+        carries += carry
+    inst = PackingInstance(7, ((0, 1), (0, 2)), ((0, 1), (2, 3)), d)
+    assert check_packing_hypotheses(inst).factorial_nonzero == (carries == 0)
+    with pytest.raises(InvalidInstance, match=r"trial divisors up to "
+                                              rf"{solvers.MAX_TRIAL_DIVISOR}$"):
+        check_packing_hypotheses(PackingInstance(
+            (1 << 61) - 1, ((0,), (0,)), ((0,), (1,)), d))
