@@ -17,7 +17,6 @@ over ModRing(n) they are kept reduced into [0, n) with % n, over ZZ
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from .algebra import json_errors, json_value
@@ -70,6 +69,8 @@ class MultiPoly:
         return cls(ring, arity, {(0,) * arity: 1})
 
     def __mul__(self, other):
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
         if self.ring.n != other.ring.n:
             raise RingMismatch(f"{self.ring!r} vs {other.ring!r}")
         if self.arity != other.arity:
@@ -112,25 +113,54 @@ class MultiPoly:
     def evaluate(self, point):
         if len(point) != self.arity:
             raise ArityMismatch(f"point of length {len(point)} for arity {self.arity}")
-        n = self.ring.n
-        total = 0
-        for e, c in self.terms.items():
-            for x, k in zip(point, e):
-                if k:
-                    c *= pow(x, k, n)      # x ** k when n is None
-            total += c
-        return total % n if n else total
+        for _, value in self.nonzero_points(*((x,) for x in point)):
+            return value
+        return 0
 
     def nonzero_points(self, *sets):
         """(point, value) for each point of sets[0] x ... x sets[m-1] where
         the polynomial is nonzero, in lexicographic order over the sets as
-        given; every point is evaluated on its own."""
+        given.
+
+        With x_0 .. x_(k-1) set, the terms are folded once into a
+        polynomial in x_k .. x_(m-1), kept as a map from exponent tails to
+        coefficients (reduced mod n), and a prefix whose folded polynomial
+        has no nonzero coefficient skips every point below it.  At the last
+        coordinate the fold is the value.
+        """
         if len(sets) != self.arity:
             raise ArityMismatch(f"{len(sets)} sets for arity {self.arity}")
-        for point in itertools.product(*sets):
-            value = self.evaluate(point)
-            if value:
-                yield point, value
+        n, last = self.ring.n, self.arity - 1
+        sets, point = [tuple(s) for s in sets], [0] * self.arity
+
+        def walk(k, terms):
+            # terms: the polynomial in x_k .. x_last, tails -> coefficients
+            if k == last:
+                pairs = [(e, c) for (e,), c in terms.items()]
+                for x in sets[k]:
+                    value = 0
+                    for e, c in pairs:
+                        value += c * pow(x, e, n)      # x ** e when n is None
+                    if n:
+                        value %= n
+                    if value:
+                        point[k] = x
+                        yield tuple(point), value
+                return
+            for x in sets[k]:
+                folded = {}
+                for e, c in terms.items():
+                    rest = e[1:]
+                    folded[rest] = folded.get(rest, 0) + c * pow(x, e[0], n)
+                folded = {e: v for e, c in folded.items() if (v := c % n if n else c)}
+                if folded:
+                    point[k] = x
+                    yield from walk(k + 1, folded)
+
+        if not self.arity:
+            yield from self.terms.items()       # ((), c) unless f = 0
+        elif self.terms:
+            yield from walk(0, self.terms)
 
     def sorted_terms(self):
         """Terms as (exponents, coeff) pairs in lexicographic exponent order."""

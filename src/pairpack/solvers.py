@@ -22,6 +22,7 @@ from a table included.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections import deque
 from itertools import product
@@ -149,12 +150,15 @@ def solve_pair_partition(inst: PartitionInstance) -> PairPartition | Infeasible:
     pairs are re-dealt to indices in the order the instance listed them.
     On an odd modulus this order runs first with the cuts of
     find_pair_partition, which drop only states with no partition below
-    them, so the first partition stays the same.  On an even modulus, or
-    if that finds none, dead states are kept with their subtrees' node
-    counts and not searched again; Infeasible.nodes counts the whole
-    canonical tree.
+    them, so the first partition stays the same.  It is passed over when
+    g = gcd(n, d_1, ..., d_m) > 1: each pair stays in one coset of gZ/(n),
+    and the g - 1 cosets without 0 have odd size n/g, so there is no
+    partition.  On an even modulus, or if the cut search is passed over
+    or finds none, dead states are kept with their subtrees' node counts
+    and not searched again; Infeasible.nodes counts the whole canonical
+    tree.
     """
-    if inst.universe == "nonzero":
+    if inst.universe == "nonzero" and math.gcd(inst.n, *inst.d) == 1:
         found = _cut_search(inst, lambda free, lives: free)
         if not isinstance(found, Infeasible):
             return found

@@ -200,7 +200,9 @@ def test_full_field_sums_at_p11_and_p13():
 # The pruned walk of AffineProduct against a point-by-point reference.
 
 def _value(f, point):
-    """f at one point, factor by factor."""
+    """f at one point, factor by factor (term by term for a MultiPoly)."""
+    if isinstance(f, MultiPoly):
+        return _term_value(f, point)
     n = f.ring.n
     acc = 1
     for lin, const in f.factors:
@@ -410,3 +412,79 @@ def test_pruned_walk_on_pairing_polynomials():
             v for _, v in _reference_points(full, [range(p)] * m)) % p
         if p < 11:
             _agree(full, GridSpec((tuple(range(p)),) * m))
+
+
+# ---------------------------------------------------------------------------
+# The prefix fold of MultiPoly against a term-by-term reference.
+
+def _term_value(f, point):
+    """f at one point, term by term."""
+    n = f.ring.n
+    total = sum(c * math.prod(x ** k for x, k in zip(point, e))
+                for e, c in f.terms.items())
+    return total % n if n else total
+
+
+@pytest.mark.parametrize("ring", [ZZ, ModRing(5), ModRing(35)], ids=repr)
+def test_prefix_fold_matches_term_by_term(ring):
+    """Points, values, evaluate, witness and the grid sums of a MultiPoly
+    agree with term-by-term evaluation, on sets given unsorted, with
+    negatives and elements past [0, n)."""
+    rng = random.Random(ring.n or 0)
+    span = ring.n or 7
+
+    # (7 x0 + 14)(x1 + 1)(x2 + x3): every coefficient is 0 once x0 = 3
+    # mod 5 (Z/(35), Z/(5)) or -2 (ZZ), or x1 = -1 mod n
+    vanishing = (MultiPoly(ring, 4, [((1, 0, 0, 0), 7), ((0, 0, 0, 0), 14)])
+                 * MultiPoly(ring, 4, [((0, 1, 0, 0), 1), ((0, 0, 0, 0), 1)])
+                 * MultiPoly(ring, 4, [((0, 0, 1, 0), 1), ((0, 0, 0, 1), 1)]))
+    fixed = [MultiPoly(ring, arity) for arity in range(5)] + [
+        MultiPoly(ring, 0, [((), 3)]),
+        MultiPoly(ring, 2, [((1, 0), 1), ((0, 1), -1)]),
+        vanishing,
+    ]
+    randoms = []
+    for arity in (0, 1, 1, 2, 2, 3, 3, 4, 4):
+        for _ in range(10):
+            terms = [(tuple(rng.randrange(4) for _ in range(arity)),
+                      rng.randrange(-9, 10)) for _ in range(rng.randrange(1, 7))]
+            randoms.append(MultiPoly(ring, arity, terms))
+    for f in fixed + randoms:
+        for _ in range(2):
+            _agree(f, _random_grid(rng, f, span))
+        if ring.n == 5:
+            assert integral_over_field(f) == sum(
+                v for _, v in _reference_points(f, [range(5)] * f.arity)) % 5
+        if f.arity:
+            sets = [rng.sample(range(-span, 2 * span), 3) for _ in range(f.arity)]
+            assert list(f.nonzero_points(*sets)) == list(_reference_points(f, sets))
+            for k in range(f.arity):
+                assert list(f.nonzero_points(*sets[:k], (), *sets[k + 1:])) == []
+            with pytest.raises(ArityMismatch):
+                list(f.nonzero_points(*sets[1:]))
+        with pytest.raises(ArityMismatch):
+            list(f.nonzero_points(*[(0,)] * (f.arity + 1)))
+        with pytest.raises(ArityMismatch):
+            f.evaluate((0,) * (f.arity + 1))
+    sets = [(3, -2, 8, 1, 33), (4, -1, 2, 34), (0, 1, 2), (6, -7)]
+    assert list(vanishing.nonzero_points(*sets)) == \
+        list(_reference_points(vanishing, sets))
+    _agree(vanishing, GridSpec(tuple(sets)))
+
+
+def test_fold_visits_no_point_below_a_prefix_that_is_0():
+    """Over Z/(35), 7 x0 x1 x2 folds to 0 at every x0 = 0 mod 5: no x1
+    or x2 power is taken below it."""
+    class Counted(int):
+        powers = 0
+
+        def __pow__(self, e, n=None):
+            Counted.powers += 1
+            return pow(int(self), e, n)
+
+    f = MultiPoly(ModRing(35), 3, [((1, 1, 1), 7)])
+    rest = [Counted(x) for x in range(35)]
+    assert list(f.nonzero_points(range(0, 70, 5), rest, rest)) == []
+    assert Counted.powers == 0
+    assert len(list(f.nonzero_points((1,), rest, (Counted(1),)))) == 28
+    assert Counted.powers == 35 + 28

@@ -46,6 +46,12 @@ def test_bad_shapes():
         a * MultiPoly.one(ModRing(7), 2)
     with pytest.raises(RingMismatch, match=r"^ZZ vs ModRing\(5\)$"):
         MultiPoly.one(ZZ, 2) * a
+    # only a MultiPoly multiplies a MultiPoly, on either side
+    for other in (3, "x"):
+        with pytest.raises(TypeError):
+            a * other
+        with pytest.raises(TypeError):
+            other * a
     # a ring is its modulus: equal moduli are one ring, ZZ is none of them
     assert a == MultiPoly.one(ModRing(5), 2) != MultiPoly.one(ZZ, 2)
 

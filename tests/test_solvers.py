@@ -604,8 +604,9 @@ def test_prime_falls_back_to_the_whole_tree(monkeypatch):
 def test_every_odd_modulus_runs_the_cut_search_first(monkeypatch):
     """Odd n, prime or not, runs the cut search once with the canonical
     pick, and the table search (a second _differences) only when that
-    finds nothing; even n runs the table search alone.  Either way the
-    answer is the plain recursion's, pairs or whole-tree node count."""
+    finds nothing; even n, and odd n with gcd(n, d_1, ..., d_m) > 1 (no
+    partition), run the table search alone.  Either way the answer is
+    the plain recursion's, pairs or whole-tree node count."""
     log = []
     cut_search, differences = solvers._cut_search, solvers._differences
 
@@ -638,7 +639,7 @@ def test_every_odd_modulus_runs_the_cut_search_first(monkeypatch):
         inst = PartitionInstance(n, d, "nonzero" if n % 2 else "full")
         log.clear()
         res, want = solve_pair_partition(inst), plain_canonical_search(inst)
-        if n % 2 == 0:
+        if n % 2 == 0 or math.gcd(n, *d) > 1:
             assert log == ["differences"], (n, d)
         elif isinstance(res, PairPartition):
             assert log == ["cut", "differences", "PairPartition"], (n, d)
