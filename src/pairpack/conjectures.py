@@ -26,11 +26,14 @@ second times prod_i (1 - w_i).  Substituting w_i -> 1 in the second gives
 m! (2m-1)!! whatever d is, which for odd prime n = 2m+1 is not divisible
 by n; a value not divisible by n certifies the sum is nonzero in Z[w].
 All three are permanents of matrices whose entries are coefficient
-lists, each taken by one Glynn pass over packed integers: x -> 2^b maps
+lists, each taken by one Glynn walk over packed integers: x -> 2^b maps
 Z[x]/(x^n - 1) into Z/(2^(nb) - 1), and with b large enough for the
 coefficient bound the b-bit digits of the result are its exact
-coefficients; the value at 1 is the case n = 1.  Only a bijection sum's
-result is made a CycloInt.
+coefficients; the value at 1 is the case n = 1.  Row i depends only on
+d_i, so the walk goes over row multiplicities, not sign vectors: groups
+of r_g equal rows take about prod_g (r_g + 1)/2 products, and the
+certificate's one row repeated m times takes (m + 1)/2 or m + 1.  Only
+a bijection sum's result is made a CycloInt.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import json
 import math
 import os
 from collections import Counter
-from itertools import chain, combinations_with_replacement, product
+from itertools import chain, combinations_with_replacement, cycle, product
 from operator import add, sub
 from random import Random
 
@@ -309,13 +312,17 @@ def scan_conjecture(n: int, sample: "int | None" = None,
 
 
 def _validated_units(n, d) -> tuple[int, ...]:
-    if n < 2:
-        raise InvalidInstance(f"root order {n} too small")
-    out = tuple(int(x) % n for x in d)
-    for x in out:
-        if math.gcd(x, n) != 1:
-            raise InvalidInstance(f"difference {x} is not a unit mod {n}")
-    return out
+    """d as ints reduced mod n, each checked to be a unit.  n and every
+    entry must be ints (bools too are refused), and d must not be a str."""
+    if type(n) is not int or n < 2:
+        raise InvalidInstance(f"root order {n!r} is not an int >= 2")
+    if isinstance(d, (str, bytes)) or not hasattr(d, "__iter__"):
+        raise InvalidInstance(f"differences {d!r} are not a sequence of ints")
+    d = tuple(d)
+    for x in d:
+        if type(x) is not int or math.gcd(x, n) != 1:
+            raise InvalidInstance(f"difference {x!r} is not a unit mod {n}")
+    return tuple(x % n for x in d)
 
 
 def _glynn(rows, bits: int) -> int:
@@ -324,35 +331,54 @@ def _glynn(rows, bits: int) -> int:
 
         2^(m-1) * perm M = sum_s s_1 ... s_m * prod_j sum_i s_i * M[i][j]
 
-    over the sign vectors s in {1, -1}^m with s_1 = 1, walked in Gray-code
-    order so one row changes sign per step, and the term's sign with it.
-    Each product is folded at bit `bits`, as 2^bits = 1 mod 2^bits - 1,
-    after every k factors, k = `bits` // (bit length of the widest column
-    sum), so it stays near `bits` bits long whatever m is."""
-    m = len(rows)
+    over the sign vectors s in {1, -1}^m with s_1 = 1, summed by row
+    multiplicities.  A group of r equal rows R with j of its signs at -1
+    adds (r - 2j) R to every column sum, with sign (-1)^j and weight
+    C(r, j).  The classes (j_1, ..., j_t) are walked in reflected
+    mixed-radix Gray-code order (Knuth, TAOCP 4A, 7.2.1.1, Algorithm H),
+    so each step moves one j_g by one and the column sums by 2 R_g.  As s
+    and -s give the same term, one group of odd r takes only
+    j <= (r - 1)/2; if every r is even, all classes are walked and the
+    total is halved.  That is prod_g (r_g + 1)/2 products (twice that when
+    every r is even), 2^(m-1) when all rows differ.  Each product is
+    folded at bit `bits` after every factor, as 2^bits = 1 mod 2^bits - 1,
+    so it stays near `bits` bits long whatever m is."""
     mask = (1 << bits) - 1
-    twice = [[2 * a for a in row] for row in rows]
+    groups = Counter(map(tuple, rows))
+    odd = next((row for row, r in groups.items() if r % 2), None)
+    moves = []
+    for row, r in groups.items():
+        top = r // 2 if row == odd else r
+        if top:
+            c = [math.comb(r, j) for j in range(top + 1)]
+            twice = [2 * a for a in row]
+            # j climbs to top and comes back, turning at either end
+            moves.append(cycle(
+                [(sub, twice, c[j + 1], c[j], j + 1 == top)
+                 for j in range(top)]
+                + [(add, twice, c[j - 1], c[j], j == 1)
+                   for j in range(top, 0, -1)]))
     sums = [sum(col) for col in zip(*rows)]
-    widest = max(sum(map(abs, col)) for col in zip(*rows)).bit_length()
-    every = max(1, bits // max(widest, 1))
-    total = 0
-    for k in range(1 << (m - 1)):
-        if k:
-            bit = k & -k
-            sums = list(map(sub if (k ^ k >> 1) & bit else add, sums,
-                            twice[bit.bit_length()]))
-        acc, left = 1, every
+    t = len(moves)
+    focus = list(range(t + 1))
+    total, weight = 0, 1
+    while True:
+        acc = weight
         for s in sums:
             acc *= s
-            left -= 1
-            if not left:
-                acc = (acc & mask) + (acc >> bits)
-                left = every
-        if k & 1:
-            total -= acc
-        else:
-            total += acc
-    return total
+            acc = (acc & mask) + (acc >> bits)
+        total += acc
+        g = focus[0]
+        if g == t:
+            break
+        focus[0] = 0
+        op, twice, num, den, turn = next(moves[g])
+        sums = list(map(op, sums, twice))
+        weight = -weight * num // den
+        if turn:
+            focus[g] = focus[g + 1]
+            focus[g + 1] = g + 1
+    return total if odd is not None else (total + (total & 1) * mask) >> 1
 
 
 def _permanent(rows, n: int) -> list[int]:
@@ -364,9 +390,11 @@ def _permanent(rows, n: int) -> list[int]:
     Each coefficient is at most B = m! * prod_i max_j |M[i][j]|_1 in
     size; with b bits per digit, 2^(b-1) > 2B, the map x -> 2^b takes
     Z[x]/(x^n - 1) into Z/M with M = 2^(nb) - 1, since 2^(nb) = 1 there.
-    Glynn runs once on the packed entries, and the n balanced b-bit digits
-    of the result mod M, over 2^(m-1), are the exact coefficients: the sum
-    over permutations of products of one entry per row."""
+    Glynn's formula runs once on the packed entries, walking the classes
+    of equal rows (prod_g (r_g + 1)/2 products for groups of r_g, see
+    _glynn), and the n balanced b-bit digits of the result mod M, over
+    2^(m-1), are the exact coefficients: the sum over permutations of
+    products of one entry per row."""
     m = len(rows)
     if not m:
         return [1] + [0] * (n - 1)
@@ -431,7 +459,7 @@ def prime_nonzero_certificate(p: int, d) -> tuple[int, bool]:
     is a ring homomorphism, so the value is the permanent of the integer
     matrix with entries 2m-1-2c, taken over the integers.
     """
-    if p < 3 or p % 2 == 0 or not is_prime(p):
+    if type(p) is not int or p < 3 or p % 2 == 0 or not is_prime(p):
         raise InvalidInstance(f"{p} is not an odd prime")
     m = (p - 1) // 2
     d = _validated_units(p, d)

@@ -379,6 +379,95 @@ def test_permanent_exact_beyond_one_prime():
     assert _permanent(coefficient_rows(mat), order) == [0] * order
 
 
+def permanent_by_definition(rows, n):
+    """The sum over permutations of products of one entry per row, each
+    entry a list of n coefficients multiplied in Z[x]/(x^n - 1)."""
+    total = [0] * n
+    for perm in itertools.permutations(range(len(rows))):
+        term = [1] + [0] * (n - 1)
+        for row, col in zip(rows, perm):
+            out = [0] * n
+            for i, a in enumerate(term):
+                if a:
+                    for j, b in enumerate(row[col]):
+                        out[(i + j) % n] += a * b
+            term = out
+        total = [a + b for a, b in zip(total, term)]
+    return total
+
+
+def partitions(m, most=None):
+    """The integer partitions of m, parts in descending order."""
+    if m == 0:
+        yield ()
+        return
+    for first in range(min(m, most or m), 0, -1):
+        for rest in partitions(m - first, first):
+            yield (first,) + rest
+
+
+def test_permanent_on_repeated_rows():
+    """Every multiplicity pattern of m <= 6 rows, each group one random row
+    repeated, against the permanent's definition over Z[x]/(x^7 - 1) and
+    over the integers; the all-even patterns take the walk that halves
+    its total."""
+    rng = random.Random(35)
+    patterns = [part for m in range(1, 7) for part in partitions(m)]
+    assert len(patterns) == 29
+    assert {(2, 2), (4,), (2, 2, 2), (4, 2), (6,)} <= set(patterns)
+    for n, low in ((7, -2), (1, -9)):
+        for part in patterns:
+            m = sum(part)
+            rows = []
+            for r in part:
+                row = [[rng.randrange(low, -low + 1) for _ in range(n)]
+                       for _ in range(m)]
+                rows.extend([row] * r)
+            rng.shuffle(rows)
+            assert _permanent(rows, n) == permanent_by_definition(rows, n), \
+                (n, part)
+
+
+def test_permanent_keeps_a_row_apart_from_its_negative():
+    """R and -R are different rows: their signs do not cancel in one
+    group.  Zero rows, repeated, give a zero permanent."""
+    rng = random.Random(36)
+    order = 7
+    for copies in ((1, 1), (2, 1), (1, 2), (2, 2), (3, 1)):
+        row = [[rng.randrange(-3, 4) for _ in range(order)]
+               for _ in range(sum(copies))]
+        neg = [[-c for c in entry] for entry in row]
+        rows = [row] * copies[0] + [neg] * copies[1]
+        want = permanent_by_definition(rows, order)
+        assert _permanent(rows, order) == want
+        assert _permanent(rows[::-1], order) == want
+    for m in (2, 3, 4):
+        zero = [[0] * order] * m
+        other = [[rng.randrange(-3, 4) for _ in range(order)]
+                 for _ in range(m)]
+        rows = [zero] * (m - 1) + [other]
+        assert _permanent(rows, order) == [0] * order
+        assert _permanent([zero] * m, order) == [0] * order
+        assert _permanent([[(0,)] * m] * m, 1) == [0]
+
+
+def test_permanent_of_one_wide_row_repeated():
+    """One row repeated m times, with entries so large that the digits
+    need about 160 bits (m = 3) and 210 bits (m = 4): the permanent is
+    m! times the product of the row's entries."""
+    rng = random.Random(38)
+    order = 6
+    big = 10 ** 15
+    for m in (3, 4):
+        row = [CycloInt(order, [rng.randrange(-big, big)
+                                for _ in range(order)]) for _ in range(m)]
+        want = CycloInt.from_int(order, math.factorial(m))
+        for entry in row:
+            want = want * entry
+        assert tuple(_permanent(coefficient_rows([row] * m), order)) == \
+            want.coeffs
+
+
 def test_bijection_sums_pinned():
     """The coefficient vectors of both forms on a seeded set with n <= 19
     and m <= 9, even and composite n included, pinned as one digest.  The
@@ -457,6 +546,51 @@ def test_certificates():
         prime_nonzero_certificate(5, (1,))
     with pytest.raises(InvalidInstance):
         prime_nonzero_certificate(7, (1, 7, 2))     # 7 is not a unit mod 7
+
+
+def test_certificates_at_large_primes():
+    """One difference repeated m times is one row repeated m times, which
+    the walk over row multiplicities takes in (m + 1)/2 or m + 1 steps;
+    a walk over every sign vector would take 2^(m-1), about 5 * 10^14 at
+    p = 101."""
+    for p in (61, 101):
+        m = (p - 1) // 2
+        assert prime_nonzero_certificate(p, (1,) * m) == \
+            (math.factorial(m) * double_factorial_odd(2 * m - 1), True)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: permanent_coefficient(5, (2.9, 1)),
+    lambda: permanent2_coefficient(5, (1.9, 2)),
+    lambda: permanent2_coefficient(5, "12"),
+    lambda: permanent_coefficient(5, b"\x01\x02"),
+    lambda: permanent_coefficient(5, 3),
+    lambda: permanent_coefficient(5, (None, 1)),
+    lambda: permanent_coefficient(5, (True, 2)),
+    lambda: permanent_coefficient(5.0, (1, 2)),
+    lambda: permanent2_coefficient(True, (1,)),
+    lambda: prime_nonzero_certificate(5, (1.9, 2)),
+    lambda: prime_nonzero_certificate(5, "12"),
+    lambda: prime_nonzero_certificate(3, (True,)),
+    lambda: prime_nonzero_certificate(5, (None, 1)),
+    lambda: prime_nonzero_certificate(5.0, (1, 2)),
+], ids=["float", "float2", "str", "bytes", "int", "none", "bool", "n-float",
+        "n-bool", "cert-float", "cert-str", "cert-bool", "cert-none",
+        "cert-n-float"])
+def test_bijection_sums_refuse_what_is_not_an_int(call):
+    """n and every difference must be ints, bools refused; d must be an
+    iterable other than a str or bytes.  Each refusal is one
+    InvalidInstance: float entries used to be truncated (2.9 read as 2),
+    a str read digit by digit, and None or n = 5.0 raised TypeError."""
+    with pytest.raises(InvalidInstance):
+        call()
+
+
+def test_bijection_sums_accept_int_iterables():
+    want = permanent_coefficient(5, (1, 2))
+    assert permanent_coefficient(5, [1, 2]) == want
+    assert permanent_coefficient(5, iter((1, 2))) == want
+    assert permanent_coefficient(5, (6, -3)) == want
 
 
 def test_divisibility_lemma():
