@@ -312,8 +312,8 @@ def scan_conjecture(n: int, sample: "int | None" = None,
 
 
 def _validated_units(n, d) -> tuple[int, ...]:
-    """d as ints reduced mod n, each checked to be a unit.  n and every
-    entry must be ints (bools too are refused), and d must not be a str."""
+    """d reduced mod n, each entry checked to be a unit.  n and every entry
+    must be ints, bools refused; d is any iterable but a str or bytes."""
     if type(n) is not int or n < 2:
         raise InvalidInstance(f"root order {n!r} is not an int >= 2")
     if isinstance(d, (str, bytes)) or not hasattr(d, "__iter__"):
@@ -372,8 +372,8 @@ def _glynn(rows, bits: int) -> int:
         if g == t:
             break
         focus[0] = 0
-        op, twice, num, den, turn = next(moves[g])
-        sums = list(map(op, sums, twice))
+        op, delta, num, den, turn = next(moves[g])
+        sums = list(map(op, sums, delta))
         weight = -weight * num // den
         if turn:
             focus[g] = focus[g + 1]
