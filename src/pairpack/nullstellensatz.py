@@ -22,8 +22,10 @@ For a MultiPoly, each prefix folds the terms once into a polynomial in
 the coordinates still free, and a prefix whose fold has no nonzero
 coefficient (mod n) skips every point below it.  For an AffineProduct
 the walk is by roots: each factor strikes its zeros from the next
-coordinate's set, and values are taken only at the points left, where a
-product of zero divisors that is 0 is dropped.  For the pairing
+coordinate's set, through a bit mask over the set's positions cached for
+the walk per linear part and value of the factor's other terms mod n, and
+values are taken only at the points left, where a product of zero
+divisors that is 0 is dropped.  For the pairing
 polynomials nearly every prefix in F_p^m has no next coordinate left
 after two or three, as two pairs collide.
 
@@ -179,8 +181,9 @@ def partition_polynomial(p: int, d, include_nonzero_factors: bool = True) -> Aff
     """
     ring = ModRing(p)
     m = len(d)
-    d = [x % p for x in d]
-    factors = []
+    if 0 in (r := [x % p for x in d]):
+        raise ValueError(f"difference {d[r.index(0)]} is 0 mod {p}: it pairs nothing")
+    d, factors = r, []
     if include_nonzero_factors:
         for i in range(m):
             factors.append((((i, 1),), 0))
@@ -212,6 +215,7 @@ def partition_grid(p: int, d) -> GridSpec:
     without its unit factors (each c_i = p - 3)."""
     sets = []
     for di in d:
-        banned = (-di) % p
+        if not (banned := (-di) % p):
+            raise ValueError(f"difference {di} is 0 mod {p}: it pairs nothing")
         sets.append(tuple(a for a in range(1, p) if a != banned))
     return GridSpec(tuple(sets))

@@ -258,10 +258,14 @@ class AffineProduct:
         With x_0 .. x_(i-1) set, each factor c * x_i + r whose largest
         variable is x_i strikes its roots from the set of x_i (compared
         mod n), and a prefix with no x_i left skips every point below it.
-        The product is taken only at the points that avoid every root,
-        and dropped there if zero divisors make it 0.  Over a composite n,
-        the walk also carries the product of the factors up to x_i and
-        skips every point below a prefix where it is 0.
+        A part's roots depend only on r mod n, so for the call each linear
+        part keeps them per value of r mod n as a bit mask over the
+        positions of the set; a prefix ORs the masks of its parts and
+        walks the positions left in order.  The product is taken only at
+        the points that avoid every root, and dropped there if zero
+        divisors make it 0.  Over a composite n, the walk also carries
+        the product of the factors up to x_i and skips every point below
+        a prefix where it is 0.
         """
         if len(sets) != self.arity:
             raise ArityMismatch(f"{len(sets)} sets for arity {self.arity}")
@@ -271,25 +275,39 @@ class AffineProduct:
         # vals[i]: (c, s, consts) per linear part c * x_i + rest, s = rest;
         # prefix[i]: over a composite n, const times the factors up to x_(i-1)
         vals, pending, prefix = [()] * self.arity, [None] * self.arity, [const] * self.arity
+        # masks[k][j]: rest mod n -> root positions in sets[k] of part j;
+        # tables[k][n / g]: x mod n / g -> the positions of x in sets[k]
+        masks, tables = [[{} for _ in parts] for parts in levels], [{} for _ in levels]
         k = 0 if const and sets else -1
         while k >= 0:
             if pending[k] is None:
-                zeros, here = {}, []   # zeros[n / g]: roots mod n / g; ZZ: zeros[0]
-                for rest, c, consts, g, step, u in levels[k]:
+                here, struck, level = [], 0, sets[k]
+                for (rest, c, consts, g, step, u), memo in zip(levels[k], masks[k]):
                     s = 0
                     for i, a in rest:
                         s += a * point[i]
                     here.append((c, s, consts))
-                    z = zeros.setdefault(step, set())
-                    for r in consts:
-                        r += s
-                        if r % g == 0:
-                            z.add(r // g * u % step if step else r // g * u)
+                    if (mask := memo.get(key := s % n if n else s)) is None:
+                        if (table := tables[k].get(step)) is None:
+                            table = tables[k][step] = {}
+                            for t, x in enumerate(level):
+                                table.setdefault(x % step if step else x, []).append(t)
+                        mask = 0
+                        for r in consts:
+                            r += key
+                            if r % g == 0:
+                                for t in table.get(r // g * u % step if step else r // g * u, ()):
+                                    mask |= 1 << t
+                        memo[key] = mask
+                    struck |= mask
                 vals[k] = here
-                left = sets[k]
-                for step, z in zeros.items():
-                    left = [x for x in left if (x % step if step else x) not in z]
-                pending[k] = iter(left)
+                left, out = ~struck & (1 << len(level)) - 1, []
+                if left.bit_count() > 64:   # each pop costs O(|level|): read all
+                    out, left = [x for x, b in zip(level, bin(left)[:1:-1]) if b == "1"], 0
+                while left:                 # the positions left, lowest first
+                    out.append(level[(left & -left).bit_length() - 1])
+                    left &= left - 1
+                pending[k] = iter(out)
             for x in pending[k]:
                 point[k] = x
                 if k < last:

@@ -175,6 +175,24 @@ def test_partition_grid_shape():
         assert len(s) == 5
 
 
+def test_partition_polynomial_refuses_a_zero_difference():
+    """A difference that is 0 mod p pairs nothing: refused, not summed."""
+    for d in ((0, 1, 2), (3, 14, 2), (1, 2, -7)):
+        bad = next(x for x in d if x % 7 == 0)
+        for units in (True, False):
+            with pytest.raises(ValueError, match=f"^difference {bad} is 0 mod 7"):
+                partition_polynomial(7, d, units)
+    assert integral_over_field(partition_polynomial(7, (3, 1, 2))) == 1
+
+
+def test_partition_grid_refuses_a_zero_difference():
+    for d in ((0, 1, 2), (3, 14, 2), (1, 2, -7)):
+        bad = next(x for x in d if x % 7 == 0)
+        with pytest.raises(ValueError, match=f"^difference {bad} is 0 mod 7"):
+            partition_grid(7, d)
+    assert [len(s) for s in partition_grid(7, (8, 1, 2)).sets] == [5, 5, 5]
+
+
 def test_full_field_sums_agree():
     """Both pairing polynomials have the same nonzero full-field sum."""
     p, d = 5, (1, 2)
@@ -412,6 +430,72 @@ def test_pruned_walk_on_pairing_polynomials():
             v for _, v in _reference_points(full, [range(p)] * m)) % p
         if p < 11:
             _agree(full, GridSpec((tuple(range(p)),) * m))
+
+
+def _walks_agree(f, sets):
+    assert list(f.nonzero_points(*sets)) == list(_reference_points(f, sets))
+
+
+@pytest.mark.parametrize("n", [12, 36])
+def test_root_masks_where_rest_values_recur(n):
+    """Non-unit top coefficients c, g = gcd(c, n), under a rest that comes
+    back from other prefixes as s, s +- n/g, s +- n and -s: the roots
+    cached for one rest value mod n are those of every prefix with that
+    value, and of no other."""
+    ring = ModRing(n)
+    for c in (c for c in range(2, n) if math.gcd(c, n) > 1):
+        g = math.gcd(c, n)
+        step = n // g
+        for s in (1, step - 1, 5):
+            firsts = [s, s + step, s - step, s + n, s - n, -s, s + 2 * step - n, 0]
+            factors = [(((0, 1), (1, c)), e) for e in (0, g, 1, n - g, step)]
+            factors += [(((1, 1),), 1), (((0, 2), (1, 1), (2, c)), 3)]
+            f = AffineProduct(ring, 3, factors)
+            _walks_agree(f, [firsts, range(2 * n - 1, -n, -7), (7, -1, 2 * n, 3, n // 2)])
+
+
+def test_root_masks_over_zz_with_a_rest_over_two_variables():
+    """Over ZZ the rest x0 - 2 x1 takes each value from several prefixes."""
+    f = AffineProduct(ZZ, 3, [(((0, 1), (1, -2), (2, 3)), e) for e in (0, 3, -6, 1)]
+                      + [(((2, -2),), 4), (((0, 1), (1, 1)), 0), (((1, 3),), -3)])
+    _walks_agree(f, [(3, -1, 1, 5, 7), (2, 0, -1, 4, 1, 3),
+                     tuple(range(6, -7, -1)) + (0, 2)])
+
+
+def test_root_masks_keep_each_position():
+    """A set that lists an element twice, or lists elements out of order
+    and past [0, n), is walked position by position, as given."""
+    rng = random.Random(36)
+    for n in (7, 12, 36):
+        f = AffineProduct(ModRing(n), 2, [(((0, 1), (1, 1)), e) for e in (0, 2)]
+                          + [(((0, 3), (1, 2)), 1), (((1, n // 2 or 1),), 1)])
+        twice = [(3, 5, 3, 1), (2, n + 2, 4, 2, -1)]
+        unsorted = [rng.sample(range(-n, 2 * n), 6), rng.sample(range(-n, 2 * n), 9)]
+        for sets in (twice, unsorted):
+            _walks_agree(f, sets)
+
+
+def test_root_masks_last_one_walk():
+    """One product walked over different sets in turn: a mask found for
+    one walk means nothing for the next."""
+    f = partition_polynomial(7, (3, 2, 4), False)
+    g = AffineProduct(ModRing(12), 2, [(((0, 1), (1, 4)), 0), (((0, 5), (1, 6)), 6)])
+    for h, first, second in (
+            (f, [range(7)] * 3, [(6, 5, 4, 3, 2, 1, 0, 7), (13, 1, -2, 3, 3), (-7, 12, 4, 0, 2)]),
+            (g, [range(12)] * 2, [range(11, -13, -1), (9, 1, 5, 21, 3, 0, 2)])):
+        for sets in (first, second, first):
+            _walks_agree(h, sets)
+
+
+def test_root_walk_on_sets_of_more_than_64():
+    """More than 64 points left at a prefix: they are read off in one
+    pass over the set instead of one bit at a time."""
+    rng = random.Random(101)
+    for ring in (ModRing(101), ModRing(100), ZZ):
+        f = AffineProduct(ring, 2, [(((0, 1), (1, 3)), e) for e in (0, 5)]
+                          + [(((1, 10),), 20), (((0, 2),), 7)])
+        _walks_agree(f, [rng.sample(range(-101, 202), 5),
+                         rng.sample(range(-101, 202), 150) + [4, 4, -2]])
 
 
 # ---------------------------------------------------------------------------
