@@ -181,9 +181,9 @@ def partition_polynomial(p: int, d, include_nonzero_factors: bool = True) -> Aff
     """
     ring = ModRing(p)
     m = len(d)
-    if 0 in (r := [x % p for x in d]):
-        raise ValueError(f"difference {d[r.index(0)]} is 0 mod {p}: it pairs nothing")
-    d, factors = r, []
+    if 0 in (reduced := [x % p for x in d]):
+        raise ValueError(f"difference {d[reduced.index(0)]} is 0 mod {p}: it pairs nothing")
+    d, factors = reduced, []
     if include_nonzero_factors:
         for i in range(m):
             factors.append((((i, 1),), 0))

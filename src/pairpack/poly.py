@@ -275,8 +275,8 @@ class AffineProduct:
         # vals[i]: (c, s, consts) per linear part c * x_i + rest, s = rest;
         # prefix[i]: over a composite n, const times the factors up to x_(i-1)
         vals, pending, prefix = [()] * self.arity, [None] * self.arity, [const] * self.arity
-        # masks[k][j]: rest mod n -> root positions in sets[k] of part j;
-        # tables[k][n / g]: x mod n / g -> the positions of x in sets[k]
+        # masks[k][j]: rest mod n -> part j's roots as positions in sets[k],
+        # one bit each; tables[k][n / g]: x mod n / g -> positions of x
         masks, tables = [[{} for _ in parts] for parts in levels], [{} for _ in levels]
         k = 0 if const and sets else -1
         while k >= 0:
@@ -296,7 +296,8 @@ class AffineProduct:
                         for r in consts:
                             r += key
                             if r % g == 0:
-                                for t in table.get(r // g * u % step if step else r // g * u, ()):
+                                z = r // g * u
+                                for t in table.get(z % step if step else z, ()):
                                     mask |= 1 << t
                         memo[key] = mask
                     struck |= mask
