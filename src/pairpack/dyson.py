@@ -8,8 +8,9 @@ The closed form is the multinomial a! / (a_1! ... a_n!), computed by
 algebra.multinomial: the packing coefficient (md)! / (d!)^m is its value
 at a = (d, ..., d), and a scan weighs each sorted difference multiset by
 the multinomial of its multiplicities.
-The brute-force route expands f literally through poly's difference
-product and reads the coefficient off; it shares nothing with the other
+The brute-force route multiplies f out one factor at a time; as a factor
+adds 0 up to its degree to each exponent, dropping each term past the
+target, or too far short of it, is exact.  It shares nothing with the other
 two routes and serves as the independent oracle.
 The evaluation route reproduces the constant through grid interpolation
 with consecutive-segment grids, where the sum collapses to a single point
@@ -20,8 +21,9 @@ from __future__ import annotations
 
 import math
 
-from .algebra import ZZ, Value, multinomial
-from .poly import BudgetExceeded, difference_product
+from . import poly
+from .algebra import Value, multinomial
+from .poly import BudgetExceeded
 
 DEFAULT_DEGREE_BUDGET = 24
 
@@ -32,9 +34,11 @@ class DysonInstance(Value):
     __slots__ = ("a",)
 
     def __init__(self, a):
-        a = tuple(int(x) for x in a)
+        a = tuple(a)
         if not a:
             raise ValueError("need at least one exponent")
+        if bad := [x for x in a if type(x) is not int]:
+            raise ValueError(f"exponent {bad[0]!r} is not an int")
         if any(x < 1 for x in a):
             raise ValueError("exponents must be positive")
         object.__setattr__(self, "a", a)
@@ -54,25 +58,49 @@ def dyson_formula(inst) -> int:
 
 
 def dyson_bruteforce(inst, max_degree: int = DEFAULT_DEGREE_BUDGET) -> int:
-    """Expand f literally and extract the target coefficient.
+    """Expand f within the target and extract the target coefficient.
 
     Each factor (-1)^{a_j} (x_j - x_i)^{a_i + a_j} of f is
     (-1)^{a_i} (x_i - x_j)^{a_i + a_j}, so f is (-1)^(sum_i a_i * (n-1-i))
-    times poly's difference product.  Its degree sum_{i<j} (a_i + a_j) is
-    capped by max_degree; larger instances raise BudgetExceeded.
+    times prod_{i<j} (x_i - x_j)^{a_i + a_j}, multiplied out here one
+    factor at a time.  A factor adds between 0 and its degree to each
+    exponent, so a term past the target in some x_k, or short of it by more
+    than the factors left hold in x_k, never reaches it: not forming it is
+    exact.  The degree sum_{i<j} (a_i + a_j) is capped by max_degree and
+    the kept terms by poly's DEFAULT_TERM_BUDGET: BudgetExceeded past either.
     """
     inst = _as_instance(inst)
     a = inst.a
     n = len(a)
-    exponents = {(i, j): a[i] + a[j] for i in range(n) for j in range(i + 1, n)}
-    total_degree = sum(exponents.values())
+    total_degree = (n - 1) * inst.total
     if total_degree > max_degree:
         raise BudgetExceeded(
             f"expansion degree {total_degree} exceeds budget {max_degree}")
-    f = difference_product(ZZ, n, exponents)
-    sign = (-1) ** sum(x * (n - 1 - i) for i, x in enumerate(a))
     target = tuple(inst.total - x for x in a)
-    return sign * f.coefficient(target)
+    room = [(n - 2) * x + inst.total for x in a]   # degree in x_k to come
+    terms = {(0,) * n: 1}
+    for i in range(n):
+        for j in range(i + 1, n):
+            e = a[i] + a[j]
+            room[i] -= e
+            room[j] -= e
+            row = [(-1) ** t * math.comb(e, t) for t in range(e + 1)]
+            kept: dict = {}
+            for exps, c in terms.items():
+                gap_i, gap_j = target[i] - exps[i], target[j] - exps[j]
+                for t in range(max(0, e - gap_i, gap_j - room[j]),
+                               min(e, gap_j, e + room[i] - gap_i) + 1):
+                    key = list(exps)
+                    key[i] += e - t
+                    key[j] += t
+                    key = tuple(key)
+                    kept[key] = kept.get(key, 0) + c * row[t]
+            terms = {k: c for k, c in kept.items() if c}
+            if len(terms) > poly.DEFAULT_TERM_BUDGET:
+                raise BudgetExceeded(
+                    f"expansion passed {poly.DEFAULT_TERM_BUDGET} terms")
+    sign = (-1) ** sum(x * (n - 1 - i) for i, x in enumerate(a))
+    return sign * terms.get(target, 0)
 
 
 def dyson_via_evaluation(inst) -> int:

@@ -181,9 +181,7 @@ def partition_polynomial(p: int, d, include_nonzero_factors: bool = True) -> Aff
     """
     ring = ModRing(p)
     m = len(d)
-    if 0 in (reduced := [x % p for x in d]):
-        raise ValueError(f"difference {d[reduced.index(0)]} is 0 mod {p}: it pairs nothing")
-    d, factors = reduced, []
+    d, factors = _reduced_differences(p, d), []
     if include_nonzero_factors:
         for i in range(m):
             factors.append((((i, 1),), 0))
@@ -213,9 +211,16 @@ def odd_residue_polynomial(p: int) -> AffineProduct:
 def partition_grid(p: int, d) -> GridSpec:
     """Grids A_i = F_p^* minus {-d_i}, matching the pairing polynomial
     without its unit factors (each c_i = p - 3)."""
-    sets = []
-    for di in d:
-        if not (banned := (-di) % p):
-            raise ValueError(f"difference {di} is 0 mod {p}: it pairs nothing")
-        sets.append(tuple(a for a in range(1, p) if a != banned))
-    return GridSpec(tuple(sets))
+    return GridSpec(tuple(tuple(a for a in range(1, p) if a != p - di)
+                          for di in _reduced_differences(p, d)))
+
+
+def _reduced_differences(p: int, d) -> list[int]:
+    """Each difference mod p.  Raises ValueError for one that is not an
+    int (a bool included) or is 0 mod p, which pairs nothing."""
+    for x in d:
+        if type(x) is not int:
+            raise ValueError(f"difference {x!r} is not an int")
+        if not x % p:
+            raise ValueError(f"difference {x} is 0 mod {p}: it pairs nothing")
+    return [x % p for x in d]

@@ -367,38 +367,3 @@ def _predict_terms(prod: AffineProduct, budget: int) -> int:
     dense = math.comb(deg + prod.arity, prod.arity)
     return min(per_factor, dense)
 
-
-def _difference_power(ring, arity: int, i: int, j: int, e: int) -> MultiPoly:
-    """(x_i - x_j)^e expanded through the binomial theorem."""
-    terms = []
-    for t in range(e + 1):
-        exps = [0] * arity
-        exps[i] = e - t
-        exps[j] = t
-        c = math.comb(e, t) * (-1) ** t
-        terms.append((tuple(exps), c))
-    return MultiPoly(ring, arity, terms)
-
-
-def difference_product(ring, arity: int, exponents) -> MultiPoly:
-    """Exact expansion of prod_{i<j} (x_i - x_j)^{e_ij}.
-
-    ``exponents`` is either a mapping from (i, j) pairs with i < j to
-    non-negative exponents, or a single int applied to every pair.
-    Raises BudgetExceeded past DEFAULT_TERM_BUDGET terms.
-    """
-    if isinstance(exponents, int):
-        exponents = {(i, j): exponents
-                     for i in range(arity) for j in range(i + 1, arity)}
-    result = MultiPoly.one(ring, arity)
-    for (i, j), e in sorted(exponents.items()):
-        if not 0 <= i < j < arity:
-            raise ArityMismatch(f"pair ({i}, {j}) out of range for arity {arity}")
-        if e < 0:
-            raise ValueError("exponents must be non-negative")
-        if e == 0:
-            continue
-        result = result * _difference_power(ring, arity, i, j, e)
-        if len(result.terms) > DEFAULT_TERM_BUDGET:
-            raise BudgetExceeded(f"expansion passed {DEFAULT_TERM_BUDGET} terms")
-    return result

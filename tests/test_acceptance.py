@@ -25,7 +25,7 @@ from pairpack.nullstellensatz import (GridSpec, cn_coefficient,
                                       integral_over_field,
                                       odd_residue_polynomial,
                                       partition_polynomial)
-from pairpack.poly import MultiPoly, difference_product
+from pairpack.poly import MultiPoly
 from pairpack.algebra import ModRing
 from pairpack.solvers import (Infeasible, InvalidInstance, PackingInstance,
                               PartitionInstance, VectorPartitionInstance,
@@ -77,7 +77,14 @@ def test_criterion_01_constant_term_three_ways():
 def test_criterion_02_fourth_power_difference_coefficient():
     with criterion(2, "fourth-power difference coefficient", 30):
         for m in (1, 2, 3):
-            expanded = difference_product(ZZ, m, 4)
+            expanded = MultiPoly.one(ZZ, m)    # prod_{i<j} (x_i - x_j)^4
+            for i, j in itertools.combinations(range(m), 2):
+                binomial = []
+                for t in range(5):
+                    exps = [0] * m
+                    exps[i], exps[j] = 4 - t, t
+                    binomial.append((exps, (-1) ** t * math.comb(4, t)))
+                expanded = expanded * MultiPoly(ZZ, m, binomial)
             got = expanded.coefficient(((2 * m - 2),) * m)
             assert got == math.factorial(2 * m) // 2 ** m
             assert got == packing_coefficient(m, 2)

@@ -5,11 +5,32 @@ import random
 
 import pytest
 
+from pairpack import poly
 from pairpack.algebra import ZZ, multinomial
 from pairpack.dyson import (DysonInstance, dyson_bruteforce, dyson_formula,
                             dyson_via_evaluation, packing_coefficient)
 from pairpack.nullstellensatz import GridSpec, cn_coefficient
-from pairpack.poly import BudgetExceeded, MultiPoly, _difference_power
+from pairpack.poly import BudgetExceeded, MultiPoly
+
+
+def _difference_power(m, i, j, e):
+    """(x_i - x_j)^e in m variables, through the binomial theorem."""
+    terms = []
+    for t in range(e + 1):
+        exps = [0] * m
+        exps[i], exps[j] = e - t, t
+        terms.append((exps, (-1) ** t * math.comb(e, t)))
+    return MultiPoly(ZZ, m, terms)
+
+
+def _full_expansion(a):
+    """prod_{i<j} (x_i - x_j)^(a_i + a_j), every term multiplied out."""
+    m = len(a)
+    f = MultiPoly.one(ZZ, m)
+    for i in range(m):
+        for j in range(i + 1, m):
+            f = f * _difference_power(m, i, j, a[i] + a[j])
+    return f
 
 
 def test_instance_validation():
@@ -19,6 +40,15 @@ def test_instance_validation():
         DysonInstance((1, 0))
     inst = DysonInstance((2, 1, 3))
     assert inst.total == 6
+
+
+def test_instance_refuses_exponents_that_are_not_ints():
+    """No silent truncation: (1.5, 2) once gave the answer for (1, 2)."""
+    for bad in (1.5, 2.0, True, "3", None):
+        for route in (DysonInstance, dyson_formula, dyson_bruteforce,
+                      dyson_via_evaluation):
+            with pytest.raises(ValueError, match=f"^exponent {bad!r} is not an int$"):
+                route((2, bad))
 
 
 def test_known_small_values():
@@ -63,6 +93,29 @@ def test_three_routes_agree_random():
         assert dyson_formula(a) == dyson_bruteforce(a)
 
 
+def test_bruteforce_matches_the_full_expansion():
+    """The bounded expansion drops only terms that cannot reach the target:
+    on seeded vectors of 3 or 4 entries and degree <= 18, its coefficient
+    is the one read off the product multiplied out in full."""
+    rng = random.Random(37)
+    for n, total in ((3, 9), (3, 7), (4, 6), (4, 5)) * 4:
+        cuts = sorted(rng.sample(range(1, total), n - 1))
+        a = tuple(y - x for x, y in zip([0] + cuts, cuts + [total]))
+        sign = (-1) ** sum(x * (n - 1 - i) for i, x in enumerate(a))
+        target = tuple(total - x for x in a)
+        assert dyson_bruteforce(a, max_degree=18) == \
+            sign * _full_expansion(a).coefficient(target), a
+
+
+def test_bruteforce_at_degree_60(monkeypatch):
+    """Past the default degree budget, within a term budget that only the
+    two-sided bound meets: (2,) * 6 keeps at most 1,397 terms at once,
+    where bounding exponents from above alone keeps 17,533."""
+    monkeypatch.setattr(poly, "DEFAULT_TERM_BUDGET", 1500)
+    for a in ((2,) * 6, (3,) * 5):
+        assert dyson_bruteforce(a, max_degree=60) == dyson_formula(a)
+
+
 def test_bruteforce_budget():
     with pytest.raises(BudgetExceeded):
         dyson_bruteforce((5, 5, 5), max_degree=24)
@@ -89,10 +142,7 @@ def test_packing_coefficient_small():
 def test_packing_coefficient_against_expansion():
     """Read the same coefficient straight out of prod (x_i - x_j)^(2d)."""
     for m, d in ((2, 1), (2, 2), (3, 1)):
-        f = MultiPoly.one(ZZ, m)
-        for i in range(m):
-            for j in range(i + 1, m):
-                f = f * _difference_power(ZZ, m, i, j, 2 * d)
+        f = _full_expansion((d,) * m)
         target = ((m - 1) * d,) * m
         assert f.coefficient(target) == packing_coefficient(m, d)
 
@@ -100,6 +150,6 @@ def test_packing_coefficient_against_expansion():
 def test_packing_coefficient_against_grid_sum():
     # independent cross-check through the interpolation route
     m, d = 2, 2
-    f = _difference_power(ZZ, 2, 0, 1, 4)
+    f = _difference_power(2, 0, 1, 4)
     grid = GridSpec((tuple(range((m - 1) * d + 1)),) * m)
     assert cn_coefficient(f, grid) == packing_coefficient(m, d)

@@ -193,6 +193,21 @@ def test_partition_grid_refuses_a_zero_difference():
     assert [len(s) for s in partition_grid(7, (8, 1, 2)).sets] == [5, 5, 5]
 
 
+def test_partition_polynomial_refuses_a_difference_that_is_not_an_int():
+    """(1.5, 2, 3) once summed to the float 2.0 over F_7."""
+    for bad in (1.5, 2.0, True, "3"):
+        for units in (True, False):
+            with pytest.raises(ValueError, match=f"^difference {bad!r} is not an int$"):
+                partition_polynomial(7, (3, bad, 2), units)
+
+
+def test_partition_grid_refuses_a_difference_that_is_not_an_int():
+    """(1.5, 2, 3) once gave a first set of 6, banning 5.5, not in F_7."""
+    for bad in (1.5, 2.0, True, "3"):
+        with pytest.raises(ValueError, match=f"^difference {bad!r} is not an int$"):
+            partition_grid(7, (3, bad, 2))
+
+
 def test_full_field_sums_agree():
     """Both pairing polynomials have the same nonzero full-field sum."""
     p, d = 5, (1, 2)

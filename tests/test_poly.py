@@ -6,9 +6,10 @@ import pytest
 
 from pairpack import poly
 from pairpack.algebra import ZZ, ModRing
+from pairpack.dyson import dyson_bruteforce
 from pairpack.nullstellensatz import GridSpec, cn_coefficient
 from pairpack.poly import (AffineProduct, ArityMismatch, BudgetExceeded,
-                           MultiPoly, RingMismatch, difference_product)
+                           MultiPoly, RingMismatch)
 
 
 def rand_poly(rng, ring, arity, max_terms=6, max_exp=3, span=9):
@@ -213,9 +214,12 @@ def test_nonzero_points_order_and_arity():
             list(f.nonzero_points((3, 1)))
 
 def test_expansion_budget(monkeypatch):
-    monkeypatch.setattr(poly, "DEFAULT_TERM_BUDGET", 50)
+    # the brute-force constant term reads the budget at call time
+    monkeypatch.setattr(poly, "DEFAULT_TERM_BUDGET", 10)
     with pytest.raises(BudgetExceeded):
-        difference_product(ZZ, 6, 4)
+        dyson_bruteforce((2, 2, 2, 2))
+    monkeypatch.setattr(poly, "DEFAULT_TERM_BUDGET", 50)
+    assert dyson_bruteforce((2, 2, 2, 2)) == 2520
     # (x0+1)(x1+1)...(x9+1) has 2^10 terms
     factors = [(((i, 1),), 1) for i in range(10)]
     monkeypatch.setattr(poly, "DEFAULT_TERM_BUDGET", 100)
@@ -224,25 +228,3 @@ def test_expansion_budget(monkeypatch):
     monkeypatch.setattr(poly, "DEFAULT_TERM_BUDGET", 2000)
     assert len(AffineProduct(ZZ, 10, factors).expand().terms) == 1024
 
-
-def test_difference_product_small():
-    # (x0 - x1)^2 = x0^2 - 2 x0 x1 + x1^2
-    p = difference_product(ZZ, 2, 2)
-    assert p.coefficient((2, 0)) == 1
-    assert p.coefficient((1, 1)) == -2
-    assert p.coefficient((0, 2)) == 1
-    # mapping form with mixed exponents
-    q = difference_product(ZZ, 3, {(0, 1): 1, (1, 2): 1})
-    pt = (3, 5, -2)
-    assert q.evaluate(pt) == (3 - 5) * (5 + 2)
-    with pytest.raises(ArityMismatch):
-        difference_product(ZZ, 2, {(0, 2): 1})
-
-
-def test_difference_product_antisymmetry():
-    """Swapping two variables in prod_{i<j} (x_i - x_j) flips the sign."""
-    p = difference_product(ZZ, 3, 1)
-    rng = random.Random(9)
-    for _ in range(10):
-        a, b, c = (rng.randrange(-9, 10) for _ in range(3))
-        assert p.evaluate((a, b, c)) == -p.evaluate((b, a, c))
