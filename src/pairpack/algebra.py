@@ -71,6 +71,28 @@ def json_value(value, name: str, kind: type = int):
     return value
 
 
+def checked_int(x, name: str, low=None, error: type = ValueError) -> int:
+    """x if its type is exactly int (no bool, float or str; nothing is
+    converted) and, given low, x >= low; else error("<name> <x!r> is not
+    an int [>= low]").  The package's one rule for integer arguments."""
+    if type(x) is not int or low is not None and x < low:
+        bound = "" if low is None else f" >= {low}"
+        raise error(f"{name} {x!r} is not an int{bound}")
+    return x
+
+
+def int_entries(values, name: str, error: type = ValueError) -> tuple:
+    """values as a tuple, each entry an int by checked_int's rule; a str,
+    bytes or non-iterable is refused as well."""
+    if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):
+        raise error(f"{name}s {values!r} are not a sequence of ints")
+    values = tuple(values)
+    for x in values:
+        if type(x) is not int:
+            raise error(f"{name} {x!r} is not an int")
+    return values
+
+
 class Value:
     """A frozen plain value whose fields are its class's __slots__: they
     alone decide equality (within one class), the hash and the repr
@@ -248,7 +270,7 @@ def poly_divmod_monic(num, den):
     return _poly_trim(quot), _poly_trim(rem)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)       # typed: 2.0 is not 2's entry
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
     """Coefficients of the n-th cyclotomic polynomial, ascending degree.
 
@@ -256,8 +278,7 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     the proper divisors of n; results are memoized, so the recursion reuses
     sub-results.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    checked_int(n, "n", 1)
     num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
@@ -280,8 +301,7 @@ class CycloInt:
     __slots__ = ("n", "coeffs")
 
     def __init__(self, n: int, coeffs=()):
-        if not isinstance(n, int) or n < 1:
-            raise ValueError("root order must be a positive integer")
+        checked_int(n, "root order", 1)
         c = [0] * n
         for i, v in enumerate(coeffs):
             if v:

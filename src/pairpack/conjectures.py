@@ -46,7 +46,8 @@ from itertools import chain, combinations_with_replacement, cycle, product
 from operator import add, sub
 from random import Random
 
-from .algebra import CycloInt, Value, is_prime, json_value, multinomial
+from .algebra import (CycloInt, Value, checked_int, int_entries, is_prime,
+                      json_value, multinomial)
 from .solvers import (Infeasible, InvalidInstance, PartitionInstance,
                       find_pair_partition, verify_solution)
 
@@ -236,9 +237,7 @@ def scan_conjecture(n: int, sample: "int | None" = None,
     `jobs` is accepted for older callers and ignored.  n > MAX_SCAN_MODULUS,
     or more than MAX_SCAN_MULTISETS folded multisets to walk, is refused.
     """
-    if n < 3:
-        raise InvalidInstance("modulus too small to scan")
-    if n > MAX_SCAN_MODULUS:
+    if checked_int(n, "modulus", 3, InvalidInstance) > MAX_SCAN_MODULUS:
         raise InvalidInstance(
             f"modulus {n} is too big to scan (at most {MAX_SCAN_MODULUS})")
     if sample is None and seed is not None:
@@ -254,9 +253,7 @@ def scan_conjecture(n: int, sample: "int | None" = None,
     verdict = _orbit_verdicts(n, universe)
 
     if sample is not None:
-        if type(sample) is not int or sample < 1:
-            raise InvalidInstance(
-                f"sample size {sample!r} is not an int >= 1")
+        checked_int(sample, "sample size", 1, InvalidInstance)
         if seed is None:
             raise InvalidInstance("sample mode needs a seed")
         if checkpoint:
@@ -312,16 +309,13 @@ def scan_conjecture(n: int, sample: "int | None" = None,
 
 
 def _validated_units(n, d) -> tuple[int, ...]:
-    """d reduced mod n, each entry checked to be a unit.  n and every entry
-    must be ints, bools refused; d is any iterable but a str or bytes."""
-    if type(n) is not int or n < 2:
-        raise InvalidInstance(f"root order {n!r} is not an int >= 2")
-    if isinstance(d, (str, bytes)) or not hasattr(d, "__iter__"):
-        raise InvalidInstance(f"differences {d!r} are not a sequence of ints")
-    d = tuple(d)
+    """d reduced mod n, each entry checked to be a unit; n and d by the
+    algebra.checked_int rule."""
+    checked_int(n, "root order", 2, InvalidInstance)
+    d = int_entries(d, "difference", InvalidInstance)
     for x in d:
-        if type(x) is not int or math.gcd(x, n) != 1:
-            raise InvalidInstance(f"difference {x!r} is not a unit mod {n}")
+        if math.gcd(x, n) != 1:
+            raise InvalidInstance(f"difference {x} is not a unit mod {n}")
     return tuple(x % n for x in d)
 
 
@@ -459,7 +453,7 @@ def prime_nonzero_certificate(p: int, d) -> tuple[int, bool]:
     is a ring homomorphism, so the value is the permanent of the integer
     matrix with entries 2m-1-2c, taken over the integers.
     """
-    if type(p) is not int or p < 3 or p % 2 == 0 or not is_prime(p):
+    if checked_int(p, "p", 3, InvalidInstance) % 2 == 0 or not is_prime(p):
         raise InvalidInstance(f"{p} is not an odd prime")
     m = (p - 1) // 2
     d = _validated_units(p, d)

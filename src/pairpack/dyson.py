@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 
 from . import poly
-from .algebra import Value, multinomial
+from .algebra import Value, checked_int, int_entries, multinomial
 from .poly import BudgetExceeded
 
 DEFAULT_DEGREE_BUDGET = 24
@@ -34,11 +34,9 @@ class DysonInstance(Value):
     __slots__ = ("a",)
 
     def __init__(self, a):
-        a = tuple(a)
+        a = int_entries(a, "exponent")
         if not a:
             raise ValueError("need at least one exponent")
-        if bad := [x for x in a if type(x) is not int]:
-            raise ValueError(f"exponent {bad[0]!r} is not an int")
         if any(x < 1 for x in a):
             raise ValueError("exponents must be positive")
         object.__setattr__(self, "a", a)
@@ -145,7 +143,8 @@ def packing_coefficient(m: int, d: int) -> int:
 
     The constant term for a = (d, ..., d) times the sign (-1)^d of each
     of f's m(m-1)/2 factors: (-1)^(d*m*(m-1)/2) * (md)! / (d!)^m.  Raises
-    ValueError unless m and d are positive.
+    ValueError unless m and d are positive ints.
     """
+    checked_int(m, "m", 1)
     sign = (-1) ** (d * (m * (m - 1) // 2))
     return sign * dyson_formula((d,) * m)

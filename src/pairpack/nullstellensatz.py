@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 
-from .algebra import ModRing, Value
+from .algebra import ModRing, Value, checked_int, int_entries
 from .poly import AffineProduct, ArityMismatch
 
 
@@ -56,7 +56,7 @@ class GridSpec(Value):
     __slots__ = ("sets",)
 
     def __init__(self, sets):
-        norm = tuple(tuple(int(a) for a in s) for s in sets)
+        norm = tuple(int_entries(s, "grid element") for s in sets)
         for s in norm:
             if not s:
                 raise ValueError("grid sets must be nonempty")
@@ -179,9 +179,8 @@ def partition_polynomial(p: int, d, include_nonzero_factors: bool = True) -> Aff
     differences (x_i - x_j), (x_i + d_i - x_j), (x_i - x_j - d_j),
     (x_i + d_i - x_j - d_j).
     """
-    ring = ModRing(p)
+    ring, d, factors = ModRing(p), _reduced_differences(p, d), []
     m = len(d)
-    d, factors = _reduced_differences(p, d), []
     if include_nonzero_factors:
         for i in range(m):
             factors.append((((i, 1),), 0))
@@ -217,10 +216,9 @@ def partition_grid(p: int, d) -> GridSpec:
 
 def _reduced_differences(p: int, d) -> list[int]:
     """Each difference mod p.  Raises ValueError for one that is not an
-    int (a bool included) or is 0 mod p, which pairs nothing."""
-    for x in d:
-        if type(x) is not int:
-            raise ValueError(f"difference {x!r} is not an int")
+    int (algebra.int_entries) or is 0 mod p, which pairs nothing."""
+    checked_int(p, "p", 2)
+    for x in int_entries(d, "difference"):
         if not x % p:
             raise ValueError(f"difference {x} is 0 mod {p}: it pairs nothing")
     return [x % p for x in d]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 
-from .algebra import json_errors, json_value
+from .algebra import checked_int, int_entries, json_errors, json_value
 
 
 class ArityMismatch(ValueError):
@@ -44,18 +44,18 @@ class MultiPoly:
 
     def __init__(self, ring, arity: int, terms=None):
         self.ring = ring
-        self.arity = int(arity)
+        self.arity = checked_int(arity, "arity", 0)
         n = ring.n
         clean: dict = {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for e, c in items:
-                e = tuple(int(x) for x in e)
+                e = int_entries(e, "exponent")
                 if len(e) != self.arity:
                     raise ArityMismatch(f"exponent {e} in arity-{self.arity} polynomial")
                 if any(x < 0 for x in e):
                     raise ValueError(f"negative exponent in {e}")
-                c = int(c) + clean.get(e, 0)
+                c = checked_int(c, "coefficient") + clean.get(e, 0)
                 if n:
                     c %= n
                 if c:
@@ -203,16 +203,17 @@ class AffineProduct:
 
     def __init__(self, ring, arity: int, factors):
         self.ring = ring
-        self.arity = int(arity)
+        self.arity = checked_int(arity, "arity", 0)
         n = ring.n
         clean, groups = [], {}
         for linear, const in factors:
             merged = {}
             for i, c in linear:
-                i = int(i)
-                merged[i] = (merged.get(i, 0) + c) % n if n else merged.get(i, 0) + int(c)
+                c = checked_int(c, "coefficient") + merged.get(i, 0)
+                merged[checked_int(i, "variable")] = c % n if n else c
             lin = tuple(sorted([t for t in merged.items() if t[1]]))
-            const = const % n if n else int(const)
+            const = checked_int(const, "constant")
+            const = const % n if n else const
             if lin and not 0 <= lin[0][0] <= lin[-1][0] < self.arity:
                 raise ArityMismatch(
                     f"variables {[i for i, _ in lin]} in arity-{self.arity} product")

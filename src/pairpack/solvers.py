@@ -23,12 +23,11 @@ from a table included.
 from __future__ import annotations
 
 import math
-import operator
 from collections import deque
 from itertools import product
 
-from .algebra import (Value, is_basis, is_prime, json_errors, json_value,
-                      vec_add, vec_sub)
+from .algebra import (Value, checked_int, int_entries, is_basis, is_prime,
+                      json_errors, json_value, vec_add, vec_sub)
 
 DEAD_STATES = 1 << 18   # the canonical and vector searches clear a table this big
 MAX_TRIAL_DIVISOR = 1 << 22   # the packing report factors n up to here
@@ -91,10 +90,8 @@ class PartitionInstance(Value):
     __slots__ = ("n", "d", "universe")
 
     def __init__(self, n: int, d, universe: str = "nonzero"):
-        n = int(n)
-        if n < 2:
-            raise InvalidInstance(f"modulus {n} too small")
-        d = tuple(int(x) % n for x in d)
+        n = checked_int(n, "modulus", 2, InvalidInstance)
+        d = tuple(x % n for x in int_entries(d, "difference", InvalidInstance))
         if any(x == 0 for x in d):
             raise InvalidInstance("zero difference")
         if universe not in ("nonzero", "full"):
@@ -324,11 +321,10 @@ class VectorPartitionInstance(Value):
     __slots__ = ("p", "k", "bases")
 
     def __init__(self, p: int, k: int, bases, check: bool = True):
-        p, k = int(p), int(k)
-        if p < 2 or k < 1:
-            raise InvalidInstance("need p >= 2 and k >= 1")
-        bases = tuple(tuple(tuple(int(c) % p for c in v) for v in basis)
-                      for basis in bases)
+        p = checked_int(p, "p", 2, InvalidInstance)
+        k = checked_int(k, "k", 1, InvalidInstance)
+        bases = tuple(tuple(tuple(c % p for c in int_entries(
+            v, "coordinate", InvalidInstance)) for v in basis) for basis in bases)
         # p^k >= 2^(k (bits of p - 1)): from 2^13 bits on, refused before
         # p^k is built; below, m has at most 3,909 digits (p = 3), printable
         if k * (p.bit_length() - 1) >= 1 << 13:
@@ -427,21 +423,17 @@ class PackingInstance(Value):
     __slots__ = ("ambient", "X", "T", "d")
 
     def __init__(self, ambient: "int | str", X, T, d: int):
-        if ambient != "integers":
-            ambient = int(ambient)
-            if ambient < 2:
-                raise InvalidInstance(f"modulus {ambient} too small")
-        d = int(d)
-        if d < 1:
-            raise InvalidInstance("packing parameter must be positive")
+        mod = None if ambient == "integers" else \
+            checked_int(ambient, "modulus", 2, InvalidInstance)
+        checked_int(d, "packing parameter", 1, InvalidInstance)
         if not X:
             raise InvalidInstance("no sets to pack")
         if len(X) != len(T):
             raise InvalidInstance("need one T per X")
 
         def clean(s):
-            vals = {int(v) % ambient for v in s} if isinstance(ambient, int) \
-                else {int(v) for v in s}
+            vals = {v % mod if mod else v
+                    for v in int_entries(s, "element", InvalidInstance)}
             if not vals:
                 raise InvalidInstance("empty set")
             return tuple(sorted(vals))
@@ -606,18 +598,18 @@ def _ends(pair, vectors: bool = False):
     try:
         x, y = pair
         if vectors:
-            return tuple(map(operator.index, x)), tuple(map(operator.index, y))
-        return operator.index(x), operator.index(y)
+            return int_entries(x, "coordinate"), int_entries(y, "coordinate")
+        return checked_int(x, "end"), checked_int(y, "end")
     except (TypeError, ValueError):
         raise InvalidInstance(f"malformed pair {pair!r}") from None
 
 
-def _sequence(part) -> tuple:
-    """A solution's pairs, basis choice or translates, as a tuple."""
+def _sequence(part, what: str = "solution", ints: bool = False) -> tuple:
+    """A solution's pairs, or (ints) basis choice or translates, as a tuple."""
     try:
-        return tuple(part)
-    except TypeError:
-        raise InvalidInstance(f"malformed solution {part!r}") from None
+        return int_entries(part, what) if ints else tuple(part)
+    except (TypeError, ValueError):
+        raise InvalidInstance(f"malformed {what} {part!r}") from None
 
 
 def verify_solution(instance, solution) -> bool:
@@ -627,8 +619,8 @@ def verify_solution(instance, solution) -> bool:
     difference equations and disjointness are all recomputed.  An
     Infeasible value is not a solution and yields False; a pair that is
     not two ints (two int vectors), a list of pairs, basis choices or
-    translates that is not iterable, and a basis choice that is not an
-    int raise InvalidInstance.
+    translates that is not iterable, and a basis choice or translate that
+    is not an int raise InvalidInstance, a bool being no int here either.
     """
     if isinstance(solution, Infeasible):
         return False
@@ -654,16 +646,12 @@ def verify_solution(instance, solution) -> bool:
             pairs, g = solution
         except (TypeError, ValueError):
             return False
-        pairs, g = _sequence(pairs), _sequence(g)
+        pairs, g = _sequence(pairs), _sequence(g, "basis choice", True)
         p, k, m = instance.p, instance.k, instance.m
         if len(pairs) != m or len(g) != m:
             return False
         seen = []
-        for i in range(m):
-            try:
-                j = operator.index(g[i])
-            except TypeError:
-                raise InvalidInstance(f"malformed basis choice {g!r}") from None
+        for i, j in enumerate(g):
             if not 0 <= j < k:
                 return False
             x, y = (tuple(c % p for c in v)
@@ -677,7 +665,7 @@ def verify_solution(instance, solution) -> bool:
         return len(set(seen)) == 2 * m and set(seen) == nonzero
 
     if isinstance(instance, PackingInstance):
-        t = _sequence(solution)
+        t = _sequence(solution, ints=True)
         if len(t) != instance.m:
             return False
         mod = instance.modulus

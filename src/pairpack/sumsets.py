@@ -35,7 +35,7 @@ from operator import itemgetter
 from random import Random
 from struct import pack, unpack
 
-from .algebra import CycloInt, Value, is_prime
+from .algebra import CycloInt, Value, checked_int, int_entries, is_prime
 
 
 DEFAULT_TIGHT_CAP = 32     # tight pairs a sweep report lists
@@ -81,18 +81,17 @@ def check_pair(p: int, alpha: int, A, B) -> dict:
     """|A+B| against beta(p, |A|, |B|) for one pair in Z/(p^alpha), as
     the report the CLI prints: A, B and A+B reduced and sorted, the
     cardinality, the bound, and whether it holds and is tight."""
-    p, alpha = int(p), int(alpha)
-    if not is_prime(p):
+    if not is_prime(checked_int(p, "p")):
         raise ValueError(f"{p} is not prime")
-    if alpha < 1:
+    if checked_int(alpha, "alpha") < 1:
         raise ValueError("alpha must be at least 1")
     # p^alpha >= 2^(alpha (bits of p - 1)), refused before it is built
     if alpha * (p.bit_length() - 1) >= MAX_MODULUS_BITS:
         raise ValueError(f"Z/({p}^{alpha}) is too big (it must have "
                          f"fewer than 2^{MAX_MODULUS_BITS} elements)")
     mod = p ** alpha
-    A = sorted({int(a) % mod for a in A})
-    B = sorted({int(b) % mod for b in B})
+    A = sorted({a % mod for a in int_entries(A, "element")})
+    B = sorted({b % mod for b in int_entries(B, "element")})
     if not A or not B:
         raise ValueError("subsets must be nonempty")
     sums = list(sumset(A, B, mod))
@@ -403,17 +402,15 @@ def verify_cd_bound(p: int, alpha: int, sample: "int | None" = None,
     The sweep does not time itself; `jobs` is accepted for older callers
     and ignored.
     """
-    if p < 2 or alpha < 1:
-        raise ValueError("need a prime p and alpha >= 1")
-    if type(tight_cap) is not int or tight_cap < 0:
-        raise ValueError(f"tight_cap {tight_cap!r} is not an int >= 0")
+    checked_int(p, "p", 2)
+    checked_int(alpha, "alpha", 1)
+    checked_int(tight_cap, "tight_cap", 0)
     if sample is None:
         if seed is not None:
             raise ValueError("a seed needs sample mode")
         limit, kind, tip = MAX_SWEEP_SIZE, "an exhaustive", "; use sample mode"
     else:
-        if type(sample) is not int or sample < 1:
-            raise ValueError(f"sample size {sample!r} is not an int >= 1")
+        checked_int(sample, "sample size", 1)
         if seed is None:
             raise ValueError("sample mode needs a seed")
         limit, kind, tip = MAX_SAMPLE_SIZE, "a sampled", ""
@@ -473,8 +470,8 @@ def coefficient_divisibility_check(p: int, alpha: int, exponents) -> bool:
     elementary symmetric sum (-1)^(n-k) sigma_(n-k), and whenever that
     coefficient vanishes in Z[w] its value at 1 must be divisible by p.
     """
-    order = p ** alpha
-    exps = tuple(int(e) for e in exponents)
+    order = checked_int(p, "p", 2) ** checked_int(alpha, "alpha", 1)
+    exps = int_entries(exponents, "exponent")
     n = len(exps)
     coeffs = root_product_coefficients(order, exps)
     for k in range(n + 1):

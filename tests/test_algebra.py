@@ -183,3 +183,93 @@ def test_cycloint_mul_matches_convolution():
             for j, bj in enumerate(b):
                 expect[(i + j) % n] += ai * bj
         assert prod.coeffs == tuple(expect)
+
+
+# ---------------------------------------------------------------------------
+# the one integer rule at every public entry point
+
+def _entry_points():
+    """(id, call of one bad value x, the error its module raises)."""
+    from pairpack import conjectures, dyson, nullstellensatz, poly, solvers, sumsets
+    bad = solvers.InvalidInstance
+    basis = (((1,),),)
+    return [
+        ("cycloint.n", lambda x: CycloInt(x), ValueError),
+        ("cyclotomic.n", lambda x: cyclotomic_poly(x), ValueError),
+        ("partition.n", lambda x: solvers.PartitionInstance(x, (1, 2)), bad),
+        # x = 1.5: PartitionInstance(5, (1.5, 2)) used to be solved as d = (1, 2)
+        ("partition.d", lambda x: solvers.PartitionInstance(5, (x, 2)), bad),
+        ("vector.p", lambda x: solvers.VectorPartitionInstance(x, 1, basis), bad),
+        ("vector.k", lambda x: solvers.VectorPartitionInstance(3, x, basis), bad),
+        ("vector.bases", lambda x: solvers.VectorPartitionInstance(
+            3, 1, (((x,),),)), bad),
+        ("packing.n", lambda x: solvers.PackingInstance(
+            x, ((0,),), ((0,),), 1), bad),
+        ("packing.X", lambda x: solvers.PackingInstance(
+            7, ((0, x),), ((0,),), 1), bad),
+        ("packing.T", lambda x: solvers.PackingInstance(
+            7, ((0,),), ((x,),), 1), bad),
+        ("packing.d", lambda x: solvers.PackingInstance(
+            7, ((0,),), ((0,),), x), bad),
+        ("grid", lambda x: nullstellensatz.GridSpec(((0, x),)), ValueError),
+        ("multipoly.arity", lambda x: poly.MultiPoly(ZZ, x), ValueError),
+        ("multipoly.e", lambda x: poly.MultiPoly(ZZ, 1, [((x,), 1)]),
+         ValueError),
+        ("multipoly.c", lambda x: poly.MultiPoly(ModRing(7), 1, [((1,), x)]),
+         ValueError),
+        ("affine.arity", lambda x: poly.AffineProduct(ZZ, x, []), ValueError),
+        ("affine.var", lambda x: poly.AffineProduct(
+            ZZ, 1, [(((x, 1),), 0)]), ValueError),
+        ("affine.coeff", lambda x: poly.AffineProduct(
+            ModRing(7), 1, [(((0, x),), 0)]), ValueError),
+        ("affine.const", lambda x: poly.AffineProduct(
+            ZZ, 1, [(((0, 1),), x)]), ValueError),
+        ("pair.p", lambda x: sumsets.check_pair(x, 1, [1], [1]), ValueError),
+        ("pair.alpha", lambda x: sumsets.check_pair(5, x, [1], [1]),
+         ValueError),
+        ("pair.A", lambda x: sumsets.check_pair(5, 1, [x], [1]), ValueError),
+        ("pair.B", lambda x: sumsets.check_pair(5, 1, [1], [0, x]),
+         ValueError),
+        ("roots.p", lambda x: sumsets.coefficient_divisibility_check(
+            x, 1, (0,)), ValueError),
+        ("roots.alpha", lambda x: sumsets.coefficient_divisibility_check(
+            3, x, (0,)), ValueError),
+        ("roots.e", lambda x: sumsets.coefficient_divisibility_check(
+            3, 1, (0, x)), ValueError),
+        ("sweep.p", lambda x: sumsets.verify_cd_bound(x, 2), ValueError),
+        ("sweep.alpha", lambda x: sumsets.verify_cd_bound(2, x), ValueError),
+        ("sweep.sample", lambda x: sumsets.verify_cd_bound(
+            2, 2, sample=x, seed=1), ValueError),
+        ("sweep.tight_cap", lambda x: sumsets.verify_cd_bound(
+            2, 2, tight_cap=x), ValueError),
+        ("scan.n", lambda x: conjectures.scan_conjecture(x), bad),
+        ("scan.sample", lambda x: conjectures.scan_conjecture(
+            7, sample=x, seed=1), bad),
+        ("perm.n", lambda x: conjectures.permanent_coefficient(x, (1,)), bad),
+        ("perm.d", lambda x: conjectures.permanent2_coefficient(5, (x, 1)),
+         bad),
+        ("cert.p", lambda x: conjectures.prime_nonzero_certificate(x, (1,)),
+         bad),
+        ("cert.d", lambda x: conjectures.prime_nonzero_certificate(
+            5, (1, x)), bad),
+        ("dyson.a", lambda x: dyson.DysonInstance((2, x)), ValueError),
+        ("pairing.d", lambda x: nullstellensatz.partition_polynomial(
+            7, (3, x, 2)), ValueError),
+        ("grid.p", lambda x: nullstellensatz.partition_grid(x, (1,)),
+         ValueError),
+        ("grid.d", lambda x: nullstellensatz.partition_grid(7, (3, x)),
+         ValueError),
+    ]
+
+
+@pytest.mark.parametrize("x", [1.5, 2.0, True, "3"])
+@pytest.mark.parametrize("call, error", [
+    pytest.param(call, error, id=name) for name, call, error in _entry_points()])
+def test_every_integer_argument_refuses_what_is_not_an_int(call, error, x):
+    """A float, a bool or a str in an integer argument raises one error
+    naming it: never converted (1.5 read as 1, True as 1) and never a bare
+    TypeError from deeper down."""
+    with pytest.raises(ValueError) as exc:
+        call(x)
+    assert type(exc.value) is error
+    assert f"{x!r} is not an int" in str(exc.value)

@@ -139,6 +139,14 @@ def test_packing_coefficient_small():
         packing_coefficient(2, 0)
 
 
+@pytest.mark.parametrize("m", [True, 2.0, -1, 0, "2"])
+def test_packing_coefficient_refuses_an_m_that_is_not_a_positive_int(m):
+    """True used to give 1 (m = 1), 2.0 a bare TypeError from (d,) * m,
+    and -1 "need at least one exponent"."""
+    with pytest.raises(ValueError, match=f"^m {m!r} is not an int >= 1$"):
+        packing_coefficient(m, 2)
+
+
 def test_packing_coefficient_against_expansion():
     """Read the same coefficient straight out of prod (x_i - x_j)^(2d)."""
     for m, d in ((2, 1), (2, 2), (3, 1)):

@@ -421,6 +421,24 @@ def test_verify_rejects_malformed_pairs():
     assert verify_solution(vinst, ((((1,), (2,)),), (0,)))
 
 
+def test_verify_refuses_bools_in_a_solution():
+    """A bool is no int here either: (True, 2) and basis choice False used
+    to pass as (1, 2) and 0, and translate True as 1."""
+    with pytest.raises(InvalidInstance, match=r"^malformed pair \(True, 2\)$"):
+        verify_solution(PartitionInstance(3, (1,)), [(True, 2)])
+    assert verify_solution(PartitionInstance(3, (1,)), [(1, 2)])
+    vinst = VectorPartitionInstance(3, 1, (((1,),),))
+    with pytest.raises(InvalidInstance, match=r"^malformed basis choice \(False,\)$"):
+        verify_solution(vinst, ((((1,), (2,)),), (False,)))
+    with pytest.raises(InvalidInstance, match="^malformed pair "):
+        verify_solution(vinst, ((((True,), (2,)),), (0,)))
+    pinst = PackingInstance(7, ((0,), (0, 1)), ((0, 1), (0, 3)), 1)
+    assert verify_solution(pinst, (1, 3))
+    for t in ((True, 3), (1, 3.0), (1, "3")):
+        with pytest.raises(InvalidInstance, match="^malformed solution "):
+            verify_solution(pinst, t)
+
+
 # ---------------------------------------------------------------------------
 # search depth and branch order
 
