@@ -258,7 +258,7 @@ def scan_conjecture(n: int, sample: "int | None" = None,
             raise InvalidInstance("sample mode needs a seed")
         if checkpoint:
             raise InvalidInstance("checkpoints are for exhaustive scans only")
-        rng = Random(seed)
+        rng = Random(checked_int(seed, "seed", error=InvalidInstance))
         draws = Counter(tuple(sorted(rng.choice(units) for _ in range(m)))
                         for _ in range(sample))
         fold = lambda key: tuple(sorted(min(k, n - k) for k in key))

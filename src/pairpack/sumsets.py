@@ -413,6 +413,7 @@ def verify_cd_bound(p: int, alpha: int, sample: "int | None" = None,
         checked_int(sample, "sample size", 1)
         if seed is None:
             raise ValueError("sample mode needs a seed")
+        checked_int(seed, "seed")
         limit, kind, tip = MAX_SAMPLE_SIZE, "a sampled", ""
     # p^alpha >= 2^alpha, so a large alpha is refused before the power is
     # built (or printed: Python will not print an int of 4300+ digits)

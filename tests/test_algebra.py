@@ -242,7 +242,11 @@ def _entry_points():
             2, 2, sample=x, seed=1), ValueError),
         ("sweep.tight_cap", lambda x: sumsets.verify_cd_bound(
             2, 2, tight_cap=x), ValueError),
+        ("sweep.seed", lambda x: sumsets.verify_cd_bound(
+            2, 2, sample=1, seed=x), ValueError),
         ("scan.n", lambda x: conjectures.scan_conjecture(x), bad),
+        ("scan.seed", lambda x: conjectures.scan_conjecture(
+            7, sample=1, seed=x), bad),
         ("scan.sample", lambda x: conjectures.scan_conjecture(
             7, sample=x, seed=1), bad),
         ("perm.n", lambda x: conjectures.permanent_coefficient(x, (1,)), bad),
