@@ -302,10 +302,10 @@ class CycloInt:
 
     def __init__(self, n: int, coeffs=()):
         checked_int(n, "root order", 1)
-        c = [0] * n
-        for i, v in enumerate(coeffs):
-            if v:
-                c[i % n] += v
+        coeffs = int_entries(coeffs, "coefficient")
+        c = list(coeffs[:n]) + [0] * (n - len(coeffs))
+        for i, v in enumerate(coeffs[n:], n):
+            c[i % n] += v
         self.n = n
         self.coeffs = tuple(c)
 

@@ -30,10 +30,12 @@ lists, each taken by one Glynn walk over packed integers: x -> 2^b maps
 Z[x]/(x^n - 1) into Z/(2^(nb) - 1), and with b large enough for the
 coefficient bound the b-bit digits of the result are its exact
 coefficients; the value at 1 is the case n = 1.  Row i depends only on
-d_i, so the walk goes over row multiplicities, not sign vectors: groups
-of r_g equal rows take about prod_g (r_g + 1)/2 products, and the
-certificate's one row repeated m times takes (m + 1)/2 or m + 1.  Only
-a bijection sum's result is made a CycloInt.
+d_i, so a bijection sum builds one row per distinct d_i, and the
+permanent groups equal rows first, bounds and packs each group's row
+once and walks row multiplicities, not sign vectors: groups of r_g
+equal rows take about prod_g (r_g + 1)/2 products, the certificate's one
+row repeated m times (m + 1)/2 or m + 1.  Only a bijection sum's result
+is made a CycloInt.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import math
 import os
 from collections import Counter
 from itertools import chain, combinations_with_replacement, cycle, product
-from operator import add, sub
+from operator import add, mul, sub
 from random import Random
 
 from .algebra import (CycloInt, Value, checked_int, int_entries, is_prime,
@@ -319,9 +321,10 @@ def _validated_units(n, d) -> tuple[int, ...]:
     return tuple(x % n for x in d)
 
 
-def _glynn(rows, bits: int) -> int:
+def _glynn(groups, bits: int) -> int:
     """2^(m-1) times the permanent of a nonempty square integer matrix,
-    mod 2^bits - 1 (a representative, not reduced), by Glynn's formula
+    given as {distinct row: its multiplicity}, mod 2^bits - 1 (a
+    representative, not reduced), by Glynn's formula
 
         2^(m-1) * perm M = sum_s s_1 ... s_m * prod_j sum_i s_i * M[i][j]
 
@@ -338,7 +341,6 @@ def _glynn(rows, bits: int) -> int:
     folded at bit `bits` after every factor, as 2^bits = 1 mod 2^bits - 1,
     so it stays near `bits` bits long whatever m is."""
     mask = (1 << bits) - 1
-    groups = Counter(map(tuple, rows))
     odd = next((row for row, r in groups.items() if r % 2), None)
     moves = []
     for row, r in groups.items():
@@ -352,7 +354,7 @@ def _glynn(rows, bits: int) -> int:
                  for j in range(top)]
                 + [(add, twice, c[j - 1], c[j], j == 1)
                    for j in range(top, 0, -1)]))
-    sums = [sum(col) for col in zip(*rows)]
+    sums = [sum(map(mul, col, groups.values())) for col in zip(*groups)]
     t = len(moves)
     focus = list(range(t + 1))
     total, weight = 0, 1
@@ -381,23 +383,24 @@ def _permanent(rows, n: int) -> list[int]:
     its n coefficients (n = 1: an integer matrix); an empty matrix gives
     the coefficients of 1.
 
-    Each coefficient is at most B = m! * prod_i max_j |M[i][j]|_1 in
-    size; with b bits per digit, 2^(b-1) > 2B, the map x -> 2^b takes
-    Z[x]/(x^n - 1) into Z/M with M = 2^(nb) - 1, since 2^(nb) = 1 there.
-    Glynn's formula runs once on the packed entries, walking the classes
-    of equal rows (prod_g (r_g + 1)/2 products for groups of r_g, see
-    _glynn), and the n balanced b-bit digits of the result mod M, over
-    2^(m-1), are the exact coefficients: the sum over permutations of
-    products of one entry per row."""
+    Equal rows are grouped first (by coefficients: R and -R stay apart).
+    Each coefficient is at most B = m! * prod_g max_j |R_g[j]|_1 ** r_g
+    in size, over the groups of r_g rows R_g; with b bits per digit,
+    2^(b-1) > 2B, x -> 2^b takes Z[x]/(x^n - 1) into Z/M, M = 2^(nb) - 1,
+    as 2^(nb) = 1 there.  Each distinct row is packed once for one Glynn
+    walk over the groups (see _glynn), and the n balanced b-bit digits of
+    the result mod M, over 2^(m-1), are the exact coefficients."""
     m = len(rows)
     if not m:
         return [1] + [0] * (n - 1)
+    groups = Counter(tuple(map(tuple, row)) for row in rows)
     bound = math.factorial(m) * math.prod(
-        max(sum(map(abs, coeffs)) for coeffs in row) for row in rows)
+        max(sum(map(abs, coeffs)) for coeffs in row) ** r
+        for row, r in groups.items())
     b = bound.bit_length() + 2
     big = (1 << n * b) - 1
-    packed = [[sum(c << b * t for t, c in enumerate(coeffs))
-               for coeffs in row] for row in rows]
+    packed = {tuple(sum(c << b * t for t, c in enumerate(coeffs))
+                    for coeffs in row): r for row, r in groups.items()}
     # 2^(b-1) added to every digit makes each one nonnegative and < 2^b
     half = big // ((1 << b) - 1) << (b - 1)
     value = (_glynn(packed, n * b) * pow(2, 1 - m, big) + half) % big
@@ -407,19 +410,17 @@ def _permanent(rows, n: int) -> list[int]:
 
 def _bijection_sum(n: int, d, terms):
     """Permanent over Z[w] of the m x m matrix whose entry (i, c) is
-    sum of sign * w_i^e over (e, sign) in terms(m, c), w_i = w^(d_i)."""
+    sum of sign * w_i^e over (e, sign) in terms(m, c), w_i = w^(d_i);
+    row i depends only on d_i, so it is built once per distinct d_i."""
     d = _validated_units(n, d)
     m = len(d)
-    matrix = []
-    for di in d:
-        row = []
-        for c in range(m):
-            coeffs = [0] * n
+    rows = {}
+    for di in set(d):
+        rows[di] = [[0] * n for _ in range(m)]
+        for c, coeffs in enumerate(rows[di]):
             for e, sign in terms(m, c):
                 coeffs[di * e % n] += sign
-            row.append(coeffs)
-        matrix.append(row)
-    return CycloInt(n, _permanent(matrix, n))
+    return CycloInt(n, _permanent([rows[di] for di in d], n))
 
 
 def permanent2_coefficient(n: int, d) -> CycloInt:

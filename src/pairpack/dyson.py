@@ -71,7 +71,7 @@ def dyson_bruteforce(inst, max_degree: int = DEFAULT_DEGREE_BUDGET) -> int:
     a = inst.a
     n = len(a)
     total_degree = (n - 1) * inst.total
-    if total_degree > max_degree:
+    if total_degree > checked_int(max_degree, "max_degree"):
         raise BudgetExceeded(
             f"expansion degree {total_degree} exceeds budget {max_degree}")
     target = tuple(inst.total - x for x in a)

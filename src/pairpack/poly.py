@@ -244,12 +244,7 @@ class AffineProduct:
         is exact over an integral domain)."""
         return sum(1 for lin, _ in self.factors if lin)
 
-    def evaluate(self, point):
-        if len(point) != self.arity:
-            raise ArityMismatch(f"point of length {len(point)} for arity {self.arity}")
-        for _, value in self.nonzero_points(*((x,) for x in point)):
-            return value
-        return 0
+    evaluate = MultiPoly.evaluate      # nonzero_points' one-point case
 
     def nonzero_points(self, *sets):
         """(point, value) for each point of sets[0] x ... x sets[m-1] where

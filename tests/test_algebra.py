@@ -195,6 +195,7 @@ def _entry_points():
     basis = (((1,),),)
     return [
         ("cycloint.n", lambda x: CycloInt(x), ValueError),
+        ("cycloint.coeffs", lambda x: CycloInt(5, (x, 2)), ValueError),
         ("cyclotomic.n", lambda x: cyclotomic_poly(x), ValueError),
         ("partition.n", lambda x: solvers.PartitionInstance(x, (1, 2)), bad),
         # x = 1.5: PartitionInstance(5, (1.5, 2)) used to be solved as d = (1, 2)
@@ -257,6 +258,8 @@ def _entry_points():
         ("cert.d", lambda x: conjectures.prime_nonzero_certificate(
             5, (1, x)), bad),
         ("dyson.a", lambda x: dyson.DysonInstance((2, x)), ValueError),
+        ("dyson.max_degree", lambda x: dyson.dyson_bruteforce((2, 2), x),
+         ValueError),
         ("pairing.d", lambda x: nullstellensatz.partition_polynomial(
             7, (3, x, 2)), ValueError),
         ("grid.p", lambda x: nullstellensatz.partition_grid(x, (1,)),

@@ -487,6 +487,31 @@ def test_bijection_sums_pinned():
                       "99d001d8ad47bf68330f2d2cdc8e1cc0")
 
 
+def test_bijection_sum_builds_each_distinct_row_once():
+    """Row i depends only on d_i mod n, so terms is asked m times per
+    distinct difference, not m times per row: 3 distinct values among
+    m = 5 take 15 calls, not 25.  The sum is still the permanent of the
+    matrix built entry by entry."""
+    n, d = 11, (1, 12, 1, 5, 10)        # 12 is 1 mod 11
+    m = len(d)
+    calls = []
+
+    def terms(m, c):
+        calls.append(c)
+        return ((c, 1), (2 * m - 1 - c, -1), (c + 2, 3))
+
+    got = conjectures._bijection_sum(n, d, terms)
+    assert len(calls) == m * 3
+    rows = []
+    for di in d:
+        row = [[0] * n for _ in range(m)]
+        for c in range(m):
+            for e, sign in terms(m, c):
+                row[c][di * e % n] += sign
+        rows.append(row)
+    assert got.coeffs == tuple(permanent_by_definition(rows, n))
+
+
 def test_two_forms_at_n23_m11():
     """Both forms at m = 11: the pairing form is the geometric form times
     prod_i (1 - w_i), and the geometric form is m! (2m-1)!! at w = 1."""
