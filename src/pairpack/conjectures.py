@@ -399,8 +399,10 @@ def _permanent(rows, n: int) -> list[int]:
         for row, r in groups.items())
     b = bound.bit_length() + 2
     big = (1 << n * b) - 1
-    packed = {tuple(sum(c << b * t for t, c in enumerate(coeffs))
-                    for coeffs in row): r for row, r in groups.items()}
+    packed = Counter()      # a zero row makes B = 0, and rows may pack alike
+    for row, r in groups.items():
+        packed[tuple(sum(c << b * t for t, c in enumerate(coeffs))
+                     for coeffs in row)] += r
     # 2^(b-1) added to every digit makes each one nonnegative and < 2^b
     half = big // ((1 << b) - 1) << (b - 1)
     value = (_glynn(packed, n * b) * pow(2, 1 - m, big) + half) % big

@@ -451,6 +451,16 @@ def test_permanent_keeps_a_row_apart_from_its_negative():
         assert _permanent([[(0,)] * m] * m, 1) == [0]
 
 
+def test_permanent_with_a_zero_row_and_rows_that_pack_alike():
+    """A zero row makes the bound 0 and the digits 2 bits wide, where
+    the distinct rows of (4, 0) and of (0, 1) pack to the same integer:
+    their groups must merge, not replace each other."""
+    for m in (3, 4):
+        zero, a, b = [(0, 0)] * m, [(4, 0)] * m, [(0, 1)] * m
+        for rows in itertools.permutations([zero, b] + [a] * (m - 2)):
+            assert _permanent(list(rows), 2) == [0, 0]
+
+
 def test_permanent_of_one_wide_row_repeated():
     """One row repeated m times, with entries so large that the digits
     need about 160 bits (m = 3) and 210 bits (m = 4): the permanent is
