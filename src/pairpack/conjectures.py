@@ -30,12 +30,12 @@ lists, each taken by one Glynn walk over packed integers: x -> 2^b maps
 Z[x]/(x^n - 1) into Z/(2^(nb) - 1), and with b large enough for the
 coefficient bound the b-bit digits of the result are its exact
 coefficients; the value at 1 is the case n = 1.  Row i depends only on
-d_i, so a bijection sum builds one row per distinct d_i, and the
-permanent groups equal rows first, bounds and packs each group's row
-once and walks row multiplicities, not sign vectors: groups of r_g
-equal rows take about prod_g (r_g + 1)/2 products, the certificate's one
-row repeated m times (m + 1)/2 or m + 1.  Only a bijection sum's result
-is made a CycloInt.
+d_i, so a bijection sum hands the permanent one row per distinct d_i
+with its multiplicity, and the certificate its one row with m; the
+permanent bounds and packs each group's row once and walks row
+multiplicities, not sign vectors: groups of r_g equal rows take about
+prod_g (r_g + 1)/2 products, the certificate (m + 1)/2 or m + 1.  Only
+a bijection sum's result is made a CycloInt.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import math
 import os
 from collections import Counter
 from itertools import chain, combinations_with_replacement, cycle, product
-from operator import add, mul, sub
+from operator import add, sub
 from random import Random
 
 from .algebra import (CycloInt, Value, checked_int, int_entries, is_prime,
@@ -323,28 +323,31 @@ def _validated_units(n, d) -> tuple[int, ...]:
 
 def _glynn(groups, bits: int) -> int:
     """2^(m-1) times the permanent of a nonempty square integer matrix,
-    given as {distinct row: its multiplicity}, mod 2^bits - 1 (a
+    given as a list of (row, multiplicity) groups, mod 2^bits - 1 (a
     representative, not reduced), by Glynn's formula
 
         2^(m-1) * perm M = sum_s s_1 ... s_m * prod_j sum_i s_i * M[i][j]
 
     over the sign vectors s in {1, -1}^m with s_1 = 1, summed by row
-    multiplicities.  A group of r equal rows R with j of its signs at -1
-    adds (r - 2j) R to every column sum, with sign (-1)^j and weight
-    C(r, j).  The classes (j_1, ..., j_t) are walked in reflected
-    mixed-radix Gray-code order (Knuth, TAOCP 4A, 7.2.1.1, Algorithm H),
-    so each step moves one j_g by one and the column sums by 2 R_g.  As s
-    and -s give the same term, one group of odd r takes only
-    j <= (r - 1)/2; if every r is even, all classes are walked and the
-    total is halved.  That is prod_g (r_g + 1)/2 products (twice that when
-    every r is even), 2^(m-1) when all rows differ.  Each product is
-    folded at bit `bits` after every factor, as 2^bits = 1 mod 2^bits - 1,
-    so it stays near `bits` bits long whatever m is."""
+    multiplicities (exact for any split of equal rows into groups).  A
+    group of r rows R with j of its signs at -1 adds (r - 2j) R to every
+    column sum, with sign (-1)^j and weight C(r, j).  The classes
+    (j_1, ..., j_t) are walked in reflected mixed-radix Gray-code order
+    (Knuth, TAOCP 4A, 7.2.1.1, Algorithm H), so each step moves one j_g
+    by one and the column sums by 2 R_g.  As s and -s give the same term,
+    the first group of odd r takes only j <= (r - 1)/2; if every r is
+    even, all classes are walked and the total is halved.  That is
+    prod_g (r_g + 1)/2 products (twice that when every r is even), 2^(m-1)
+    for groups of one row.  Each product is folded at bit `bits` after
+    every factor, as 2^bits = 1 mod 2^bits - 1, so it stays near `bits`
+    bits long whatever m is."""
     mask = (1 << bits) - 1
-    odd = next((row for row, r in groups.items() if r % 2), None)
+    odd = next((g for g, (_, r) in enumerate(groups) if r % 2), None)
     moves = []
-    for row, r in groups.items():
-        top = r // 2 if row == odd else r
+    sums = [0] * len(groups[0][0])
+    for g, (row, r) in enumerate(groups):
+        sums = [s + r * a for s, a in zip(sums, row)]
+        top = r // 2 if g == odd else r
         if top:
             c = [math.comb(r, j) for j in range(top + 1)]
             twice = [2 * a for a in row]
@@ -354,7 +357,6 @@ def _glynn(groups, bits: int) -> int:
                  for j in range(top)]
                 + [(add, twice, c[j - 1], c[j], j == 1)
                    for j in range(top, 0, -1)]))
-    sums = [sum(map(mul, col, groups.values())) for col in zip(*groups)]
     t = len(moves)
     focus = list(range(t + 1))
     total, weight = 0, 1
@@ -377,32 +379,28 @@ def _glynn(groups, bits: int) -> int:
     return total if odd is not None else (total + (total & 1) * mask) >> 1
 
 
-def _permanent(rows, n: int) -> list[int]:
+def _permanent(groups, n: int) -> list[int]:
     """The n coefficients of the permanent of a square matrix over
-    Z[x]/(x^n - 1), given as m rows of m entries, each the sequence of
-    its n coefficients (n = 1: an integer matrix); an empty matrix gives
-    the coefficients of 1.
+    Z[x]/(x^n - 1), given as (row, multiplicity) groups, each row m
+    entries and each entry its n coefficients (n = 1: an integer matrix);
+    an empty matrix gives the coefficients of 1.
 
-    Equal rows are grouped first (by coefficients: R and -R stay apart).
     Each coefficient is at most B = m! * prod_g max_j |R_g[j]|_1 ** r_g
     in size, over the groups of r_g rows R_g; with b bits per digit,
     2^(b-1) > 2B, x -> 2^b takes Z[x]/(x^n - 1) into Z/M, M = 2^(nb) - 1,
-    as 2^(nb) = 1 there.  Each distinct row is packed once for one Glynn
+    as 2^(nb) = 1 there.  Each group's row is packed once for one Glynn
     walk over the groups (see _glynn), and the n balanced b-bit digits of
     the result mod M, over 2^(m-1), are the exact coefficients."""
-    m = len(rows)
+    m = sum(r for _, r in groups)
     if not m:
         return [1] + [0] * (n - 1)
-    groups = Counter(tuple(map(tuple, row)) for row in rows)
     bound = math.factorial(m) * math.prod(
         max(sum(map(abs, coeffs)) for coeffs in row) ** r
-        for row, r in groups.items())
+        for row, r in groups)
     b = bound.bit_length() + 2
     big = (1 << n * b) - 1
-    packed = Counter()      # a zero row makes B = 0, and rows may pack alike
-    for row, r in groups.items():
-        packed[tuple(sum(c << b * t for t, c in enumerate(coeffs))
-                     for coeffs in row)] += r
+    packed = [([sum(c << b * t for t, c in enumerate(coeffs))
+                for coeffs in row], r) for row, r in groups]
     # 2^(b-1) added to every digit makes each one nonnegative and < 2^b
     half = big // ((1 << b) - 1) << (b - 1)
     value = (_glynn(packed, n * b) * pow(2, 1 - m, big) + half) % big
@@ -413,16 +411,17 @@ def _permanent(rows, n: int) -> list[int]:
 def _bijection_sum(n: int, d, terms):
     """Permanent over Z[w] of the m x m matrix whose entry (i, c) is
     sum of sign * w_i^e over (e, sign) in terms(m, c), w_i = w^(d_i);
-    row i depends only on d_i, so it is built once per distinct d_i."""
+    row i depends only on d_i, so each distinct d_i is one group."""
     d = _validated_units(n, d)
     m = len(d)
-    rows = {}
-    for di in set(d):
-        rows[di] = [[0] * n for _ in range(m)]
-        for c, coeffs in enumerate(rows[di]):
+    groups = []
+    for di, r in Counter(d).items():
+        row = [[0] * n for _ in range(m)]
+        for c, coeffs in enumerate(row):
             for e, sign in terms(m, c):
                 coeffs[di * e % n] += sign
-    return CycloInt(n, _permanent([rows[di] for di in d], n))
+        groups.append((row, r))
+    return CycloInt(n, _permanent(groups, n))
 
 
 def permanent2_coefficient(n: int, d) -> CycloInt:
@@ -463,7 +462,7 @@ def prime_nonzero_certificate(p: int, d) -> tuple[int, bool]:
     if len(d) != m:
         raise InvalidInstance(f"need {m} differences, got {len(d)}")
     row = [(2 * m - 1 - 2 * c,) for c in range(m)]
-    [value] = _permanent([row] * m, 1)
+    [value] = _permanent([(row, m)], 1)
     expected = math.factorial(m) * double_factorial_odd(2 * m - 1)
     if value != expected:
         raise ArithmeticError(

@@ -23,7 +23,7 @@ coefficients of prod_i (x - c_i) for p^alpha-th roots of unity c_i as
 signed elementary symmetric sums, a coefficient that vanishes in Z[w]
 has its value at 1 divisible by p.  Both sides are summed as lists of
 coefficients at the powers of w, a factor w^e rotating a list by e, and
-made CycloInts only when returned.
+match list for list, being one sum in Z[x]/(x^(p^alpha) - 1).
 """
 
 from __future__ import annotations
@@ -467,20 +467,20 @@ def elementary_symmetric_roots(order: int, exponents, j: int) -> CycloInt:
 def coefficient_divisibility_check(p: int, alpha: int, exponents) -> bool:
     """Both halves of the symmetric-function argument, on one root list.
 
-    The x^k coefficient of prod (x - w^(e_i)) must match the signed
-    elementary symmetric sum (-1)^(n-k) sigma_(n-k), and whenever that
-    coefficient vanishes in Z[w] its value at 1 must be divisible by p.
+    The x^k coefficient of prod (x - w^(e_i)) must have exactly the list
+    of the signed elementary symmetric sum (-1)^(n-k) sigma_(n-k), both
+    being one sum in Z[x]/(x^order - 1), and whenever that coefficient
+    vanishes in Z[w] its value at 1 must be divisible by p (a prime).
     """
     order = checked_int(p, "p", 2) ** checked_int(alpha, "alpha", 1)
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
     exps = int_entries(exponents, "exponent")
     n = len(exps)
-    coeffs = root_product_coefficients(order, exps)
-    for k in range(n + 1):
-        sig = elementary_symmetric_roots(order, exps, n - k)
-        if (n - k) % 2:
-            sig = -sig
-        if not (coeffs[k] - sig).is_zero():
+    for k, coeff in enumerate(root_product_coefficients(order, exps)):
+        sig = elementary_symmetric_roots(order, exps, n - k).coeffs
+        if coeff.coeffs != tuple((-1) ** (n - k) * c for c in sig):
             return False
-        if coeffs[k].is_zero() and coeffs[k].eval_at_one() % p != 0:
+        if coeff.is_zero() and coeff.eval_at_one() % p:
             return False
     return True

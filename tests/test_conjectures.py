@@ -318,9 +318,10 @@ def test_scan_rejects_unverified_partition(monkeypatch):
         scan_conjecture(5, jobs=None)
 
 
-def coefficient_rows(mat):
-    """A matrix of CycloInts as _permanent takes it: coefficient rows."""
-    return [[e.coeffs for e in row] for row in mat]
+def coefficient_rows(mat, r=1):
+    """A matrix of CycloInts as _permanent takes it: (row, multiplicity)
+    groups, each row's entries their coefficient lists, r copies each."""
+    return [([e.coeffs for e in row], r) for row in mat]
 
 
 def test_permanent_matches_inclusion_exclusion():
@@ -349,17 +350,18 @@ def test_permanent_matches_inclusion_exclusion():
     assert _permanent([], 5) == [1, 0, 0, 0, 0]
     for m in range(6):
         mat = [[rng.randrange(-9, 10) for _ in range(m)] for _ in range(m)]
-        assert _permanent([[(e,) for e in row] for row in mat], 1) == \
+        assert _permanent([([(e,) for e in row], 1) for row in mat], 1) == \
             [by_definition(mat, 0)]
     # a lone coefficient is the whole bound B, at +B and at -B; an all-zero
     # matrix has B = 0, the fewest bits per packed digit
     for c in (1, 7, 8, -1, -8, 2 ** 40, -2 ** 40):
         for t in (0, order - 1):
             entry = CycloInt.from_int(order, c) * CycloInt.root_power(order, t)
-            assert tuple(_permanent([[entry.coeffs]], order)) == entry.coeffs
-        assert _permanent([[(c,)]], 1) == [c]
+            assert tuple(_permanent([([entry.coeffs], 1)], order)) == \
+                entry.coeffs
+        assert _permanent([([(c,)], 1)], 1) == [c]
     for m in (3, 4, 5):
-        assert _permanent([[(0,)] * m for _ in range(m)], 1) == [0]
+        assert _permanent([([(0,)] * m, 1) for _ in range(m)], 1) == [0]
 
 
 def test_permanent_exact_beyond_one_prime():
@@ -410,7 +412,8 @@ def test_permanent_on_repeated_rows():
     """Every multiplicity pattern of m <= 6 rows, each group one random row
     repeated, against the permanent's definition over Z[x]/(x^7 - 1) and
     over the integers; the all-even patterns take the walk that halves
-    its total."""
+    its total.  The same rows, shuffled and passed one group per row,
+    give the same permanent: a finer split of equal rows is exact too."""
     rng = random.Random(35)
     patterns = [part for m in range(1, 7) for part in partitions(m)]
     assert len(patterns) == 29
@@ -418,13 +421,16 @@ def test_permanent_on_repeated_rows():
     for n, low in ((7, -2), (1, -9)):
         for part in patterns:
             m = sum(part)
-            rows = []
+            groups, rows = [], []
             for r in part:
                 row = [[rng.randrange(low, -low + 1) for _ in range(n)]
                        for _ in range(m)]
+                groups.append((row, r))
                 rows.extend([row] * r)
             rng.shuffle(rows)
-            assert _permanent(rows, n) == permanent_by_definition(rows, n), \
+            want = permanent_by_definition(rows, n)
+            assert _permanent(groups, n) == want, (n, part)
+            assert _permanent([(row, 1) for row in rows], n) == want, \
                 (n, part)
 
 
@@ -437,28 +443,29 @@ def test_permanent_keeps_a_row_apart_from_its_negative():
         row = [[rng.randrange(-3, 4) for _ in range(order)]
                for _ in range(sum(copies))]
         neg = [[-c for c in entry] for entry in row]
-        rows = [row] * copies[0] + [neg] * copies[1]
-        want = permanent_by_definition(rows, order)
-        assert _permanent(rows, order) == want
-        assert _permanent(rows[::-1], order) == want
+        groups = [(row, copies[0]), (neg, copies[1])]
+        want = permanent_by_definition(
+            [row] * copies[0] + [neg] * copies[1], order)
+        assert _permanent(groups, order) == want
+        assert _permanent(groups[::-1], order) == want
     for m in (2, 3, 4):
         zero = [[0] * order] * m
         other = [[rng.randrange(-3, 4) for _ in range(order)]
                  for _ in range(m)]
-        rows = [zero] * (m - 1) + [other]
-        assert _permanent(rows, order) == [0] * order
-        assert _permanent([zero] * m, order) == [0] * order
-        assert _permanent([[(0,)] * m] * m, 1) == [0]
+        assert _permanent([(zero, m - 1), (other, 1)], order) == [0] * order
+        assert _permanent([(zero, m)], order) == [0] * order
+        assert _permanent([([(0,)] * m, m)], 1) == [0]
 
 
 def test_permanent_with_a_zero_row_and_rows_that_pack_alike():
     """A zero row makes the bound 0 and the digits 2 bits wide, where
     the distinct rows of (4, 0) and of (0, 1) pack to the same integer:
-    their groups must merge, not replace each other."""
+    each group keeps its own multiplicity, in every order of the three."""
     for m in (3, 4):
         zero, a, b = [(0, 0)] * m, [(4, 0)] * m, [(0, 1)] * m
-        for rows in itertools.permutations([zero, b] + [a] * (m - 2)):
-            assert _permanent(list(rows), 2) == [0, 0]
+        for groups in itertools.permutations([(zero, 1), (b, 1),
+                                              (a, m - 2)]):
+            assert _permanent(list(groups), 2) == [0, 0]
 
 
 def test_permanent_of_one_wide_row_repeated():
@@ -474,7 +481,7 @@ def test_permanent_of_one_wide_row_repeated():
         want = CycloInt.from_int(order, math.factorial(m))
         for entry in row:
             want = want * entry
-        assert tuple(_permanent(coefficient_rows([row] * m), order)) == \
+        assert tuple(_permanent(coefficient_rows([row], m), order)) == \
             want.coeffs
 
 
@@ -520,6 +527,23 @@ def test_bijection_sum_builds_each_distinct_row_once():
                 row[c][di * e % n] += sign
         rows.append(row)
     assert got.coeffs == tuple(permanent_by_definition(rows, n))
+
+
+def test_permanent_is_handed_row_groups(monkeypatch):
+    """Each caller passes one row per distinct row with its multiplicity:
+    d = (1, 12, 1, 5, 10) mod 11 is groups of 3, 1 and 1 rows, and the
+    certificate at p = 13 one group of 6."""
+    handed = []
+
+    def recording(groups, n):
+        handed.append([r for _, r in groups])
+        return _permanent(groups, n)
+
+    monkeypatch.setattr(conjectures, "_permanent", recording)
+    conjectures._bijection_sum(11, (1, 12, 1, 5, 10),
+                               lambda m, c: ((c, 1), (2 * m - 1 - c, -1)))
+    prime_nonzero_certificate(13, (1, 2, 3, 4, 5, 6))
+    assert handed == [[3, 1, 1], [6]]
 
 
 def test_two_forms_at_n23_m11():

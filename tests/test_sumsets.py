@@ -7,7 +7,7 @@ import random
 import pytest
 
 from pairpack import sumsets
-from pairpack.algebra import CycloInt
+from pairpack.algebra import CycloInt, cyclotomic_poly
 from pairpack.sumsets import (CDReport, beta, check_pair,
                               coefficient_divisibility_check,
                               elementary_symmetric_roots,
@@ -643,3 +643,32 @@ def test_coefficient_divisibility_check():
         order = p ** alpha
         exps = [rng.randrange(order) for _ in range(rng.randrange(1, 6))]
         assert coefficient_divisibility_check(p, alpha, exps)
+
+
+def test_coefficient_divisibility_check_refuses_a_composite_p():
+    """Z/(9) as p = 9 used to read False where p = 3, alpha = 2 reads
+    True, and p = 4 read False too; a p that is not prime is refused."""
+    assert coefficient_divisibility_check(3, 2, (0, 3, 6))
+    for p, alpha, exps in ((9, 1, (0, 3, 6)), (4, 1, (0, 2)), (6, 2, ())):
+        with pytest.raises(ValueError, match=f"^{p} is not prime$"):
+            coefficient_divisibility_check(p, alpha, exps)
+
+
+def test_coefficient_divisibility_check_compares_coefficient_lists(
+        monkeypatch):
+    """sigma plus the coefficients of Phi_order is the same element of
+    Z[w] with another representative; the product's lists are exactly the
+    signed sigma lists, so the check must catch the difference."""
+    real = sumsets.elementary_symmetric_roots
+
+    def shifted(order, exponents, j):
+        coeffs = list(real(order, exponents, j).coeffs)
+        for i, c in enumerate(cyclotomic_poly(order)):
+            coeffs[i] += c
+        return CycloInt(order, coeffs)
+
+    exps = (1, 2, 5)
+    assert coefficient_divisibility_check(2, 3, exps)
+    monkeypatch.setattr(sumsets, "elementary_symmetric_roots", shifted)
+    assert shifted(8, exps, 1) == real(8, exps, 1)
+    assert not coefficient_divisibility_check(2, 3, exps)
