@@ -43,6 +43,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import struct
 from collections import Counter
 from itertools import chain, combinations_with_replacement, cycle, product
 from operator import add, sub
@@ -116,15 +117,32 @@ def _orbit_verdicts(n: int, universe: str):
         dealt = []
         for h, (x, y) in zip(sorted(folded, key=fold.__getitem__), res.pairs):
             x, y = x * inv % n, y * inv % n
-            dealt.append((h, (x, y) if (y - x) % n == h else (y, x)))
+            dealt.append((h, x, y) if (y - x) % n == h else (h, y, x))
         dealt.sort()
         if not verify_solution(PartitionInstance(n, folded, universe),
-                               [pair for _, pair in dealt]):
+                               [(x, y) for _, x, y in dealt]):
             raise ArithmeticError(
                 f"unverified partition for {list(folded)} mod {n}")
         return True
 
     return feasible
+
+
+def _unit_draws(rng: Random, units, count: int):
+    """count draws of rng.choice(units), made as Random.choice makes them:
+    each keeps the top k = len(units).bit_length() bits of one 32-bit word
+    of rng.getrandbits and is drawn again while those are >= len(units).
+    Chunks of at most 2^16 words, each shifted down k bits and masked to
+    the low k bits of every word, keep memory flat."""
+    k = len(units).bit_length()
+    while count:
+        words = min(count, 1 << 16)
+        low = ((1 << k) - 1) * (((1 << 32 * words) - 1) // 0xFFFFFFFF)
+        tops = rng.getrandbits(32 * words) >> 32 - k & low
+        drawn = [units[r] for r in struct.unpack(
+            f"<{words}I", tops.to_bytes(4 * words, "little")) if r < len(units)]
+        count -= len(drawn)
+        yield from drawn
 
 
 def _sign_variants(folded, n: int) -> list[tuple[int, ...]]:
@@ -233,8 +251,10 @@ def scan_conjecture(n: int, sample: "int | None" = None,
     shard; a file holding every shard costs no solve.
 
     Sample mode draws `sample` >= 1 vectors uniformly (seed mandatory, no
-    checkpoint) and is deterministic for a fixed seed; each drawn sorted
-    key takes the verdict of the multiset it folds to.  A seed without a
+    checkpoint) and is deterministic for a fixed seed: entry after entry
+    is Random(seed).choice(units), cut out of getrandbits words in chunks
+    (see _unit_draws).  Each distinct sorted key is folded once and takes
+    the verdict of the multiset it folds to.  A seed without a
     sample is an error.  The scan runs serially and does not time itself;
     `jobs` is accepted for older callers and ignored.  n > MAX_SCAN_MODULUS,
     or more than MAX_SCAN_MULTISETS folded multisets to walk, is refused.
@@ -261,12 +281,12 @@ def scan_conjecture(n: int, sample: "int | None" = None,
         if checkpoint:
             raise InvalidInstance("checkpoints are for exhaustive scans only")
         rng = Random(checked_int(seed, "seed", error=InvalidInstance))
-        draws = Counter(tuple(sorted(rng.choice(units) for _ in range(m)))
-                        for _ in range(sample))
-        fold = lambda key: tuple(sorted(min(k, n - k) for k in key))
-        bad = {folded for folded in set(map(fold, draws))
-               if not verdict(folded)}
-        failures = sorted(key for key in draws if fold(key) in bad)
+        drawn = _unit_draws(rng, units, sample * m)
+        draws = Counter(map(tuple, map(sorted, zip(*[drawn] * m))))
+        folds = {key: tuple(sorted(min(k, n - k) for k in key))
+                 for key in draws}
+        bad = {folded for folded in set(folds.values()) if not verdict(folded)}
+        failures = sorted(key for key in draws if folds[key] in bad)
         feasible = sample - sum(draws[key] for key in failures)
         return ScanReport(n, universe, sample, feasible, tuple(failures))
 
@@ -276,7 +296,7 @@ def scan_conjecture(n: int, sample: "int | None" = None,
         weights = 0
         for folded in combinations_with_replacement(units[:len(units) // 2],
                                                     m):
-            weights += 2 ** m * multinomial(Counter(folded).values())
+            weights += multinomial(Counter(folded).values())
             # a sign variant's smallest entry is a class of F, or n minus
             # the largest class when every entry is flipped
             reach = set(folded) | {n - folded[-1]}
@@ -284,7 +304,7 @@ def scan_conjecture(n: int, sample: "int | None" = None,
                 for key in _sign_variants(folded, n):
                     if key[0] in missing:
                         missing[key[0]].append(key)
-        if weights != len(units) ** m:
+        if weights << m != len(units) ** m:
             raise ArithmeticError("folded multiset weights do not add up")
         lines = []
         for u in missing:

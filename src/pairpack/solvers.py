@@ -91,8 +91,8 @@ class PartitionInstance(Value):
 
     def __init__(self, n: int, d, universe: str = "nonzero"):
         n = checked_int(n, "modulus", 2, InvalidInstance)
-        d = tuple(x % n for x in int_entries(d, "difference", InvalidInstance))
-        if any(x == 0 for x in d):
+        d = tuple([x % n for x in int_entries(d, "difference", InvalidInstance)])
+        if 0 in d:
             raise InvalidInstance("zero difference")
         if universe not in ("nonzero", "full"):
             raise InvalidInstance(f"unknown universe {universe!r}")
@@ -108,10 +108,6 @@ class PartitionInstance(Value):
     @property
     def m(self) -> int:
         return len(self.d)
-
-    def universe_elements(self) -> tuple[int, ...]:
-        start = 1 if self.universe == "nonzero" else 0
-        return tuple(range(start, self.n))
 
     def to_json(self) -> dict:
         return {"n": self.n, "universe": self.universe, "d": list(self.d)}
@@ -599,6 +595,8 @@ def _ends(pair, vectors: bool = False):
         x, y = pair
         if vectors:
             return int_entries(x, "coordinate"), int_entries(y, "coordinate")
+        if type(x) is int and type(y) is int:
+            return x, y
         return checked_int(x, "end"), checked_int(y, "end")
     except (TypeError, ValueError):
         raise InvalidInstance(f"malformed pair {pair!r}") from None
@@ -616,7 +614,10 @@ def verify_solution(instance, solution) -> bool:
     """Re-check every invariant of a solution from scratch.
 
     Shares no state with the solvers: distinctness, coverage, the
-    difference equations and disjointness are all recomputed.  An
+    difference equations and disjointness are all recomputed.  A pair
+    partition takes one pass: each difference is checked where it is met
+    and its ends, mod n, are ORed into a mask of bits; the 2m ends cover
+    the universe's 2m elements once each iff the mask is the universe.  An
     Infeasible value is not a solution and yields False; a pair that is
     not two ints (two int vectors), a list of pairs, basis choices or
     translates that is not iterable, and a basis choice or translate that
@@ -631,15 +632,14 @@ def verify_solution(instance, solution) -> bool:
         n = instance.n
         if len(pairs) != instance.m:
             return False
-        seen: list[int] = []
+        ends = 0
         for pair, dv in zip(pairs, instance.d):
             x, y = _ends(pair)
             x, y = x % n, y % n
             if (y - x) % n != dv:
                 return False
-            seen.extend((x, y))
-        return len(set(seen)) == 2 * instance.m and \
-            set(seen) == set(instance.universe_elements())
+            ends |= 1 << x | 1 << y
+        return ends == (1 << n) - 1 - (instance.universe == "nonzero")
 
     if isinstance(instance, VectorPartitionInstance):
         try:

@@ -230,6 +230,21 @@ def test_orbit_sample_matches_direct_scan(seed):
         direct_scan(24, sample=2000, seed=seed)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_unit_draws_match_random_choice(seed):
+    """Sampled scans cut their draws out of getrandbits words one for one
+    as Random.choice draws them: at every n <= 300, where phi(n) is a
+    power of two (half the words redrawn) or just past one, near the
+    modulus limit, and past one chunk of 2^16 words at n = 2048."""
+    for n, count in [*((n, 200) for n in range(3, 301)),
+                     (2039, 200), (2047, 200), (2048, (1 << 16) + 5)]:
+        units = units_mod(n)
+        rng = random.Random(seed)
+        want = [rng.choice(units) for _ in range(count)]
+        got = list(conjectures._unit_draws(random.Random(seed), units, count))
+        assert got == want, n
+
+
 def _verified_multisets(monkeypatch):
     """Record the difference multiset of every verify_solution call a
     scan makes."""

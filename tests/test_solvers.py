@@ -24,7 +24,7 @@ from pairpack.solvers import (Infeasible, InvalidInstance, PackingInstance,
 def exists_by_enumeration(inst):
     """Blind oracle: walk every perfect matching of the universe, then try
     to orient its pairs so the differences hit the required multiset."""
-    elems = list(inst.universe_elements())
+    elems = list(range(inst.universe == "nonzero", inst.n))
     target = Counter(inst.d)
 
     def orient(pairs, remaining):
@@ -70,7 +70,6 @@ def test_partition_instance_validation():
     inst = PartitionInstance(7, (8, 2, 3))
     assert inst.d == (1, 2, 3)
     assert inst.m == 3
-    assert inst.universe_elements() == (1, 2, 3, 4, 5, 6)
 
 
 def test_partition_json_round_trip():
@@ -381,6 +380,11 @@ def test_verify_rejects_tampering():
     assert not verify_solution(inst, PairPartition(((2, 3), (4, 2))))
     assert not verify_solution(inst, PairPartition(((2, 3), (1, 4))))
     assert not verify_solution(inst, PairPartition(((0, 1), (2, 4))))
+    assert not verify_solution(inst, [(1, 2), (1, 3)])      # 1 twice
+    assert not verify_solution(inst, [(1, 2), (0, 2)])      # 0 not in it
+    assert verify_solution(inst, [(7, 8), (-1, 6)])         # ends mod 5
+    # the first pair's wrong difference ends the check before the bad end
+    assert not verify_solution(inst, [(1, 3), (2, "x")])
     assert verify_solution(inst, Infeasible(3)) is False
     with pytest.raises(TypeError):
         verify_solution(object(), good)
@@ -411,6 +415,9 @@ def test_verify_rejects_malformed_pairs():
     for bad in (5, PairPartition(5)):
         with pytest.raises(InvalidInstance):
             verify_solution(inst, bad)
+    # a malformed pair raises where it is met, here before any good one
+    with pytest.raises(InvalidInstance, match=r"^malformed pair \('x', 2\)$"):
+        verify_solution(inst, [("x", 2), (1, 2)])
     for bad in ((5, (0,)), ([((0,), (1,))], 7)):
         with pytest.raises(InvalidInstance):
             verify_solution(vinst, bad)
