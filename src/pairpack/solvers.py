@@ -595,8 +595,6 @@ def _ends(pair, vectors: bool = False):
         x, y = pair
         if vectors:
             return int_entries(x, "coordinate"), int_entries(y, "coordinate")
-        if type(x) is int and type(y) is int:
-            return x, y
         return checked_int(x, "end"), checked_int(y, "end")
     except (TypeError, ValueError):
         raise InvalidInstance(f"malformed pair {pair!r}") from None
