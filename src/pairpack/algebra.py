@@ -1,5 +1,5 @@
 """Exact arithmetic substrates: primality, residue rings, F_p linear
-algebra, and cyclotomic integers.
+algebra, and cyclotomic integers; and the package's one depth-first walk.
 
 Everything here runs on Python's arbitrary-precision integers; no floating
 point is used anywhere.  A ring is only a modulus (ModRing) or its absence
@@ -9,7 +9,8 @@ Cyclotomic integers are integer coefficient vectors modulo x^n - 1, which
 is deliberately not a canonical form: zero is decided by exact divisibility
 by the n-th cyclotomic polynomial.  The package's one multinomial is here,
 so scans and packing reports need not load dyson; the permanents live in
-conjectures.
+conjectures.  depth_first keeps its path on a list, so the solvers' searches
+and MultiPoly's grid walk have no depth limit.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import math
 from contextlib import contextmanager
 from functools import lru_cache
 from operator import attrgetter
+from types import GeneratorType
 
 
 class DimensionMismatch(ValueError):
@@ -62,6 +64,24 @@ def multinomial(parts) -> int:
     of orderings of a multiset with these multiplicities (1 for no parts)."""
     parts = tuple(parts)
     return math.factorial(sum(parts)) // math.prod(map(math.factorial, parts))
+
+
+def depth_first(root):
+    """Walk root, a generator, depth-first: a generator that it yields is
+    walked in full before it resumes, any other value is passed out.  The
+    path is kept on a list, so depth has no limit.  Returns the number of
+    generators walked, root included."""
+    walked, path = 1, [root]
+    while path:
+        for value in path[-1]:
+            if type(value) is GeneratorType:
+                path.append(value)
+                walked += 1
+                break
+            yield value
+        else:
+            path.pop()
+    return walked
 
 
 def json_value(value, name: str, kind: type = int):
@@ -329,21 +349,9 @@ class CycloInt:
             raise OrderMismatch(f"root orders {self.n} and {other.n} differ")
         return other
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        return CycloInt(self.n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return CycloInt(self.n, [-a for a in self.coeffs])
-
     def __sub__(self, other):
         other = self._coerce(other)
         return CycloInt(self.n, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __rsub__(self, other):
-        return -self + other
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -358,8 +366,6 @@ class CycloInt:
                             k -= n
                         out[k] += a * b
         return CycloInt(n, out)
-
-    __rmul__ = __mul__
 
     def is_zero(self) -> bool:
         """True iff this element equals zero in Z[w], i.e. the coefficient

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import math
 
-from .algebra import checked_int, int_entries, json_errors, json_value
+from .algebra import (checked_int, depth_first, int_entries, json_errors,
+                      json_value)
 
 
 class ArityMismatch(ValueError):
@@ -126,7 +127,8 @@ class MultiPoly:
         polynomial in x_k .. x_(m-1), kept as a map from exponent tails to
         coefficients (reduced mod n), and a prefix whose folded polynomial
         has no nonzero coefficient skips every point below it.  At the last
-        coordinate the fold is the value.
+        coordinate the fold is the value.  Each prefix's walk is a
+        generator that algebra.depth_first walks, so arity has no limit.
         """
         if len(sets) != self.arity:
             raise ArityMismatch(f"{len(sets)} sets for arity {self.arity}")
@@ -155,12 +157,12 @@ class MultiPoly:
                 folded = {e: v for e, c in folded.items() if (v := c % n if n else c)}
                 if folded:
                     point[k] = x
-                    yield from walk(k + 1, folded)
+                    yield walk(k + 1, folded)
 
         if not self.arity:
             yield from self.terms.items()       # ((), c) unless f = 0
         elif self.terms:
-            yield from walk(0, self.terms)
+            yield from depth_first(walk(0, self.terms))
 
     def sorted_terms(self):
         """Terms as (exponents, coeff) pairs in lexicographic exponent order."""

@@ -1,7 +1,7 @@
 """Backtracking solvers with certified infeasibility.
 
 Three search problems run on one driver, _search, which keeps its path
-on an explicit stack, so search depth has no limit.  The problems are
+in depth_first's list, so search depth has no limit.  The problems are
 pair partitions of Z/(n) with prescribed differences, pair partitions of
 (F_p)^k where each pair picks its difference from a private basis, and
 translate packings X_i + t_i with t_i drawn from a finite T_i.  Each
@@ -13,7 +13,7 @@ the CLI's partition keeps the canonical first solution, cutting the
 same states on an odd modulus; on an even one, or to count the tree
 where the cuts find nothing, it skips dead states it has seen.  All
 three pair searches key a state by its covered set as bits, the int
-_search hands it; the table search adds fields above bit n that count
+node(key) takes; the table search adds fields above bit n that count
 the copies of each difference used.  A solver either returns a
 solution (deterministic, first in its branch order) or an Infeasible
 certificate counting the nodes of its whole search tree, subtrees read
@@ -26,8 +26,8 @@ import math
 from collections import deque
 from itertools import product
 
-from .algebra import (Value, checked_int, int_entries, is_basis, is_prime,
-                      json_errors, json_value, vec_add, vec_sub)
+from .algebra import (Value, checked_int, depth_first, int_entries, is_basis,
+                      is_prime, json_errors, json_value, vec_add, vec_sub)
 
 DEAD_STATES = 1 << 18   # the canonical and vector searches clear a table this big
 MAX_TRIAL_DIVISOR = 1 << 22   # the packing report factors n up to here
@@ -53,25 +53,16 @@ class Infeasible(Value):
         return {"result": "infeasible", "nodes": self.nodes}
 
 
-def _search(node) -> "Infeasible | None":
-    """Depth-first search over the states node(key) generates.
-
-    A state yields -1 if it is complete; otherwise each yield applies one
-    move and gives the child's key, and resuming undoes the move.
-    Returns None at the first complete state, its path's moves applied,
-    or Infeasible counting every state expanded."""
-    nodes = 1
-    stack = [node(0)]
-    while stack:
-        key = next(stack[-1], None)
-        if key is None:
-            stack.pop()
-        elif key < 0:
-            return None
-        else:
-            nodes += 1
-            stack.append(node(key))
-    return Infeasible(nodes)
+def _search(root) -> "Infeasible | None":
+    """None at the first complete state depth_first walks from root, its
+    path's moves applied, or Infeasible counting every state walked.  A
+    state yields True if complete; else, per move, applies it, yields the
+    child's state and undoes the move on resuming."""
+    try:
+        next(depth_first(root))
+    except StopIteration as done:
+        return Infeasible(done.value)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +163,7 @@ def solve_pair_partition(inst: PartitionInstance) -> PairPartition | Infeasible:
     def node(key):
         free = universe & ~key
         if not free:
-            yield -1
+            yield True
             return
         bit = free & -free
         e = bit.bit_length() - 1
@@ -191,7 +182,7 @@ def solve_pair_partition(inst: PartitionInstance) -> PairPartition | Infeasible:
                 continue
             counts[dv] -= 1
             chosen.append((e, y, dv) if s == dv else (y, e, dv))
-            yield child
+            yield node(child)
             nodes += dead[child]
             chosen.pop()
             counts[dv] += 1
@@ -199,7 +190,7 @@ def solve_pair_partition(inst: PartitionInstance) -> PairPartition | Infeasible:
             dead.clear()                # costs only re-search
         dead[key] = nodes
 
-    if _search(node):
+    if _search(node(0)):
         return Infeasible(dead[0])  # the root's subtree is the whole tree
     return _deal(inst, chosen)
 
@@ -241,7 +232,7 @@ def _cut_search(inst: PartitionInstance, pick) -> PairPartition | Infeasible:
     def node(key):
         free = universe & ~key
         if not free:
-            yield -1
+            yield True
             return
         one = 0
         lives = []
@@ -267,18 +258,18 @@ def _cut_search(inst: PartitionInstance, pick) -> PairPartition | Infeasible:
                 y = e + dv if e < rv else e - rv
                 counts[dv] -= 1
                 chosen.append((e, y, dv))
-                yield key | 1 << y
+                yield node(key | 1 << y)
                 chosen.pop()
                 counts[dv] += 1
             if down >> e & 1:
                 x = e - dv if e >= dv else e + rv
                 counts[dv] -= 1
                 chosen.append((x, e, dv))
-                yield key | 1 << x
+                yield node(key | 1 << x)
                 chosen.pop()
                 counts[dv] += 1
 
-    return _search(node) or _deal(inst, chosen)
+    return _search(node(0)) or _deal(inst, chosen)
 
 
 def _differences(inst: PartitionInstance):
@@ -376,7 +367,7 @@ def solve_vector_partition(inst: VectorPartitionInstance):
     def node(key):
         free = nonzero & ~key
         if not free:
-            yield -1
+            yield True
             return
         bit = free & -free
         free ^= bit                         # e is no partner of its own
@@ -397,11 +388,11 @@ def solve_vector_partition(inst: VectorPartitionInstance):
                 for move, partner in pair:
                     if free & partner:
                         chosen[i] = move
-                        yield key | bit | partner
+                        yield node(key | bit | partner)
                         chosen[i] = None
 
-    return _search(node) or (tuple((x, y) for x, y, _ in chosen),
-                             tuple(j for _, _, j in chosen))
+    return _search(node(0)) or (tuple((x, y) for x, y, _ in chosen),
+                                tuple(j for _, _, j in chosen))
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +459,7 @@ def solve_translate_packing(inst: PackingInstance):
 
     def node(i):
         if i == m:
-            yield -1
+            yield True
             return
         base = inst.X[i]
         for cand in inst.T[i]:
@@ -477,10 +468,10 @@ def solve_translate_packing(inst: PackingInstance):
             if occupied.isdisjoint(translate):
                 occupied.update(translate)
                 t[i] = cand
-                yield i + 1
+                yield node(i + 1)
                 occupied.difference_update(translate)
 
-    return _search(node) or tuple(t)
+    return _search(node(0)) or tuple(t)
 
 
 class PackingReport(Value):

@@ -1,4 +1,5 @@
-"""Ring handles, vector helpers and cyclotomic integers."""
+"""Ring handles, vector helpers, cyclotomic integers and the depth-first
+walk."""
 
 import math
 import random
@@ -6,9 +7,9 @@ import random
 import pytest
 
 from pairpack.algebra import (ZZ, CycloInt, DimensionMismatch, ModRing,
-                              OrderMismatch, cyclotomic_poly, is_basis,
-                              is_prime, poly_divmod_monic, rank_mod_p,
-                              vec_add, vec_sub)
+                              OrderMismatch, cyclotomic_poly, depth_first,
+                              is_basis, is_prime, poly_divmod_monic,
+                              rank_mod_p, vec_add, vec_sub)
 
 
 def test_is_prime_small():
@@ -129,13 +130,13 @@ def test_cycloint_construction_folds():
 
 
 def test_cycloint_arithmetic():
-    w = CycloInt.root_power(7, 1)
-    assert math.prod([w] * 7).coeffs == CycloInt.from_int(7, 1).coeffs
-    assert ((w + 1) * (w - 1) - (w * w - 1)).is_zero()
-    assert (3 * w - w - w - w).is_zero()
-    assert (2 - w).coeffs == (2, -1, 0, 0, 0, 0, 0)
+    # CycloInt keeps binary - and *, an int operand on the right
+    w, one = CycloInt.root_power(7, 1), CycloInt.from_int(7, 1)
+    assert math.prod([w] * 7, start=one).coeffs == one.coeffs
+    assert (CycloInt(7, (1, 1)) * (w - 1) - (w * w - 1)).is_zero()
+    assert (w * 3 - w - w - w).is_zero()
     with pytest.raises(OrderMismatch):
-        CycloInt.root_power(5, 1) + CycloInt.root_power(7, 1)
+        CycloInt.root_power(5, 1) - CycloInt.root_power(7, 1)
 
 
 def test_cycloint_zero_detection():
@@ -183,6 +184,39 @@ def test_cycloint_mul_matches_convolution():
             for j, bj in enumerate(b):
                 expect[(i + j) % n] += ai * bj
         assert prod.coeffs == tuple(expect)
+
+
+# ---------------------------------------------------------------------------
+# the depth-first walk under the solvers and MultiPoly's grid walk
+
+def walk_all(root):
+    """Every value depth_first(root) passes out, and its return value."""
+    walk, values = depth_first(root), []
+    while True:
+        try:
+            values.append(next(walk))
+        except StopIteration as done:
+            return values, done.value
+
+
+def test_depth_first_order_count_and_depth():
+    def tree(label, depth):
+        yield label
+        if depth:
+            yield tree(label + "0", depth - 1)
+            yield [label]               # iterable, but no generator
+            yield tree(label + "1", depth - 1)
+
+    values, walked = walk_all(tree("r", 2))
+    assert values == ["r", "r0", "r00", ["r0"], "r01", ["r"],
+                      "r1", "r10", ["r1"], "r11"]
+    assert walked == 7
+    assert walk_all(x for x in ()) == ([], 1)
+
+    def chain(depth):
+        yield chain(depth - 1) if depth else "bottom"
+
+    assert walk_all(chain(100_000)) == (["bottom"], 100_001)
 
 
 # ---------------------------------------------------------------------------

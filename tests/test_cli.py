@@ -230,6 +230,20 @@ def test_cn_coeff_witness(capsys, tmp_path):
     assert doc["witness"] == [1, 0]
 
 
+def test_cn_coeff_in_2000_variables(capsys, tmp_path):
+    """x_1 ... x_2000 on the grid {0, 1}^2000: the grid walk's depth is
+    not bounded by the call stack, so no RecursionError and no
+    traceback."""
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps(
+        {"arity": 2000, "terms": [{"e": [1] * 2000, "c": "1"}]}))
+    code, out, err = run(capsys, ["cn-coeff", "--file", str(path), "--grid",
+                                  ";".join(["0,1"] * 2000), "--witness"])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"coefficient": 1, "nonzero": True,
+                               "witness": [1] * 2000}
+
+
 def test_conjecture_scan_json(capsys):
     code, out, _ = run(capsys, ["conjecture-scan", "--n", "5"])
     assert code == 0

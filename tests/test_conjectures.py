@@ -339,6 +339,11 @@ def coefficient_rows(mat, r=1):
     return [([e.coeffs for e in row], r) for row in mat]
 
 
+def cyclo_add(a, b):
+    """a + b in Z[w], summed coefficient by coefficient."""
+    return CycloInt(a.n, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+
 def test_permanent_matches_inclusion_exclusion():
     """Glynn's formula, in one packed pass, against the permanent's
     definition: a sum over all permutations of products of one entry per
@@ -346,19 +351,20 @@ def test_permanent_matches_inclusion_exclusion():
     rng = random.Random(29)
     order = 7
 
-    def by_definition(mat, zero):
+    def by_definition(mat, zero, one, add):
         want = zero
         for perm in itertools.permutations(range(len(mat))):
-            term = zero + 1
+            term = one
             for row, col in enumerate(perm):
                 term = term * mat[row][col]
-            want = want + term
+            want = add(want, term)
         return want
 
     for m in (1, 2, 3, 4, 5):
         mat = [[CycloInt(order, [rng.randrange(-2, 3) for _ in range(order)])
                 for _ in range(m)] for _ in range(m)]
-        want = by_definition(mat, CycloInt(order))
+        want = by_definition(mat, CycloInt(order), CycloInt(order, (1,)),
+                             cyclo_add)
         got = _permanent(coefficient_rows(mat), order)
         # both are exact in Z[x]/(x^n - 1), so even the representatives agree
         assert tuple(got) == want.coeffs
@@ -366,7 +372,7 @@ def test_permanent_matches_inclusion_exclusion():
     for m in range(6):
         mat = [[rng.randrange(-9, 10) for _ in range(m)] for _ in range(m)]
         assert _permanent([([(e,) for e in row], 1) for row in mat], 1) == \
-            [by_definition(mat, 0)]
+            [by_definition(mat, 0, 1, int.__add__)]
     # a lone coefficient is the whole bound B, at +B and at -B; an all-zero
     # matrix has B = 0, the fewest bits per packed digit
     for c in (1, 7, 8, -1, -8, 2 ** 40, -2 ** 40):
@@ -390,7 +396,8 @@ def test_permanent_exact_beyond_one_prime():
             for _ in range(3)] for _ in range(3)]
     want = CycloInt(order)
     for perm in itertools.permutations(range(3)):
-        want = want + mat[0][perm[0]] * mat[1][perm[1]] * mat[2][perm[2]]
+        want = cyclo_add(want,
+                         mat[0][perm[0]] * mat[1][perm[1]] * mat[2][perm[2]])
     assert tuple(_permanent(coefficient_rows(mat), order)) == want.coeffs
     mat[1] = [CycloInt(order)] * 3
     assert _permanent(coefficient_rows(mat), order) == [0] * order

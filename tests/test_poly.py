@@ -1,5 +1,7 @@
 """Sparse multivariate polynomials and factored affine products."""
 
+import itertools
+import math
 import random
 
 import pytest
@@ -212,6 +214,26 @@ def test_nonzero_points_order_and_arity():
         assert list(f.nonzero_points((3, 1), (1, 3, 0))) == want
         with pytest.raises(ArityMismatch):
             list(f.nonzero_points((3, 1)))
+
+
+def test_walks_have_no_arity_limit():
+    """x_0 x_1 ... x_2999 as a MultiPoly and as an AffineProduct, walked
+    with (1, 2) on axes 0, 1499 and 2999 and (1,) on every other axis."""
+    arity, axes = 3000, (0, 1499, 2999)
+    mono = MultiPoly(ZZ, arity, {(1,) * arity: 1})
+    prod = AffineProduct(ZZ, arity, [(((i, 1),), 0) for i in range(arity)])
+    sets = [(1, 2) if i in axes else (1,) for i in range(arity)]
+    want = []
+    for xs in itertools.product((1, 2), repeat=3):
+        point = [1] * arity
+        for i, x in zip(axes, xs):
+            point[i] = x
+        want.append((tuple(point), math.prod(xs)))
+    assert sorted(v for _, v in want) == [1, 2, 2, 2, 4, 4, 4, 8]
+    for f in (mono, prod):
+        assert list(f.nonzero_points(*sets)) == want
+        assert f.evaluate((2,) * arity) == 2 ** arity
+
 
 def test_expansion_budget(monkeypatch):
     # the brute-force constant term reads the budget at call time

@@ -385,6 +385,7 @@ def test_verify_rejects_tampering():
     assert verify_solution(inst, [(7, 8), (-1, 6)])         # ends mod 5
     # the first pair's wrong difference ends the check before the bad end
     assert not verify_solution(inst, [(1, 3), (2, "x")])
+    assert not verify_solution(inst, [(1, 2)])               # too few pairs
     assert verify_solution(inst, Infeasible(3)) is False
     with pytest.raises(TypeError):
         verify_solution(object(), good)
@@ -394,10 +395,20 @@ def test_verify_rejects_tampering():
     assert not verify_solution(vinst, (pairs, (1, 0, 0, 1)))
     swapped = (pairs[1],) + (pairs[0],) + pairs[2:]
     assert verify_solution(vinst, (swapped, g))  # same slots, same bases
+    line = VectorPartitionInstance(3, 1, (((1,),),))
+    assert verify_solution(line, ([((1,), (2,))], [0]))
+    for bad in (5,                                # no (pairs, choices)
+                ([((1,), (2,))], [0, 0]),         # a choice too many
+                ([((1,), (2,))], [1]),            # basis index past k
+                ([((1, 0), (2, 0))], [0])):       # vectors not of length k
+        assert not verify_solution(line, bad)
 
     pinst = PackingInstance(7, ((0,), (0, 1)), ((0, 1), (0, 1)), 1)
     assert not verify_solution(pinst, (0, 6))    # 6 not in T_2
     assert not verify_solution(pinst, (0, 0))    # translates collide
+    pinst = PackingInstance(7, [(0, 1), (0, 2)], [(0, 1, 2), (3, 4)], 1)
+    assert verify_solution(pinst, (0, 3))
+    assert not verify_solution(pinst, (0,))      # a translate too few
 
 
 def test_verify_rejects_malformed_pairs():

@@ -585,7 +585,7 @@ def test_root_product_known_coefficients():
         assert c == one
 
     coeffs = root_product_coefficients(5, range(5))   # x^5 - 1
-    assert coeffs[0] == -one
+    assert coeffs[0] == CycloInt.from_int(5, -1)
     assert coeffs[5] == one
     for c in coeffs[1:5]:
         assert c.is_zero()
@@ -597,6 +597,11 @@ def test_elementary_symmetric_sums():
     assert elementary_symmetric_roots(5, (1, 2), 0) == CycloInt.from_int(5, 1)
 
 
+def cyclo_add(a, b):
+    """a + b in Z[w], summed coefficient by coefficient."""
+    return CycloInt(a.n, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+
+
 def product_by_cyclo_arithmetic(order, exponents):
     """prod_i (x - w^(e_i)) by CycloInt products, one factor at a time."""
     coeffs = [CycloInt.from_int(order, 1)]
@@ -604,7 +609,7 @@ def product_by_cyclo_arithmetic(order, exponents):
         root = CycloInt.root_power(order, e)
         nxt = [CycloInt(order)] * (len(coeffs) + 1)
         for i, c in enumerate(coeffs):
-            nxt[i + 1] = nxt[i + 1] + c
+            nxt[i + 1] = cyclo_add(nxt[i + 1], c)
             nxt[i] = nxt[i] - c * root
         coeffs = nxt
     return coeffs
@@ -614,7 +619,7 @@ def sigma_by_cyclo_arithmetic(order, exponents, j):
     """sigma_j of the w^(e_i) as a CycloInt sum of root powers."""
     total = CycloInt(order)
     for combo in itertools.combinations(tuple(exponents), j):
-        total = total + CycloInt.root_power(order, sum(combo))
+        total = cyclo_add(total, CycloInt.root_power(order, sum(combo)))
     return total
 
 
