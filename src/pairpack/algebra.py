@@ -84,8 +84,8 @@ def depth_first(root):
     return walked
 
 
-def json_value(value, name: str, kind: type = int):
-    """value if its type is exactly kind (so a bool is not a JSON int)."""
+def json_value(value, name: str, kind: type):
+    """value if its type is exactly kind: a JSON str, bool or list."""
     if type(value) is not kind:
         raise TypeError(f"{name} must be a JSON {kind.__name__}, got {value!r}")
     return value
@@ -178,9 +178,7 @@ class ModRing(Value):
     __slots__ = ("n",)
 
     def __init__(self, n: int):
-        if not isinstance(n, int) or n < 2:
-            raise ValueError("modulus must be an integer >= 2")
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", checked_int(n, "modulus", 2))
 
     @property
     def is_field(self) -> bool:

@@ -207,9 +207,10 @@ def cmd_sumset(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Verify a solution file; solvers._ends reads each pair's ends first."""
     from .algebra import json_errors, json_value
-    from .solvers import (PackingInstance, PairPartition, PartitionInstance,
-                          VectorPartitionInstance, verify_solution)
+    from .solvers import (PackingInstance, PartitionInstance,
+                          VectorPartitionInstance, _ends, verify_solution)
     inst_doc = _load(args.instance)
     sol_doc = _load(args.solution)
     inst = (VectorPartitionInstance if "bases" in inst_doc else
@@ -221,20 +222,13 @@ def cmd_verify(args) -> int:
         return 2
 
     with json_errors("solution", CliError):
-        ints = lambda key, values: tuple(json_value(v, key) for v in values)
-        if isinstance(inst, PackingInstance):
-            solution = ints("t", sol_doc["t"])
-        else:
-            pairs = json_value(sol_doc["pairs"], "pairs", list)
-            for pair in pairs:
-                if len(json_value(pair, "pairs", list)) != 2:
-                    raise TypeError(f"pairs must be [x, y] lists, got {pair!r}")
-            if isinstance(inst, VectorPartitionInstance):
-                solution = (tuple((ints("pairs", x), ints("pairs", y))
-                                  for x, y in pairs), ints("g", sol_doc["g"]))
-            else:
-                solution = PairPartition(tuple(ints("pairs", p) for p in pairs))
-        ok = verify_solution(inst, solution)
+        vectors = isinstance(inst, VectorPartitionInstance)
+        solution = sol_doc["t"] if isinstance(inst, PackingInstance) else [
+            _ends(pair, vectors)    # every pair, also past a first verdict
+            for pair in json_value(sol_doc["pairs"], "pairs", list)]
+        if vectors:
+            solution = solution, sol_doc["g"]
+    ok = verify_solution(inst, solution)
 
     _emit({"verified": ok})
     return 0 if ok else 2

@@ -50,9 +50,9 @@ from operator import add, sub
 from random import Random
 
 from .algebra import (CycloInt, Value, checked_int, int_entries, is_prime,
-                      json_value, multinomial)
+                      multinomial)
 from .solvers import (Infeasible, InvalidInstance, PartitionInstance,
-                      find_pair_partition, verify_solution)
+                      find_pair_partition, universe_of, verify_solution)
 
 MAX_SCAN_MODULUS = 2048       # n = 2039's unit-fold table takes 0.8 s
 MAX_SCAN_MULTISETS = 10 ** 6  # exhaustive: n = 23's 352,716 take about 30 s
@@ -88,7 +88,7 @@ class ScanReport(Value):
                 "failures": [list(f) for f in self.failures]}
 
 
-def _orbit_verdicts(n: int, universe: str):
+def _orbit_verdicts(n: int):
     """Feasibility of folded difference multisets mod n, one solve per orbit.
 
     A folded multiset F has entries min(k, n - k): a pair with difference
@@ -109,8 +109,7 @@ def _orbit_verdicts(n: int, universe: str):
         rep, inv, fold = min((tuple(sorted(map(f.__getitem__, folded))),
                               inv, f) for inv, f in folds)
         if rep not in solved:
-            solved[rep] = find_pair_partition(
-                PartitionInstance(n, rep, universe))
+            solved[rep] = find_pair_partition(PartitionInstance(n, rep))
         res = solved[rep]
         if isinstance(res, Infeasible):
             return False
@@ -119,7 +118,7 @@ def _orbit_verdicts(n: int, universe: str):
             x, y = x * inv % n, y * inv % n
             dealt.append((h, x, y) if (y - x) % n == h else (h, y, x))
         dealt.sort()
-        if not verify_solution(PartitionInstance(n, folded, universe),
+        if not verify_solution(PartitionInstance(n, folded),
                                [(x, y) for _, x, y in dealt]):
             raise ArithmeticError(
                 f"unverified partition for {list(folded)} mod {n}")
@@ -153,43 +152,42 @@ def _sign_variants(folded, n: int) -> list[tuple[int, ...]]:
     return [tuple(sorted(chain(*parts))) for parts in product(*runs)]
 
 
-def _shard(n: int, universe: str, units, u: int, failures) -> dict:
+def _shard(n: int, units, u: int, failures) -> dict:
     """The record of shard u of the scan mod n: its total is
     a^m - (a-1)^m with a = #{units >= u}, and its feasible count is the
     total minus the orderings of its failing sorted keys."""
     m = n // 2
     a = len(units) - units.index(u)
     total = a ** m - (a - 1) ** m
-    return {"n": n, "universe": universe, "shard": u, "total": total,
+    return {"n": n, "universe": universe_of(n), "shard": u, "total": total,
             "feasible": total - sum(multinomial(Counter(key).values())
                                     for key in failures),
             "failures": failures}
 
 
-def _well_formed(rec, n: int, universe: str, units) -> bool:
+def _well_formed(rec, n: int, units) -> bool:
     """Could the scan mod n have written this record?
 
-    Its fields are JSON ints (no bools) and lists of int keys; its shard
-    u is a unit; its failures are distinct keys of m units, each sorted
-    with smallest entry u, listed in order; and it is _shard of u and
-    those failures.
+    Its fields are ints by the checked_int rule and lists of int keys;
+    its shard u is a unit; its failures are distinct keys of m units,
+    each sorted with smallest entry u, listed in order; and it is _shard
+    of u and those failures, universe_of(n) included.
     """
     try:
-        shard, total, feasible = (json_value(rec[k], k)
+        shard, total, feasible = (checked_int(rec[k], k)
                                   for k in ("shard", "total", "feasible"))
-        keys = [tuple(json_value(x, "failures") for x in key)
-                for key in rec["failures"]]
-    except (KeyError, TypeError):
+        keys = [int_entries(key, "failure") for key in rec["failures"]]
+    except (KeyError, TypeError, ValueError):
         return False
     unit_set = set(units)
     return (shard in unit_set and keys == sorted(set(keys))
             and all(len(key) == n // 2 and key[0] == shard
                     and key == tuple(sorted(key)) and unit_set.issuperset(key)
                     for key in keys)
-            and rec == _shard(n, universe, units, shard, rec["failures"]))
+            and rec == _shard(n, units, shard, rec["failures"]))
 
 
-def _load_checkpoint(path, n, universe):
+def _load_checkpoint(path, n):
     """Finished shards of this scan from a checkpoint file.
 
     Each record is appended together with its newline, so a crash in the
@@ -220,7 +218,7 @@ def _load_checkpoint(path, n, universe):
                 raise InvalidInstance(
                     f"checkpoint line {number} is not a scan record")
             if rec["n"] == n:
-                if not _well_formed(rec, n, universe, units):
+                if not _well_formed(rec, n, units):
                     raise InvalidInstance(
                         f"checkpoint line {number} is a malformed scan record")
                 done[rec["shard"]] = rec
@@ -264,7 +262,6 @@ def scan_conjecture(n: int, sample: "int | None" = None,
             f"modulus {n} is too big to scan (at most {MAX_SCAN_MODULUS})")
     if sample is None and seed is not None:
         raise InvalidInstance("a seed needs sample mode")
-    universe = "nonzero" if n % 2 else "full"
     m = n // 2
     units = units_mod(n)
     if sample is None and math.comb(len(units) // 2 + m - 1, m) \
@@ -272,7 +269,7 @@ def scan_conjecture(n: int, sample: "int | None" = None,
         raise InvalidInstance(
             f"an exhaustive scan mod {n} has more than {MAX_SCAN_MULTISETS:,} "
             "folded multisets; use sample mode (--sample)")
-    verdict = _orbit_verdicts(n, universe)
+    verdict = _orbit_verdicts(n)
 
     if sample is not None:
         checked_int(sample, "sample size", 1, InvalidInstance)
@@ -288,9 +285,9 @@ def scan_conjecture(n: int, sample: "int | None" = None,
         bad = {folded for folded in set(folds.values()) if not verdict(folded)}
         failures = sorted(key for key in draws if folds[key] in bad)
         feasible = sample - sum(draws[key] for key in failures)
-        return ScanReport(n, universe, sample, feasible, tuple(failures))
+        return ScanReport(n, universe_of(n), sample, feasible, tuple(failures))
 
-    done = _load_checkpoint(checkpoint, n, universe) if checkpoint else {}
+    done = _load_checkpoint(checkpoint, n) if checkpoint else {}
     missing = {u: [] for u in units if u not in done}
     if missing:
         weights = 0
@@ -308,7 +305,7 @@ def scan_conjecture(n: int, sample: "int | None" = None,
             raise ArithmeticError("folded multiset weights do not add up")
         lines = []
         for u in missing:
-            done[u] = _shard(n, universe, units, u, sorted(missing[u]))
+            done[u] = _shard(n, units, u, sorted(missing[u]))
             lines.append(json.dumps(done[u], sort_keys=True) + "\n")
         if checkpoint:
             with open(checkpoint, "a", encoding="utf-8") as fh:
@@ -323,7 +320,7 @@ def scan_conjecture(n: int, sample: "int | None" = None,
         failures.extend(map(tuple, rec["failures"]))
     if total != len(units) ** m:
         raise ArithmeticError("shard totals do not add up")
-    return ScanReport(n, universe, total, feasible, tuple(failures))
+    return ScanReport(n, universe_of(n), total, feasible, tuple(failures))
 
 
 # ---------------------------------------------------------------------------

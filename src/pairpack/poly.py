@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import math
 
-from .algebra import (checked_int, depth_first, int_entries, json_errors,
-                      json_value)
+from .algebra import checked_int, depth_first, int_entries, json_errors
 
 
 class ArityMismatch(ValueError):
@@ -178,12 +177,11 @@ class MultiPoly:
     @classmethod
     @json_errors("polynomial", ValueError)
     def from_json(cls, ring, doc: dict) -> MultiPoly:
-        # a coefficient is a JSON int or, as to_json writes, a string
-        terms = [([json_value(x, "e") for x in t["e"]],
-                  json_value(int(c) if type(c := t["c"]) is str and
-                             c.removeprefix("-").isdecimal() else c, "c"))
+        """arity and terms as __init__ takes them; "c" may be a decimal str."""
+        terms = [(t["e"], int(c) if type(c := t["c"]) is str
+                  and c.removeprefix("-").isdecimal() else c)
                  for t in doc["terms"]]
-        return cls(ring, json_value(doc["arity"], "arity"), terms)
+        return cls(ring, doc["arity"], terms)
 
     def __repr__(self):
         shown = ", ".join(f"{e}:{c}" for e, c in self.sorted_terms()[:4])

@@ -69,32 +69,37 @@ def _search(root) -> "Infeasible | None":
 # pair partitions of Z/(n)
 
 
+def universe_of(n: int) -> str:
+    """The universe Z/(n) pairs: odd n its nonzero residues, even n all."""
+    return "nonzero" if n % 2 else "full"
+
+
 class PartitionInstance(Value):
     """Pair up a universe inside Z/(n) so that pair i has difference d[i].
 
-    universe "nonzero" covers Z/(n) minus 0 and needs odd n; "full"
-    covers all of Z/(n) and needs even n; either way there are n // 2
-    pairs.  Differences are reduced mod n and must be nonzero; they need
-    not be units.
+    universe is universe_of(n): "nonzero" covers Z/(n) minus 0 (odd n),
+    "full" all of Z/(n) (even n), n // 2 pairs either way; None, the
+    default, stands for it and another is refused.  Differences are
+    reduced mod n and must be nonzero; they need not be units.
     """
 
     __slots__ = ("n", "d", "universe")
 
-    def __init__(self, n: int, d, universe: str = "nonzero"):
+    def __init__(self, n: int, d, universe: "str | None" = None):
         n = checked_int(n, "modulus", 2, InvalidInstance)
         d = tuple([x % n for x in int_entries(d, "difference", InvalidInstance)])
         if 0 in d:
             raise InvalidInstance("zero difference")
-        if universe not in ("nonzero", "full"):
+        if universe not in ("nonzero", "full", None):
             raise InvalidInstance(f"unknown universe {universe!r}")
-        if n % 2 != (universe == "nonzero"):    # nonzero: odd n, full: even
+        if universe not in (None, own := universe_of(n)):
             raise InvalidInstance(f"universe {universe!r} needs an "
                                   f"{'even' if n % 2 else 'odd'} modulus")
         if len(d) != n // 2:
             raise InvalidInstance(f"need {n // 2} differences, got {len(d)}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "d", d)
-        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "universe", own)
 
     @property
     def m(self) -> int:
@@ -106,10 +111,9 @@ class PartitionInstance(Value):
     @classmethod
     @json_errors("instance", InvalidInstance)
     def from_json(cls, doc: dict) -> "PartitionInstance":
-        n = json_value(doc["n"], "n")
-        universe = doc.get("universe", "nonzero" if n % 2 else "full")
-        return cls(n, tuple(json_value(x, "d") for x in doc["d"]),
-                   json_value(universe, "universe", str))
+        """n, d and universe as __init__ takes them; a universe is a str."""
+        return cls(doc["n"], doc["d"], json_value(
+            doc["universe"], "universe", str) if "universe" in doc else None)
 
 
 class PairPartition(Value):
@@ -338,9 +342,8 @@ class VectorPartitionInstance(Value):
     @classmethod
     @json_errors("instance", InvalidInstance)
     def from_json(cls, doc: dict) -> "VectorPartitionInstance":
-        bases = tuple(tuple(tuple(json_value(c, "bases") for c in v)
-                            for v in basis) for basis in doc["bases"])
-        return cls(json_value(doc["p"], "p"), json_value(doc["k"], "k"), bases,
+        """p, k and bases as __init__ takes them; "check" is a bool."""
+        return cls(doc["p"], doc["k"], doc["bases"],
                    check=json_value(doc.get("check", True), "check", bool))
 
 
@@ -443,10 +446,8 @@ class PackingInstance(Value):
     @classmethod
     @json_errors("instance", InvalidInstance)
     def from_json(cls, doc: dict) -> "PackingInstance":
-        n = doc["n"] if doc["n"] == "integers" else json_value(doc["n"], "n")
-        X, T = (tuple(tuple(json_value(v, key) for v in s) for s in doc[key])
-                for key in ("X", "T"))
-        return cls(n, X, T, json_value(doc["d"], "d"))
+        """n, X, T and d as __init__ takes them."""
+        return cls(doc["n"], doc["X"], doc["T"], doc["d"])
 
 
 def solve_translate_packing(inst: PackingInstance):

@@ -52,8 +52,8 @@ def test_modring_basics():
     assert ModRing(7) != ModRing(5)
     assert len({ModRing(7), ModRing(7), ModRing(5)}) == 2
     assert repr(R) == "ModRing(7)"
-    for bad in (1, 0, -3, 7.0):
-        with pytest.raises(ValueError):
+    for bad in (1, 0, -3, 7.0, True, 5.0, "5"):
+        with pytest.raises(ValueError, match=f"^modulus {bad!r} is not an int"):
             ModRing(bad)
 
 

@@ -215,7 +215,7 @@ def test_cn_coeff(capsys, tmp_path):
         code, out, err = run(capsys, ["cn-coeff", "--file", str(path),
                                       "--grid", "0,1;0,1", "--mod", mod])
         assert (code, out) == (1, "")
-        assert err == "error: modulus must be an integer >= 2\n"
+        assert err == f"error: modulus {mod} is not an int >= 2\n"
 
 
 def test_cn_coeff_witness(capsys, tmp_path):
@@ -523,6 +523,11 @@ PACKING = {"n": 7, "X": [[0, 1], [0, 2]], "T": [[0, 1, 2], [3, 4]], "d": 1}
     ("verify", INSTANCE, {"result": "feasible", "pairs": [[2, "3"], [4, 1]]}),
     ("verify", {"n": 7, "X": [[0]], "T": [[0]], "d": 1},
      {"result": "feasible"}),
+    # neither "not verified" nor a verdict: a solution of the wrong shape
+    ("verify", PACKING, {"result": "feasible", "t": "03"}),
+    ("verify", {"p": 3, "k": 1, "bases": [[[1]]]},
+     {"result": "feasible", "pairs": [[[1], [2]]], "g": {"a": 0}}),
+    ("verify", INSTANCE, {"result": "feasible", "pairs": None}),
 ])
 def test_malformed_json_is_one_error_line(capsys, tmp_path, command, doc,
                                           solution):
@@ -545,15 +550,22 @@ VECTOR = {"p": 3, "k": 1, "bases": [[[1]]]}
     (VECTOR, {"result": "feasible", "pairs": [[[1], [2], [0]]], "g": [0]}),
     (VECTOR, {"result": "feasible", "pairs": [[[1]]], "g": [0]}),
     (VECTOR, {"result": "feasible", "pairs": "ab", "g": [0]}),
+    # malformed past the point where verify_solution has its verdict
+    (INSTANCE, {"result": "feasible", "pairs": [[2, 4], [4, True]]}),
+    (INSTANCE, {"result": "feasible", "pairs": [[2, 3, 9]]}),
+    (INSTANCE, {"result": "feasible", "pairs": [[2, 3], [4, 1], [0, "x"]]}),
+    (VECTOR, {"result": "feasible", "pairs": [[[1], [2]], [[1]]], "g": [0]}),
+    (VECTOR, {"result": "feasible", "pairs": [[[1], [2.5]]], "g": [5]}),
 ])
 def test_malformed_solution_pair_is_one_error_line(capsys, tmp_path,
                                                    instance, solution):
-    """A pair that is not two ends is malformed solution JSON, not an
-    unpacking error."""
+    """A pair that is not two ends is a malformed pair, and pairs that are
+    not a list are malformed solution JSON, not an unpacking error."""
     (tmp_path / "sol.json").write_text(json.dumps(solution))
     code, out, err = run(capsys, _doc_argv("verify", instance, tmp_path))
     assert (code, out) == (1, "")
-    assert err.startswith("error: malformed solution JSON (")
+    assert err.startswith("error: malformed pair " if isinstance(
+        solution["pairs"], list) else "error: malformed solution JSON (")
     assert err.count("\n") == 1
 
 
@@ -583,38 +595,54 @@ def _doc_argv(command, doc, tmp_path):
                        "--solution", str(tmp_path / "sol.json")]}[command]
 
 
-@pytest.mark.parametrize("command, doc, field", [
-    ("partition", {"n": 5, "d": [1, 2.5]}, "d"),
-    ("partition", {"n": "5", "d": "12"}, "n"),
-    ("partition", {"n": 5.9, "d": [1, 2]}, "n"),
-    ("partition", {"p": 3, "k": 1.5, "bases": [[[1]]]}, "k"),
-    ("partition", {"p": 3, "k": 1, "bases": [[[1]]], "check": 1}, "check"),
+def _field_id(value):
+    """A (field, error) case is named by its field."""
+    return value[0] if type(value) is tuple and type(value[0]) is str else None
+
+
+@pytest.mark.parametrize("command, doc, fault", [
+    ("partition", {"n": 5, "d": [1, 2.5]},
+     ("d", "difference 2.5 is not an int")),
+    ("partition", {"n": "5", "d": "12"}, ("n", "modulus '5' is not an int")),
+    ("partition", {"n": 5.9, "d": [1, 2]}, ("n", "modulus 5.9 is not an int")),
+    ("partition", {"p": 3, "k": 1.5, "bases": [[[1]]]},
+     ("k", "k 1.5 is not an int")),
+    ("partition", {"p": 3, "k": 1, "bases": [[[1]]], "check": 1},
+     ("check", "check must be a JSON")),
     ("pack", {"n": 7, "X": [[0], [0, 1]], "T": [[0, 1], [0, 1]], "d": 1.7},
-     "d"),
-    ("pack", {"n": "7", "X": [[0]], "T": [[0]], "d": 1}, "n"),
-    ("verify", {"n": 5, "d": [1, 2.5]}, "d"),
-    ("verify", {"n": 7, "X": [[0]], "T": [[0]], "d": 1.7}, "d"),
-    ("verify", {"p": 3, "k": 1.5, "bases": [[[1]]]}, "k"),
-    ("cn-coeff", {"arity": 2, "terms": [{"e": [1, 1], "c": 2.7}]}, "c"),
+     ("d", "packing parameter 1.7 is not an int")),
+    ("pack", {"n": "7", "X": [[0]], "T": [[0]], "d": 1},
+     ("n", "modulus '7' is not an int")),
+    ("verify", {"n": 5, "d": [1, 2.5]}, ("d", "difference 2.5 is not an int")),
+    ("verify", {"n": 7, "X": [[0]], "T": [[0]], "d": 1.7},
+     ("d", "packing parameter 1.7 is not an int")),
+    ("verify", {"p": 3, "k": 1.5, "bases": [[[1]]]},
+     ("k", "k 1.5 is not an int")),
+    ("cn-coeff", {"arity": 2, "terms": [{"e": [1, 1], "c": 2.7}]},
+     ("c", "coefficient 2.7 is not an int")),
     # an (instance, solution) pair: the solution's field is at fault
     ("verify", (INSTANCE, {"result": "feasible", "pairs": [[2, 3], [4, True]]}),
-     "pairs"),
-    ("verify", (PACKING, {"result": "feasible", "t": [0, 3.0]}), "t"),
-    ("verify", (PACKING, {"result": "feasible", "t": [False, 3]}), "t"),
+     ("pairs", "malformed pair [4, True]")),
+    ("verify", (PACKING, {"result": "feasible", "t": [0, 3.0]}),
+     ("t", "malformed solution [0, 3.0]")),
+    ("verify", (PACKING, {"result": "feasible", "t": [False, 3]}),
+     ("t", "malformed solution [False, 3]")),
     ("verify", ({"p": 3, "k": 1, "bases": [[[1]]]},
                 {"result": "feasible", "pairs": [[[1], [2]]], "g": [0.0]}),
-     "g"),
-    ("partition", {"n": 9, "d": [1, 2, 3, 4], "universe": 0}, "universe"),
-    ("verify", {"n": 5, "d": [1, 2], "universe": False}, "universe"),
-])
+     ("g", "malformed basis choice [0.0]")),
+    ("partition", {"n": 9, "d": [1, 2, 3, 4], "universe": 0},
+     ("universe", "universe must be a JSON")),
+    ("verify", {"n": 5, "d": [1, 2], "universe": False},
+     ("universe", "universe must be a JSON")),
+], ids=_field_id)
 def test_non_integer_json_field_is_one_error_line(capsys, tmp_path, command,
-                                                  doc, field):
+                                                  doc, fault):
     doc, solution = doc if isinstance(doc, tuple) else (doc, SOLUTION)
     (tmp_path / "sol.json").write_text(json.dumps(solution))
     code, out, err = run(capsys, _doc_argv(command, doc, tmp_path))
     assert (code, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"{field} must be a JSON" in err
+    assert fault[1] in err
 
 
 NOT_FOR_SOLVES = {"conjectures", "sumsets", "nullstellensatz", "dyson", "poly"}

@@ -59,10 +59,16 @@ def test_partition_instance_validation():
         PartitionInstance(1, ())
     with pytest.raises(InvalidInstance):
         PartitionInstance(5, (5, 1))            # reduces to zero
-    with pytest.raises(InvalidInstance):
-        PartitionInstance(4, (1, 1))            # even n, nonzero universe
+    # the universe follows from n: even n pairs all of Z/(n)
+    assert PartitionInstance(4, (1, 1)) == PartitionInstance(4, (1, 1), "full")
+    assert PartitionInstance(4, (1, 1)).universe == "full"
+    with pytest.raises(InvalidInstance,
+                       match="^universe 'nonzero' needs an odd modulus$"):
+        PartitionInstance(4, (1, 1), "nonzero")     # even n, nonzero universe
     with pytest.raises(InvalidInstance):
         PartitionInstance(5, (1, 1), "full")    # odd n, full universe
+    with pytest.raises(InvalidInstance, match="^unknown universe ''$"):
+        PartitionInstance(9, (1, 2, 3, 4), "")
     with pytest.raises(InvalidInstance):
         PartitionInstance(5, (1,))              # wrong count
     with pytest.raises(InvalidInstance):
@@ -80,30 +86,53 @@ def test_partition_json_round_trip():
     assert PartitionInstance.from_json({"n": 4, "d": [1, 1]}).universe == "full"
 
 
-@pytest.mark.parametrize("cls, doc, field", [
-    (PartitionInstance, {"n": 5, "d": [1, 2.5]}, "d"),
-    (PartitionInstance, {"n": "5", "d": "12"}, "n"),
-    (PartitionInstance, {"n": 5, "d": "12"}, "d"),
-    (PartitionInstance, {"n": 5.9, "d": [1, 2]}, "n"),
-    (PartitionInstance, {"n": True, "d": [1, 2]}, "n"),
-    (PartitionInstance, {"n": 5, "d": [True, 2]}, "d"),
-    (VectorPartitionInstance, {"p": 3, "k": 1.5, "bases": [[[1]]]}, "k"),
-    (VectorPartitionInstance, {"p": "3", "k": 1, "bases": [[[1]]]}, "p"),
-    (VectorPartitionInstance, {"p": 3, "k": 1, "bases": [[[1.0]]]}, "bases"),
+def _field_id(value):
+    """A (field, error) case is named by its field."""
+    return value[0] if type(value) is tuple and type(value[0]) is str else None
+
+
+@pytest.mark.parametrize("cls, doc, fault", [
+    (PartitionInstance, {"n": 5, "d": [1, 2.5]},
+     ("d", r"^difference 2\.5 is not an int$")),
+    (PartitionInstance, {"n": "5", "d": "12"},
+     ("n", r"^modulus '5' is not an int >= 2$")),
+    (PartitionInstance, {"n": 5, "d": "12"},
+     ("d", r"^differences '12' are not a sequence of ints$")),
+    (PartitionInstance, {"n": 5.9, "d": [1, 2]},
+     ("n", r"^modulus 5\.9 is not an int >= 2$")),
+    (PartitionInstance, {"n": True, "d": [1, 2]},
+     ("n", r"^modulus True is not an int >= 2$")),
+    (PartitionInstance, {"n": 5, "d": [True, 2]},
+     ("d", r"^difference True is not an int$")),
+    (VectorPartitionInstance, {"p": 3, "k": 1.5, "bases": [[[1]]]},
+     ("k", r"^k 1\.5 is not an int >= 1$")),
+    (VectorPartitionInstance, {"p": "3", "k": 1, "bases": [[[1]]]},
+     ("p", r"^p '3' is not an int >= 2$")),
+    (VectorPartitionInstance, {"p": 3, "k": 1, "bases": [[[1.0]]]},
+     ("bases", r"^coordinate 1\.0 is not an int$")),
     (VectorPartitionInstance,
-     {"p": 3, "k": 1, "bases": [[[1]]], "check": 1}, "check"),
+     {"p": 3, "k": 1, "bases": [[[1]]], "check": 1},
+     ("check", r"\bcheck must be a JSON")),
     (VectorPartitionInstance,
-     {"p": 3, "k": 1, "bases": [[[1]]], "check": "false"}, "check"),
-    (PackingInstance, {"n": 7, "X": [[0]], "T": [[0]], "d": 1.7}, "d"),
-    (PackingInstance, {"n": "7", "X": [[0]], "T": [[0]], "d": 1}, "n"),
-    (PackingInstance, {"n": 7.0, "X": [[0]], "T": [[0]], "d": 1}, "n"),
-    (PackingInstance, {"n": 7, "X": [[0.5]], "T": [[0]], "d": 1}, "X"),
-    (PackingInstance, {"n": 7, "X": [[0]], "T": [["0"]], "d": 1}, "T"),
-])
-def test_from_json_takes_only_json_integers(cls, doc, field):
+     {"p": 3, "k": 1, "bases": [[[1]]], "check": "false"},
+     ("check", r"\bcheck must be a JSON")),
+    (PackingInstance, {"n": 7, "X": [[0]], "T": [[0]], "d": 1.7},
+     ("d", r"^packing parameter 1\.7 is not an int >= 1$")),
+    (PackingInstance, {"n": "7", "X": [[0]], "T": [[0]], "d": 1},
+     ("n", r"^modulus '7' is not an int >= 2$")),
+    (PackingInstance, {"n": 7.0, "X": [[0]], "T": [[0]], "d": 1},
+     ("n", r"^modulus 7\.0 is not an int >= 2$")),
+    (PackingInstance, {"n": 7, "X": [[0.5]], "T": [[0]], "d": 1},
+     ("X", r"^element 0\.5 is not an int$")),
+    (PackingInstance, {"n": 7, "X": [[0]], "T": [["0"]], "d": 1},
+     ("T", r"^element '0' is not an int$")),
+], ids=_field_id)
+def test_from_json_takes_only_json_integers(cls, doc, fault):
     # a float, bool or string in an integer field used to be truncated or
-    # reinterpreted (d = [1, 2.5] solved d = (1, 2)); now it names the field
-    with pytest.raises(InvalidInstance, match=rf"\b{field} must be a JSON"):
+    # reinterpreted (d = [1, 2.5] solved d = (1, 2)); now the error names
+    # the field by its library name
+    _, error = fault
+    with pytest.raises(InvalidInstance, match=error):
         cls.from_json(doc)
 
 
