@@ -17,17 +17,19 @@ is what the witness search exhumes.
 
 Every grid routine here reads f only through ``f.nonzero_points``, which
 lists the points of a product of sets where f is nonzero, in
-lexicographic order.  Both polynomial types walk the grid by prefixes.
-For a MultiPoly, each prefix folds the terms once into a polynomial in
-the coordinates still free, and a prefix whose fold has no nonzero
-coefficient (mod n) skips every point below it.  For an AffineProduct
-the walk is by roots: each factor strikes its zeros from the next
+lexicographic order; one reader checks a grid's arity and reduces its
+sets mod n.  Both polynomial types walk the grid by prefixes.  For a
+MultiPoly, each prefix groups its terms by exponent tail once and folds
+every group into a polynomial in the coordinates still free, the last
+coordinate being one more fold; a prefix whose fold has no nonzero
+coefficient (mod n) skips every point below it.  For an AffineProduct the
+walk is by roots: each factor strikes its zeros from the next
 coordinate's set, through a bit mask over the set's positions cached for
 the walk per linear part and value of the factor's other terms mod n, and
 values are taken only at the points left, where a product of zero
-divisors that is 0 is dropped.  For the pairing
-polynomials nearly every prefix in F_p^m has no next coordinate left
-after two or three, as two pairs collide.
+divisors that is 0 is dropped.  For the pairing polynomials nearly every
+prefix in F_p^m has no next coordinate left after two or three, as two
+pairs collide.
 
 Also here: the helpers specific to pairing the nonzero residues of a prime
 field with prescribed differences, built as unexpanded affine products.
@@ -73,13 +75,13 @@ class GridSpec(Value):
         return tuple(len(s) - 1 for s in self.sets)
 
 
-def _check_grid(f, grid: GridSpec):
+def _grid_sets(f, grid: GridSpec) -> list:
+    """grid's sets as f's walk reads them, each reduced mod n; raises
+    ArityMismatch unless the grid has f's arity."""
     if grid.arity != f.arity:
         raise ArityMismatch(f"grid arity {grid.arity} vs polynomial {f.arity}")
-    limit = sum(grid.target_exponents)
-    deg = f.total_degree()
-    if deg > limit:
-        raise DegreeTooHigh(f"deg {deg} > sum of grid degrees {limit}")
+    n = f.ring.n
+    return [tuple(a % n for a in s) if n else s for s in grid.sets]
 
 
 def integral_over_field(f) -> int:
@@ -108,22 +110,22 @@ def cn_coefficient_scaled(f, grid: GridSpec):
     each value times the complement weight of each of its coordinates,
     looked up in one table per axis.
     """
-    _check_grid(f, grid)
-    n = f.ring.n
-    sets, weights = [], []
-    denom = 1
-    for given in grid.sets:
-        s = tuple(a % n for a in given) if n else given
+    sets, n = _grid_sets(f, grid), f.ring.n
+    limit = sum(grid.target_exponents)
+    if (deg := f.total_degree()) > limit:
+        raise DegreeTooHigh(f"deg {deg} > sum of grid degrees {limit}")
+    weights, denom = [], 1
+    for given, s in zip(grid.sets, sets):
         if len(set(s)) != len(s):
             raise ValueError(f"grid set {given} collapses in {f.ring!r}")
         phi = [math.prod(a - b for b in s if b != a) for a in s]
-        # the product of phi_i' over A_i minus its t-th element, per t
-        comp = [math.prod(phi[:t] + phi[t + 1:]) for t in range(len(s))]
-        denom *= math.prod(phi)
+        # the product of phi_i' over A_i without its t-th factor, per t
+        whole = math.prod(phi)
+        comp = [whole // c for c in phi]
+        denom *= whole
         if n:
             comp = [c % n for c in comp]
             denom %= n
-        sets.append(s)
         weights.append(dict(zip(s, comp)))
     total = 0
     for point, v in f.nonzero_points(*sets):
@@ -158,11 +160,7 @@ def cn_witness(f, grid: GridSpec):
     """First grid point (lexicographic over the sets as given, each
     reduced mod n) where f is nonzero, or None when f vanishes on the
     whole grid.  The walk stops at that point."""
-    if grid.arity != f.arity:
-        raise ArityMismatch(f"grid arity {grid.arity} vs polynomial {f.arity}")
-    n = f.ring.n
-    sets = [tuple(a % n for a in s) for s in grid.sets] if n else grid.sets
-    for point, _ in f.nonzero_points(*sets):
+    for point, _ in f.nonzero_points(*_grid_sets(f, grid)):
         return point
     return None
 

@@ -45,8 +45,7 @@ class MultiPoly:
     def __init__(self, ring, arity: int, terms=None):
         self.ring = ring
         self.arity = checked_int(arity, "arity", 0)
-        n = ring.n
-        clean: dict = {}
+        n, summed = ring.n, {}
         if terms:
             items = terms.items() if isinstance(terms, dict) else terms
             for e, c in items:
@@ -55,14 +54,8 @@ class MultiPoly:
                     raise ArityMismatch(f"exponent {e} in arity-{self.arity} polynomial")
                 if any(x < 0 for x in e):
                     raise ValueError(f"negative exponent in {e}")
-                c = checked_int(c, "coefficient") + clean.get(e, 0)
-                if n:
-                    c %= n
-                if c:
-                    clean[e] = c
-                else:
-                    clean.pop(e, None)
-        self.terms = clean
+                summed[e] = summed.get(e, 0) + checked_int(c, "coefficient")
+        self.terms = {e: v for e, c in summed.items() if (v := c % n if n else c)}
 
     @classmethod
     def one(cls, ring, arity: int) -> MultiPoly:
@@ -122,12 +115,14 @@ class MultiPoly:
         the polynomial is nonzero, in lexicographic order over the sets as
         given.
 
-        With x_0 .. x_(k-1) set, the terms are folded once into a
-        polynomial in x_k .. x_(m-1), kept as a map from exponent tails to
-        coefficients (reduced mod n), and a prefix whose folded polynomial
-        has no nonzero coefficient skips every point below it.  At the last
-        coordinate the fold is the value.  Each prefix's walk is a
-        generator that algebra.depth_first walks, so arity has no limit.
+        With x_0 .. x_(k-1) set, the terms are a polynomial in x_k ..
+        x_(m-1), a map from exponent tails to coefficients (reduced mod
+        n).  The prefix groups them once by tail, as tail -> [(e_k, c),
+        ...], and each x_k folds every group into one coefficient; a
+        prefix whose fold is 0 skips every point below it.  The last
+        coordinate is one more fold, whose one tail () holds the value.
+        Each prefix's walk is a generator that algebra.depth_first walks,
+        so arity has no limit.
         """
         if len(sets) != self.arity:
             raise ArityMismatch(f"{len(sets)} sets for arity {self.arity}")
@@ -136,27 +131,22 @@ class MultiPoly:
 
         def walk(k, terms):
             # terms: the polynomial in x_k .. x_last, tails -> coefficients
-            if k == last:
-                pairs = [(e, c) for (e,), c in terms.items()]
-                for x in sets[k]:
-                    value = 0
-                    for e, c in pairs:
-                        value += c * pow(x, e, n)      # x ** e when n is None
-                    if n:
-                        value %= n
-                    if value:
-                        point[k] = x
-                        yield tuple(point), value
-                return
+            groups = {}
+            for e, c in terms.items():
+                groups.setdefault(e[1:], []).append((e[0], c))
             for x in sets[k]:
                 folded = {}
-                for e, c in terms.items():
-                    rest = e[1:]
-                    folded[rest] = folded.get(rest, 0) + c * pow(x, e[0], n)
-                folded = {e: v for e, c in folded.items() if (v := c % n if n else c)}
+                for tail, pairs in groups.items():
+                    v = 0
+                    for e, c in pairs:
+                        v += c * pow(x, e, n)      # x ** e when n is None
+                    if n:
+                        v %= n
+                    if v:
+                        folded[tail] = v
                 if folded:
                     point[k] = x
-                    yield walk(k + 1, folded)
+                    yield walk(k + 1, folded) if k < last else (tuple(point), folded[()])
 
         if not self.arity:
             yield from self.terms.items()       # ((), c) unless f = 0
@@ -331,8 +321,9 @@ class AffineProduct:
     def expand(self) -> MultiPoly:
         """Multiply the factors out into a MultiPoly.
 
-        Raises BudgetExceeded if the predicted or actual term count passes
-        DEFAULT_TERM_BUDGET.
+        Raises BudgetExceeded if the predicted term count passes
+        DEFAULT_TERM_BUDGET.  The prediction is the one check: it bounds
+        every partial product too (see _predict_terms).
         """
         budget = DEFAULT_TERM_BUDGET
         predicted = _predict_terms(self, budget)
@@ -345,9 +336,6 @@ class AffineProduct:
             terms = [((0,) * arity, const)] + [
                 (tuple(int(j == i) for j in range(arity)), c) for i, c in lin]
             result = result * MultiPoly(self.ring, arity, terms)
-            if len(result.terms) > budget:
-                raise BudgetExceeded(
-                    f"intermediate expansion passed {budget} terms")
         return result
 
 

@@ -15,8 +15,9 @@ that integer caps the group at MAX_SWEEP_SIZE elements.  Listed and
 sampled pairs go PAIR_CHUNK at a time into one packed integer too, with
 one shift-OR per bit position for all of them; its cost, quadratic in
 the mask, caps sampled sweeps at MAX_SAMPLE_SIZE elements.  check_pair
-takes a single pair to the report the CLI prints; its group stays below
-2^MAX_MODULUS_BITS elements, checked before p^alpha is built, once.
+takes a single pair to the report the CLI prints.  Its group stays below
+2^MAX_MODULUS_BITS elements, and coefficient_divisibility_check's root
+order below 2^MAX_ROOT_ORDER_BITS, each checked before p^alpha is built.
 
 The closing check mirrors the argument the bound rests on: writing the
 coefficients of prod_i (x - c_i) for p^alpha-th roots of unity c_i as
@@ -45,6 +46,8 @@ MAX_SAMPLE_SIZE = 1 << 14  # sampled sweeps: a Z/(2^14) pair takes about
                            # 0.1 s, nearly all of it in _check's shift-OR
 MAX_MODULUS_BITS = 1 << 20  # one pair: 3^(2^20 - 1), the biggest group
                             # let in, builds in about 0.14 s
+MAX_ROOT_ORDER_BITS = 12   # root checks: 3^11 = 177,147, the biggest order
+                           # let in, takes 0.5-0.6 s cold with no exponents
 PAIR_CHUNK = 2048          # sampled or listed pairs per pass of _check
 
 _POP = bytes(map(int.bit_count, range(256)))    # bits set, by byte value
@@ -472,9 +475,14 @@ def coefficient_divisibility_check(p: int, alpha: int, exponents) -> bool:
     being one sum in Z[x]/(x^order - 1), and whenever that coefficient
     vanishes in Z[w] its value at 1 must be divisible by p (a prime).
     """
-    order = checked_int(p, "p", 2) ** checked_int(alpha, "alpha", 1)
+    checked_int(p, "p", 2)
+    checked_int(alpha, "alpha", 1)
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    if alpha * (p.bit_length() - 1) >= MAX_ROOT_ORDER_BITS:
+        raise ValueError(f"root order {p}^{alpha} is too big (at least "
+                         f"2^{MAX_ROOT_ORDER_BITS})")
+    order = p ** alpha
     exps = int_entries(exponents, "exponent")
     n = len(exps)
     for k, coeff in enumerate(root_product_coefficients(order, exps)):

@@ -54,16 +54,30 @@ def test_partition_vector_file(capsys, tmp_path):
     assert res["pairs"][0] == [[0, 1], [1, 1]]
 
 
+def test_partition_vector_file_infeasible(capsys, tmp_path):
+    """Every basis in one direction: the 977-node exhaustive search of
+    test_vector_solver_infeasible_when_forced_to_one_direction."""
+    doc = {"p": 3, "k": 2, "bases": [[[1, 0], [1, 0]]] * 4, "check": False}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, ["partition", "--file", str(path)]) == (
+        2, '{\n  "nodes": 977,\n  "result": "infeasible"\n}\n', "")
+
+
 def test_partition_missing_args(capsys):
     code, _, err = run(capsys, ["partition"])
     assert code == 1
     assert err.startswith("error:")
+    assert run(capsys, ["pack", "--n", "7", "--X", "0"]) == (
+        1, "", "error: need --n, --X, --T and --d, or --file\n")
 
 
 def test_partition_invalid_instance(capsys):
     code, _, err = run(capsys, ["partition", "--n", "9", "--d", "1,2"])
     assert code == 1
     assert "error:" in err
+    assert run(capsys, ["partition", "--n", "5", "--d", "1,x"]) == (
+        1, "", "error: expected comma-separated integers, got '1,x'\n")
 
 
 def test_pack_inline(capsys):
@@ -332,6 +346,8 @@ def test_sumset_sample_needs_seed(capsys):
                                 "--sample", "10"])
     assert code == 1
     assert "error:" in err
+    assert run(capsys, ["sumset", "--p", "3", "--A", "0,1"]) == (
+        1, "", "error: --A and --B go together\n")
 
 
 @pytest.mark.parametrize("argv", [

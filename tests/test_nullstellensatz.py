@@ -64,6 +64,8 @@ def test_degree_guard_and_arity_guard():
         cn_coefficient(f, GridSpec(((0, 1),)))
     with pytest.raises(ArityMismatch):
         cn_coefficient(MultiPoly.one(ring, 2), GridSpec(((0, 1),)))
+    with pytest.raises(ArityMismatch):
+        cn_witness(MultiPoly.one(ring, 2), GridSpec(((0, 1),)))
 
 
 def test_integer_coefficients_divide_exactly():

@@ -57,6 +57,10 @@ def test_bad_shapes():
             other * a
     # a ring is its modulus: equal moduli are one ring, ZZ is none of them
     assert a == MultiPoly.one(ModRing(5), 2) != MultiPoly.one(ZZ, 2)
+    with pytest.raises(ArityMismatch):
+        a.coefficient((1,))
+    with pytest.raises(ArityMismatch):
+        AffineProduct(R, 2, [(((0, 1), (2, 1)), 0)])
 
 
 def test_arithmetic_matches_evaluation():
@@ -214,6 +218,10 @@ def test_nonzero_points_order_and_arity():
         assert list(f.nonzero_points((3, 1), (1, 3, 0))) == want
         with pytest.raises(ArityMismatch):
             list(f.nonzero_points((3, 1)))
+    # a modulus past is_prime's exact range walks as a composite one
+    big = AffineProduct(ModRing(10 ** 25), 1, [(((0, 1),), -1)])   # x0 - 1
+    assert list(big.nonzero_points((0, 1, 2))) == [((0,), 10 ** 25 - 1),
+                                                   ((2,), 1)]
 
 
 def test_walks_have_no_arity_limit():
@@ -249,4 +257,30 @@ def test_expansion_budget(monkeypatch):
         AffineProduct(ZZ, 10, factors).expand()
     monkeypatch.setattr(poly, "DEFAULT_TERM_BUDGET", 2000)
     assert len(AffineProduct(ZZ, 10, factors).expand().terms) == 1024
+    # the prediction is expand's one check: wherever it lets a product
+    # through, every partial product has at most the budget's terms
+    rng, refused, kept = random.Random(44), 0, 0
+    rings = (ZZ, ModRing(2), ModRing(6), ModRing(7))
+    for _ in range(800):
+        ring, arity = rng.choice(rings), rng.randrange(1, 6)
+        factors = [(tuple((i, rng.randrange(-3, 4)) for i in range(arity)
+                          if rng.random() < 0.6), rng.randrange(-3, 4))
+                   for _ in range(rng.randrange(8))]
+        if factors and rng.random() < 0.1:      # a factor with no terms
+            factors[rng.randrange(len(factors))] = ((), 0)
+        prod = AffineProduct(ring, arity, factors)
+        for budget in (5, 20, 60, 200):
+            monkeypatch.setattr(poly, "DEFAULT_TERM_BUDGET", budget)
+            try:
+                want = prod.expand()
+            except BudgetExceeded:
+                refused += 1
+                continue
+            kept, partial = kept + 1, MultiPoly.one(ring, arity)
+            for lin, const in prod.factors:
+                partial = partial * MultiPoly(ring, arity, [((0,) * arity, const)] + [
+                    (tuple(int(j == i) for j in range(arity)), c) for i, c in lin])
+                assert len(partial.terms) <= budget, (prod.factors, budget)
+            assert partial == want
+    assert refused > 500 and kept > 2000, (refused, kept)
 

@@ -648,13 +648,18 @@ def test_coefficient_divisibility_check():
         order = p ** alpha
         exps = [rng.randrange(order) for _ in range(rng.randrange(1, 6))]
         assert coefficient_divisibility_check(p, alpha, exps)
+    # an order past the bound is refused before p^alpha is built
+    with pytest.raises(ValueError, match=r"^root order 2\^40 is too big "
+                       r"\(at least 2\^12\)$"):
+        coefficient_divisibility_check(2, 40, [])
 
 
 def test_coefficient_divisibility_check_refuses_a_composite_p():
     """Z/(9) as p = 9 used to read False where p = 3, alpha = 2 reads
     True, and p = 4 read False too; a p that is not prime is refused."""
     assert coefficient_divisibility_check(3, 2, (0, 3, 6))
-    for p, alpha, exps in ((9, 1, (0, 3, 6)), (4, 1, (0, 2)), (6, 2, ())):
+    for p, alpha, exps in ((9, 1, (0, 3, 6)), (4, 1, (0, 2)), (6, 2, ()),
+                           (4, 10 ** 7, ())):      # 4^(10^7) is not built
         with pytest.raises(ValueError, match=f"^{p} is not prime$"):
             coefficient_divisibility_check(p, alpha, exps)
 
