@@ -58,8 +58,11 @@ def _timed_report(timing: bool, run) -> dict:
 
 
 def _load(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:       # not JSON, or not UTF-8
+        raise CliError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise CliError(f"{path}: expected a JSON object")
     return doc

@@ -23,13 +23,13 @@ MultiPoly, each prefix groups its terms by exponent tail once and folds
 every group into a polynomial in the coordinates still free, the last
 coordinate being one more fold; a prefix whose fold has no nonzero
 coefficient (mod n) skips every point below it.  For an AffineProduct the
-walk is by roots: each factor strikes its zeros from the next
-coordinate's set, through a bit mask over the set's positions cached for
-the walk per linear part and value of the factor's other terms mod n, and
-values are taken only at the points left, where a product of zero
-divisors that is 0 is dropped.  For the pairing polynomials nearly every
-prefix in F_p^m has no next coordinate left after two or three, as two
-pairs collide.
+walk is by roots: each factor c * x + r strikes its zeros from the next
+coordinate's set, read in one lookup of -r in a table from c * x mod n to
+a bit mask over the set's positions, and cached for the walk per linear
+part and value of r mod n; values are taken only at the points left,
+where a product of zero divisors that is 0 is dropped.  For the pairing
+polynomials nearly every prefix in F_p^m has no next coordinate left
+after two or three, as two pairs collide.
 
 Also here: the helpers specific to pairing the nonzero residues of a prime
 field with prescribed differences, built as unexpanded affine products.

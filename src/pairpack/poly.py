@@ -212,16 +212,11 @@ class AffineProduct:
         self.factors = tuple(clean)
         const = math.prod(groups.pop((), ()))
         self._const = const % n if n else const
-        # _levels[i]: (rest, c, consts, g, n / g, u) per linear part c * x_i
-        # + rest; c * x + r = 0 mod n when g = gcd(c, n) divides r and x =
-        # r / g * u mod n / g, u = -(c / g)^-1.  Over ZZ, g = c and u = -1.
+        # _levels[i]: (rest, c, consts) per linear part c * x_i + rest
         self._levels = [[] for _ in range(self.arity)]
         for lin, consts in groups.items():
             top, c = lin[-1]
-            g = math.gcd(c, n) if n else c
-            step = n // g if n else 0
-            u = -pow(c // g, -1, step) % step if n else -1
-            self._levels[top].append((lin[:-1], c, consts, g, step, u))
+            self._levels[top].append((lin[:-1], c, consts))
         try:
             field = ring.is_field
         except ValueError:          # a modulus past the exact primality test
@@ -242,16 +237,16 @@ class AffineProduct:
         given.
 
         With x_0 .. x_(i-1) set, each factor c * x_i + r whose largest
-        variable is x_i strikes its roots from the set of x_i (compared
-        mod n), and a prefix with no x_i left skips every point below it.
-        A part's roots depend only on r mod n, so for the call each linear
-        part keeps them per value of r mod n as a bit mask over the
-        positions of the set; a prefix ORs the masks of its parts and
-        walks the positions left in order.  The product is taken only at
-        the points that avoid every root, and dropped there if zero
-        divisors make it 0.  Over a composite n, the walk also carries
-        the product of the factors up to x_i and skips every point below
-        a prefix where it is 0.
+        variable is x_i strikes its roots, the x with c * x = -r (mod n, or
+        exactly over ZZ), from the set of x_i, and a prefix with no x_i
+        left skips every point below it.  For the call, a table per c maps
+        c * x mod n to the positions of the set that hold x, as a bit mask,
+        and each linear part keeps its roots' mask per value of r mod n; a
+        prefix ORs the masks of its parts and walks the positions left in
+        order.  The product is taken only at the points that avoid every
+        root, and dropped there if zero divisors make it 0.  Over a
+        composite n, the walk also carries the product of the factors up
+        to x_i and skips every point below a prefix where it is 0.
         """
         if len(sets) != self.arity:
             raise ArityMismatch(f"{len(sets)} sets for arity {self.arity}")
@@ -262,29 +257,26 @@ class AffineProduct:
         # prefix[i]: over a composite n, const times the factors up to x_(i-1)
         vals, pending, prefix = [()] * self.arity, [None] * self.arity, [const] * self.arity
         # masks[k][j]: rest mod n -> part j's roots as positions in sets[k],
-        # one bit each; tables[k][n / g]: x mod n / g -> positions of x
+        # one bit each; tables[k][c]: c * x mod n -> the same for x
         masks, tables = [[{} for _ in parts] for parts in levels], [{} for _ in levels]
         k = 0 if const and sets else -1
         while k >= 0:
             if pending[k] is None:
                 here, struck, level = [], 0, sets[k]
-                for (rest, c, consts, g, step, u), memo in zip(levels[k], masks[k]):
+                for (rest, c, consts), memo in zip(levels[k], masks[k]):
                     s = 0
                     for i, a in rest:
                         s += a * point[i]
                     here.append((c, s, consts))
                     if (mask := memo.get(key := s % n if n else s)) is None:
-                        if (table := tables[k].get(step)) is None:
-                            table = tables[k][step] = {}
+                        if (table := tables[k].get(c)) is None:
+                            table = tables[k][c] = {}
                             for t, x in enumerate(level):
-                                table.setdefault(x % step if step else x, []).append(t)
+                                y = c * x % n if n else c * x
+                                table[y] = table.get(y, 0) | 1 << t
                         mask = 0
                         for r in consts:
-                            r += key
-                            if r % g == 0:
-                                z = r // g * u
-                                for t in table.get(z % step if step else z, ()):
-                                    mask |= 1 << t
+                            mask |= table.get(-(key + r) % n if n else -(key + r), 0)
                         memo[key] = mask
                     struck |= mask
                 vals[k] = here

@@ -15,9 +15,10 @@ that integer caps the group at MAX_SWEEP_SIZE elements.  Listed and
 sampled pairs go PAIR_CHUNK at a time into one packed integer too, with
 one shift-OR per bit position for all of them; its cost, quadratic in
 the mask, caps sampled sweeps at MAX_SAMPLE_SIZE elements.  check_pair
-takes a single pair to the report the CLI prints.  Its group stays below
-2^MAX_MODULUS_BITS elements, and coefficient_divisibility_check's root
-order below 2^MAX_ROOT_ORDER_BITS, each checked before p^alpha is built.
+takes a single pair to the report the CLI prints.  It refuses a group
+that alpha and the bits of p show has at least 2^MAX_MODULUS_BITS
+elements, and coefficient_divisibility_check so refuses a root order of
+at least 2^MAX_ROOT_ORDER_BITS, each before p^alpha is built.
 
 The closing check mirrors the argument the bound rests on: writing the
 coefficients of prod_i (x - c_i) for p^alpha-th roots of unity c_i as
@@ -90,8 +91,8 @@ def check_pair(p: int, alpha: int, A, B) -> dict:
         raise ValueError("alpha must be at least 1")
     # p^alpha >= 2^(alpha (bits of p - 1)), refused before it is built
     if alpha * (p.bit_length() - 1) >= MAX_MODULUS_BITS:
-        raise ValueError(f"Z/({p}^{alpha}) is too big (it must have "
-                         f"fewer than 2^{MAX_MODULUS_BITS} elements)")
+        raise ValueError(f"Z/({p}^{alpha}) is too big (at least "
+                         f"2^{MAX_MODULUS_BITS} elements)")
     mod = p ** alpha
     A = sorted({a % mod for a in int_entries(A, "element")})
     B = sorted({b % mod for b in int_entries(B, "element")})

@@ -310,8 +310,8 @@ def test_sumset_pair_in_a_huge_group_is_one_error_line(capsys):
         code, out, err = run(capsys, ["sumset", "--p", p, "--alpha", alpha,
                                       "--A", "1", "--B", "1"])
         assert (code, out) == (1, "")
-        assert err == f"error: Z/({p}^{alpha}) is too big (it must have " \
-            "fewer than 2^1048576 elements)\n"
+        assert err == f"error: Z/({p}^{alpha}) is too big (at least " \
+            "2^1048576 elements)\n"
     code, out, _ = run(capsys, ["sumset", "--p", "2", "--alpha", "1048575",
                                 "--A", "1", "--B", "1"])
     assert code == 0 and json.loads(out)["sum"] == [2]
@@ -490,6 +490,22 @@ def test_verify_round_trip(capsys, tmp_path):
                                 "--solution", str(sol)])
     assert code == 2
     assert json.loads(out) == {"verified": False}
+
+
+@pytest.mark.parametrize("body, reason", [
+    (b'{"n": 5', "Expecting ',' delimiter: line 1 column 8 (char 7)"),
+    (b'{"n": "\xff"}', "'utf-8' codec can't decode byte 0xff in position 7: "
+                       "invalid start byte"),
+], ids=["truncated", "not-utf8"])
+def test_verify_names_an_unreadable_solution_file(capsys, tmp_path, body,
+                                                   reason):
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({"n": 5, "universe": "nonzero", "d": [1, 2]}))
+    sol = tmp_path / "sol.json"
+    sol.write_bytes(body)
+    assert run(capsys, ["verify", "--instance", str(inst),
+                        "--solution", str(sol)]) == (
+        1, "", f"error: {sol}: {reason}\n")
 
 
 def test_verify_packing_and_vector(capsys, tmp_path):

@@ -222,6 +222,11 @@ def test_nonzero_points_order_and_arity():
     big = AffineProduct(ModRing(10 ** 25), 1, [(((0, 1),), -1)])   # x0 - 1
     assert list(big.nonzero_points((0, 1, 2))) == [((0,), 10 ** 25 - 1),
                                                    ((2,), 1)]
+    # and finds the roots of a non-unit top coefficient there: 2 * x0 + 2
+    n = 10 ** 25
+    two = AffineProduct(ModRing(n), 1, [(((0, 2),), 2)])
+    assert list(two.nonzero_points((0, n // 2 - 1, n - 1, -1, 2 * n - 1, 3))) \
+        == [((0,), 2), ((3,), 8)]
 
 
 def test_walks_have_no_arity_limit():

@@ -142,10 +142,10 @@ def test_check_pair_matches_literal_recomputation():
 @pytest.mark.parametrize("p, alpha, A, B, message", [
     (6, 0, (), (), "6 is not prime"),
     (5, 0, (), (), "alpha must be at least 1"),
-    (3, 1 << 20, (), (), "Z/(3^1048576) is too big (it must have fewer "
-                         "than 2^1048576 elements)"),
-    (2, 1 << 21, (1,), (1,), "Z/(2^2097152) is too big (it must have fewer "
-                             "than 2^1048576 elements)"),
+    (3, 1 << 20, (), (), "Z/(3^1048576) is too big (at least 2^1048576 "
+                         "elements)"),
+    (2, 1 << 21, (1,), (1,), "Z/(2^2097152) is too big (at least 2^1048576 "
+                             "elements)"),
     (5, 1, (), (0,), "subsets must be nonempty"),
     (5, 2, (0, 1), (), "subsets must be nonempty"),
 ], ids=["not-prime", "alpha-0", "bits-p3", "bits-p2", "empty-A", "empty-B"])
